@@ -1,8 +1,8 @@
 """Serial-vs-parallel campaign wall clock (`repro.core.executor`).
 
 Runs the same experiment set twice from a cold cache — once with
-``jobs=1`` (today's serial path) and once with ``jobs=N`` — plus a warm
-re-run of each, and writes the wall-clock numbers and per-stage
+``jobs=1`` (every task inline, no pool) and once with ``jobs=N`` —
+plus a warm re-run of each, and writes the wall-clock numbers and per-stage
 breakdown to ``benchmarks/out/BENCH_campaign.json`` so the perf
 trajectory accumulates run over run.
 
@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 
 from repro.core import campaign
-from repro.core.executor import run_campaign
+from repro.core.executor import resolve_jobs, run_campaign
 from repro.core.experiment import ExperimentConfig
 from repro.obs.hostmeta import host_metadata, serial_fallback_reason
 from repro.obs.metrics import Metrics
@@ -111,8 +111,8 @@ def timed_run(configs, jobs: int, cache_dir: str,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the parallel campaign executor against the "
-                    "serial path on a cold cache.")
+        description="Benchmark the campaign executor at --jobs N against "
+                    "--jobs 1 on a cold cache.")
     parser.add_argument("--jobs", type=int, default=None,
                         help="parallel worker count (default: all cores)")
     parser.add_argument("--set", dest="set_name", default=None,
@@ -129,9 +129,9 @@ def main(argv=None) -> int:
                              "also fails if the pool fell back to serial")
     args = parser.parse_args(argv)
 
-    # mirror the executor's clamp: requesting more workers than cores
+    # the executor's own clamp: requesting more workers than cores
     # resolves to the serial fallback, which the serial pass already timed
-    jobs = min(args.jobs or os.cpu_count() or 1, os.cpu_count() or 1)
+    jobs = resolve_jobs(args.jobs)
     if args.set_name:
         configs = campaign.EXPERIMENT_SETS[args.set_name]()
     else:
@@ -149,10 +149,11 @@ def main(argv=None) -> int:
                                f"{label}-serial")
         fallback = serial_fallback_reason(jobs, os.cpu_count())
         if fallback:
-            # the executor would fall back to the exact serial path, so a
-            # second timed run would only measure re-run noise; record the
-            # fallback without cloning the serial numbers into fake
-            # parallel ones (build_payload omits the speedup keys)
+            # the executor would run every task inline, as the jobs=1
+            # pass did, so a second timed run would only measure re-run
+            # noise; record the fallback without cloning the serial
+            # numbers into fake parallel ones (build_payload omits the
+            # speedup keys)
             parallel = {"jobs": jobs, "serial_fallback": True,
                         "serial_fallback_reason": fallback}
         else:

@@ -32,14 +32,9 @@ except ImportError:  # non-POSIX: locks degrade to no-ops (see `lock`)
 
 from repro.obs.metrics import Metrics
 
-# v4: ExperimentResult grew a metrics snapshot, CryptoOp a detail label
-SCHEMA_VERSION = 4
-
-# Per-kind bumps invalidate one artifact family without re-recording the
-# rest. experiment v5: the netem drop-before-rate fix changed every lossy
-# scenario's timings (scripts are unaffected — recording runs on a perfect
-# link), so experiment results recompute while scripts stay cached.
-KIND_VERSIONS = {"experiment": 5}
+# v5: every cached ExperimentResult carries outcomes, ttfb_samples and a
+# lossless metrics snapshot, so readers need no fallbacks for old pickles
+SCHEMA_VERSION = 5
 
 metrics = Metrics()
 
@@ -55,10 +50,8 @@ def cache_dir() -> Path:
 
 
 def _key_path(kind: str, key: str) -> Path:
-    version = f"v{SCHEMA_VERSION}"
-    if kind in KIND_VERSIONS:  # unversioned kinds keep their pre-bump paths
-        version += f".{KIND_VERSIONS[kind]}"
-    digest = hashlib.sha256(f"{version}:{kind}:{key}".encode()).hexdigest()[:24]
+    digest = hashlib.sha256(
+        f"v{SCHEMA_VERSION}:{kind}:{key}".encode()).hexdigest()[:24]
     sub = cache_dir() / kind
     sub.mkdir(parents=True, exist_ok=True)
     return sub / f"{digest}.pkl"

@@ -130,17 +130,15 @@ EXPERIMENT_SETS = {
 
 def run_set(name: str, progress=None, metrics=NULL_METRICS,
             jobs: int | None = 1, tracer=NULL_TRACER,
-            recorder=NULL_RECORDER,
-            batch_seconds: float | None = None) -> dict[str, ExperimentResult]:
+            recorder=NULL_RECORDER) -> dict[str, ExperimentResult]:
     """Run one named experiment set; returns results keyed by config key.
 
     Pass a :class:`repro.obs.metrics.Metrics` as ``metrics`` to accumulate
     every experiment's counters into one campaign-level registry. ``jobs``
     fans cache misses over that many worker processes via
-    :mod:`repro.core.executor` (``None`` = one per CPU); results and the
-    merged metrics are identical to the serial ``jobs=1`` path.
-    ``batch_seconds`` tunes how many cheap misses share one worker task
-    (``None`` = executor default, ``0`` = no batching). A
+    :func:`repro.core.executor.run_campaign` (``None`` = one per CPU,
+    ``1`` = all inline); every ``jobs`` takes the same path, so results
+    and the merged metrics are identical at any value. A
     :class:`repro.obs.recorder.FlightRecorder` as ``recorder`` logs the
     campaign's task/cache/timing events.
     """
@@ -150,17 +148,15 @@ def run_set(name: str, progress=None, metrics=NULL_METRICS,
         raise KeyError(
             f"unknown experiment set {name!r}; known: {sorted(EXPERIMENT_SETS)}"
         ) from None
-    kwargs = {} if batch_seconds is None else {"batch_seconds": batch_seconds}
     return run_campaign(configs, jobs=jobs, metrics=metrics,
                         progress=progress, tracer=tracer, set_name=name,
-                        recorder=recorder, **kwargs)
+                        recorder=recorder)
 
 
 def run_sets(names: Iterable[str], progress=None, metrics=NULL_METRICS,
-             jobs: int | None = 1, recorder=NULL_RECORDER,
-             batch_seconds: float | None = None) -> dict[str, ExperimentResult]:
+             jobs: int | None = 1, recorder=NULL_RECORDER) -> dict[str, ExperimentResult]:
     results: dict[str, ExperimentResult] = {}
     for name in names:
         results.update(run_set(name, progress, metrics=metrics, jobs=jobs,
-                               recorder=recorder, batch_seconds=batch_seconds))
+                               recorder=recorder))
     return results

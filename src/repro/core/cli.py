@@ -46,13 +46,9 @@ ARTIFACTS = ["table2", "table3", "table4", "figure3", "figure4", "section55"]
 
 
 def evaluate_artifact(name: str, outdir: Path, jobs: int | None = 1,
-                      progress=_progress, recorder=NULL_RECORDER,
-                      batch_seconds: float | None = None) -> None:
+                      progress=_progress, recorder=NULL_RECORDER) -> None:
     def run_sets(names):
-        # forward --batch-seconds so 0 means "disable batching" here too,
-        # instead of silently falling back to the executor default
-        return campaign.run_sets(names, progress, jobs=jobs, recorder=recorder,
-                                 batch_seconds=batch_seconds)
+        return campaign.run_sets(names, progress, jobs=jobs, recorder=recorder)
 
     if name == "table2":
         results = run_sets(["all-kem", "all-sig"])
@@ -120,11 +116,10 @@ def run_single(args, metrics) -> None:
           f"ttfb {result.ttfb_median * 1e3:.2f} ms, "
           f"{result.n_handshakes} handshakes/{config.duration:.0f}s",
           file=sys.stderr)
-    outcomes = getattr(result, "outcomes", {})
-    failed = {k: n for k, n in outcomes.items() if k != "success"}
+    failed = {k: n for k, n in result.outcomes.items() if k != "success"}
     if failed:
         breakdown = ", ".join(f"{k}: {n}" for k, n in sorted(failed.items()))
-        print(f"  failures ({sum(failed.values())}/{sum(outcomes.values())} "
+        print(f"  failures ({sum(failed.values())}/{sum(result.outcomes.values())} "
               f"attempts): {breakdown}", file=sys.stderr)
     if args.trace:
         path = write_chrome_trace(tracer, args.trace)
@@ -144,12 +139,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("-o", "--output", default="out", help="output directory")
     parser.add_argument("-j", "--jobs", type=int, default=None, metavar="N",
                         help="worker processes for campaign cache misses "
-                             "(default: one per CPU; 1 = the serial path)")
-    parser.add_argument("--batch-seconds", type=float, default=None,
-                        metavar="S",
-                        help="pack cache misses cheaper than S seconds into "
-                             "shared worker tasks (default: executor's 0.25; "
-                             "0 = one task per experiment)")
+                             "(default: one per CPU; 1 = run them all in "
+                             "this process, no pool)")
     parser.add_argument("--evaluate", action="store_true",
                         help="treat names as artifacts (table2, figure3, ...) "
                              "instead of experiment sets")
@@ -243,8 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.evaluate:
             for name in args.names:
                 evaluate_artifact(name, outdir, jobs=args.jobs,
-                                  progress=progress, recorder=recorder,
-                                  batch_seconds=args.batch_seconds)
+                                  progress=progress, recorder=recorder)
         else:
             count = 0
             if single_mode:
@@ -253,8 +243,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.names:
                 results = campaign.run_sets(args.names, progress,
                                             metrics=metrics, jobs=args.jobs,
-                                            recorder=recorder,
-                                            batch_seconds=args.batch_seconds)
+                                            recorder=recorder)
                 count += len(results)
             print(f"ran {count} experiments", file=sys.stderr)
     finally:

@@ -15,16 +15,19 @@ sans-io simulation below stays process-free). :func:`run_campaign`:
    :func:`~repro.netsim.scripted.load_credentials`): one worker records
    each distinct ``(kem, sig, policy, seed)`` script while peers block on
    a per-key file lock and then read the cache;
-4. **merges** per-worker metrics snapshots (and the traced first
+4. **batches** cheap misses into shared dispatch units and runs them
+   through :func:`run_sharded`;
+5. **merges** per-task metrics snapshots (and the traced first
    handshake, if a tracer is given) back into the parent's registry *in
    the set's original config order*, so the aggregated ``--metrics`` /
-   ``--trace`` output is identical to a serial run.
+   ``--trace`` output is identical at any ``jobs``.
 
 Determinism: every experiment derives all randomness from a per-config
 ``Drbg`` (``experiment:<key>``) and all time from the simulated event
 loop, so a worker computes bit-identical results to an in-process run —
-the pool changes wall-clock time, never values. ``jobs=1`` bypasses the
-pool entirely and preserves the exact serial code path.
+the pool changes wall-clock time, never values. Every ``jobs`` value
+takes this one path; ``jobs=1`` (or a single dispatch unit) simply runs
+the units inline in :func:`run_sharded`, with no pool.
 
 Workers are spawned (not forked) so each starts from a clean interpreter
 with zeroed module-level metrics; they communicate only through the
@@ -36,6 +39,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from functools import partial
 
 from repro import cache
 from repro.core.experiment import (
@@ -191,15 +195,15 @@ def _worker_warm() -> None:
 
 
 def _worker_run(config: ExperimentConfig, trace: bool = False):
-    """Run one experiment in a worker process.
+    """Run one experiment, in a worker process or inline in the parent.
 
-    Returns ``(key, result, cache_counters, trace_records, host_seconds)``:
-    the result carries its own metrics snapshot; ``cache_counters`` is
-    this task's hit/miss/store delta (workers are long-lived, so a
-    before/after diff isolates the task); ``trace_records`` is the traced
-    first handshake when requested (tracing bypasses the result cache,
-    exactly as in a serial run); ``host_seconds`` is the task's real CPU
-    wall time in the worker, reported to the flight recorder.
+    Returns ``(key, result, cache_counters, trace_records, host_seconds,
+    pid)``: the result carries its own metrics snapshot;
+    ``cache_counters`` is this task's hit/miss/store delta (workers are
+    long-lived, so a before/after diff isolates the task);
+    ``trace_records`` is the traced first handshake when requested;
+    ``host_seconds`` is the task's real wall time, for the flight
+    recorder; ``pid`` tells the parent whether the task ran inline.
     """
     started = walltime()
     before = cache.metrics.snapshot()["counters"]
@@ -208,29 +212,26 @@ def _worker_run(config: ExperimentConfig, trace: bool = False):
     after = cache.metrics.snapshot()["counters"]
     records = (tracer.spans, tracer.instants, tracer.counters) if trace else None
     return (config.key, result, _counter_delta(before, after), records,
-            walltime() - started)
+            walltime() - started, os.getpid())
 
 
 def _worker_run_batch(configs: list[ExperimentConfig],
                       traced_key: str | None = None):
-    """Run a batch of experiments sequentially in one worker task.
+    """Run one dispatch unit's experiments sequentially, in unit order.
 
-    Returns the list of per-experiment :func:`_worker_run` tuples in
-    batch order. Batching only amortizes dispatch overhead (submit,
-    pickle, result shipping); each experiment still runs exactly as it
-    would alone.
+    Returns the list of per-experiment :func:`_worker_run` tuples.
+    Batching only amortizes dispatch overhead (submit, pickle, result
+    shipping); each experiment still runs exactly as it would alone.
     """
     return [_worker_run(config, config.key == traced_key)
             for config in configs]
 
 
-def _flight_outcome(result: ExperimentResult) -> tuple[dict, float]:
-    """(fault outcomes, TCP retransmit count) of one result, for the log."""
-    outcomes = getattr(result, "outcomes", None) or {}
+def _retransmits(result: ExperimentResult) -> float:
+    """TCP retransmit count of one result, for the flight log."""
     counters = result.metrics.get("counters", {}) if result.metrics else {}
-    retransmits = sum(value for name, value in counters.items()
-                      if name.endswith("retransmits"))
-    return outcomes, retransmits
+    return sum(value for name, value in counters.items()
+               if name.endswith("retransmits"))
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +242,9 @@ def resolve_jobs(jobs: int | None) -> int:
     """Effective worker count: requested jobs, clamped to the core count.
 
     Campaign work is CPU-bound, so oversubscribing cores only adds spawn
-    and context-switch overhead; on a 1-core runner the clamp routes
-    ``jobs=2`` straight to the exact serial path (the PR 3 pool measured
-    speedup < 1 there).
+    and context-switch overhead; on a 1-core runner the clamp makes
+    ``jobs=2`` run every unit inline, with no pool (a pool there measured
+    speedup < 1).
     """
     cpus = os.cpu_count() or 1
     if jobs is None:
@@ -257,12 +258,12 @@ def run_sharded(task, payloads: list, *, jobs: int | None = None,
                 on_complete=None) -> list:
     """Map a picklable ``task`` over ``payloads`` across spawned workers.
 
-    The generic fan-out primitive behind ``repro.traffic`` (DET005
-    confines host parallelism to this module): results come back **in
-    payload order**, whatever order workers finish in, so callers can
-    merge deterministically. ``jobs`` resolves like :func:`run_campaign`
-    (clamped to cores; 1 or a single payload runs inline on the exact
-    same code path). ``on_complete(index, result)`` fires per finished
+    The one fan-out primitive behind :func:`run_campaign` and
+    ``repro.traffic`` (DET005 confines host parallelism to this module):
+    results come back **in payload order**, whatever order workers finish
+    in, so callers can merge deterministically. ``jobs`` resolves through
+    :func:`resolve_jobs`; ``jobs=1`` or a single payload runs inline in
+    this process, with no pool. ``on_complete(index, result)`` fires per finished
     payload in completion order — observation only (progress display),
     never part of the result.
 
@@ -300,7 +301,8 @@ def run_sharded(task, payloads: list, *, jobs: int | None = None,
     return results
 
 
-DEFAULT_BATCH_SECONDS = 0.25
+# expected cost below which a cache miss shares its dispatch unit
+BATCH_SECONDS = 0.25
 
 
 def batch_units(ordered: list[ExperimentConfig], costs: dict[str, float],
@@ -313,7 +315,7 @@ def batch_units(ordered: list[ExperimentConfig], costs: dict[str, float],
     per-task submit/pickle/result overhead that dominates sub-100ms
     replays. Expensive configs — and the traced one, which must ship its
     trace records by itself — stay singleton units. ``batch_seconds <= 0``
-    disables packing (every unit is a singleton, the PR 3 behavior).
+    disables packing (every unit is a singleton).
     """
     units: list[list[ExperimentConfig]] = []
     open_batch: list[ExperimentConfig] = []
@@ -336,23 +338,17 @@ def batch_units(ordered: list[ExperimentConfig], costs: dict[str, float],
 def run_campaign(configs: list[ExperimentConfig], *, jobs: int | None = 1,
                  metrics=NULL_METRICS, progress=None, tracer=NULL_TRACER,
                  set_name: str = "campaign", stats: dict | None = None,
-                 recorder=NULL_RECORDER,
-                 batch_seconds: float = DEFAULT_BATCH_SECONDS
-                 ) -> dict[str, ExperimentResult]:
+                 recorder=NULL_RECORDER) -> dict[str, ExperimentResult]:
     """Run a list of experiments, fanning cache misses over ``jobs`` workers.
 
-    ``jobs=None`` means one worker per CPU; ``jobs=1`` is the exact serial
-    path (no pool, no spawn). Requested jobs are clamped to the core
-    count, and sets with fewer than two dispatch units run serially too —
-    both guards keep the pool from ever losing to the serial path on
-    small machines. Cache misses cheaper than ``batch_seconds`` are
-    packed into shared dispatch units (:func:`batch_units`) so per-task
-    pool overhead is amortized; ``batch_seconds=0`` dispatches one task
-    per experiment. Results are keyed by config key and merged
-    in the original config order, so metrics/trace aggregation is
-    key-for-key identical to a serial run. If a worker raises, pending
-    work is cancelled and the original exception propagates.
-
+    One path for every ``jobs``: cache hits resolve inline, misses are
+    scheduled longest-first, packed into dispatch units of about
+    :data:`BATCH_SECONDS` (:func:`batch_units`) and handed to
+    :func:`run_sharded`, which clamps ``jobs`` to the core count
+    (``None`` = one per CPU) and runs ``jobs=1`` or a single unit inline.
+    Results are keyed by config key and their metrics merged in the
+    original config order, so metrics/trace aggregation is identical at
+    any ``jobs``. If a task raises, the original exception propagates.
     ``stats``, if given, is filled with the partition/schedule summary
     (``jobs``, ``hits``, ``dispatched``, ``distinct_scripts``, ...).
 
@@ -363,67 +359,13 @@ def run_campaign(configs: list[ExperimentConfig], *, jobs: int | None = 1,
     """
     jobs = resolve_jobs(jobs)
     total = len(configs)
-    if stats is None:
-        stats = {}  # pqtls: allow[OBS003] — caller-owned scheduling
-        # introspection (bench_campaign reads it back), not telemetry
-
-    stats.update(jobs=jobs, experiments=total)
-
-    flight = recorder.enabled
-    started = walltime() if flight else 0.0
-    done_cost = total_cost = 0.0
-    costs: dict[str, float] = {}
-    if flight:
-        recorder.event("campaign_begin", set=set_name, experiments=total,
-                       jobs=jobs)
-
-    def eta() -> float | None:
-        if done_cost <= 0 or total_cost <= done_cost:
-            return None
-        elapsed = walltime() - started
-        return elapsed * (total_cost - done_cost) / done_cost
-
-    if jobs == 1 or total <= 1:
-        stats.update(hits=None, dispatched=None, distinct_scripts=None)
-        if flight:
-            # counter-neutral probes: cost estimates and hit/miss labels
-            # for the log, with cache metrics untouched
-            costs = {c.key: estimated_cost(
-                c, cold=not cache.contains("experiment", c.key))
-                for c in configs}
-            total_cost = sum(costs[c.key] for c in configs)
-        results: dict[str, ExperimentResult] = {}
-        for i, config in enumerate(configs):
-            if progress is not None:
-                progress(set_name, i, total, config)
-            hs_tracer = tracer if i == 0 else NULL_TRACER
-            if flight:
-                recorder.task_start(
-                    config.key, mode="serial", set_name=set_name,
-                    cached=cache.contains("experiment", config.key),
-                    est_cost=costs[config.key])
-                task_started = walltime()
-            results[config.key] = run_experiment(config, tracer=hs_tracer,
-                                                 metrics=metrics)
-            if flight:
-                outcomes, retransmits = _flight_outcome(results[config.key])
-                recorder.task_finish(
-                    config.key, mode="serial", set_name=set_name,
-                    host_seconds=walltime() - task_started,
-                    outcomes=outcomes, retransmits=retransmits)
-                done_cost += costs[config.key]
-                recorder.progress(set_name, i + 1, total,
-                                  elapsed=walltime() - started, eta=eta())
-        if flight:
-            recorder.event("campaign_end", set=set_name, experiments=total,
-                           host_seconds=round(walltime() - started, 6))
-        return results
+    started = walltime()
+    recorder.event("campaign_begin", set=set_name, experiments=total, jobs=jobs)
 
     # -- partition: resolve hits inline, collect distinct misses ------------
-    # The first config is special when tracing: run_experiment bypasses the
-    # cache for traced runs (cached artifacts must stay identical to
-    # untraced ones), so it is always dispatched.
-    traced_key = configs[0].key if tracer.enabled else None
+    # When tracing, the first config is always dispatched: run_experiment
+    # bypasses the cache for traced runs (cached artifacts stay untraced).
+    traced_key = configs[0].key if tracer.enabled and configs else None
     resolved: dict[str, ExperimentResult] = {}
     misses: list[ExperimentConfig] = []
     seen: set[str] = set()
@@ -432,131 +374,86 @@ def run_campaign(configs: list[ExperimentConfig], *, jobs: int | None = 1,
         if config.key in seen:
             continue  # duplicate within the set: one run serves all
         seen.add(config.key)
-        if config.key != traced_key:
-            # counter-neutral probe: the miss is counted exactly once, by
-            # whichever process (worker or inline parent) later loads and
-            # records — so cache counters match a serial run
-            cached = (cache.load("experiment", config.key)
-                      if cache.contains("experiment", config.key) else None)
+        # counter-neutral probe: the miss is counted exactly once, by
+        # whichever process later loads and records
+        if config.key != traced_key and cache.contains("experiment", config.key):
+            cached = cache.load("experiment", config.key)
             if cached is not None:
                 resolved[config.key] = cached
-                if flight:
-                    recorder.event("cache_hit", set=set_name, key=config.key)
+                recorder.event("cache_hit", set=set_name, key=config.key)
                 if progress is not None:
                     progress(set_name, done, total, config)
                 done += 1
                 continue
         misses.append(config)
-    ordered = schedule(misses)
+
+    # -- schedule and batch the misses --------------------------------------
     # recording is charged once per distinct script (single-flight), so
     # only the first dispatched config of each script is "cold"; the
     # estimates drive both batching and the flight recorder's ETA
-    warm_scripts: set[str] = set()
+    ordered = schedule(misses)
+    costs: dict[str, float] = {}
+    scripts: set[str] = set()
     for config in ordered:
         script = script_key(config.kem, config.sig, config.policy,
                             config.seed, config.session, config.chain)
-        costs[config.key] = estimated_cost(
-            config, cold=script not in warm_scripts)
-        warm_scripts.add(script)
+        costs[config.key] = estimated_cost(config, cold=script not in scripts)
+        scripts.add(script)
     total_cost = sum(costs.values())
-    units = batch_units(ordered, costs, batch_seconds, traced_key)
-    stats.update(hits=len(resolved), dispatched=len(misses),
-                 distinct_scripts=len({script_key(c.kem, c.sig, c.policy, c.seed,
-                                                  c.session, c.chain)
-                                       for c in misses}),
-                 units=len(units),
-                 batched=sum(len(u) for u in units if len(u) > 1))
-    if flight:
-        recorder.event("schedule", set=set_name, hits=stats["hits"],
-                       dispatched=stats["dispatched"],
-                       distinct_scripts=stats["distinct_scripts"], jobs=jobs,
-                       units=stats["units"], batched=stats["batched"])
+    units = batch_units(ordered, costs, BATCH_SECONDS, traced_key)
+    summary = {"hits": len(resolved), "dispatched": len(misses),
+               "distinct_scripts": len(scripts), "units": len(units),
+               "batched": sum(len(u) for u in units if len(u) > 1)}
+    if stats is not None:   # caller-owned introspection, read by benches
+        stats.update(jobs=jobs, experiments=total, **summary)
+    recorder.event("schedule", set=set_name, jobs=jobs, **summary)
+    for config in ordered:
+        recorder.task_start(config.key, set_name=set_name,
+                            est_cost=costs[config.key])
 
     # -- dispatch ------------------------------------------------------------
+    parent = os.getpid()
     trace_records = None
-    if len(units) < 2:
-        # A pool only pays for itself when two dispatch units can actually
-        # run concurrently; for a single unit the spawn + pickle overhead
-        # is pure regression (PR 3 measured speedup < 1 in exactly this
-        # shape), so run it inline in the parent instead.
-        for config in ordered:
-            hs_tracer = tracer if config.key == traced_key else NULL_TRACER
-            if flight:
-                recorder.task_start(config.key, mode="inline",
-                                    set_name=set_name,
-                                    est_cost=costs[config.key])
-                task_started = walltime()
-            resolved[config.key] = run_experiment(config, tracer=hs_tracer)
-            if flight:
-                outcomes, retransmits = _flight_outcome(resolved[config.key])
+    done_cost = 0.0
+
+    def finished(index: int, batch: list) -> None:
+        nonlocal done, done_cost, trace_records
+        for config, (key, result, cache_counters, records, seconds,
+                     pid) in zip(units[index], batch):
+            resolved[key] = result
+            if records is not None:
+                trace_records = records
+            if pid != parent:
+                # a worker's cache traffic (including its experiment miss:
+                # the partition probe is counter-neutral) happened only
+                # there; an inline task's already landed in this process
+                for name, value in cache_counters.items():
+                    cache.metrics.inc(name, value)
+            if recorder.enabled:
                 recorder.task_finish(
-                    config.key, mode="inline", set_name=set_name,
-                    host_seconds=walltime() - task_started,
-                    outcomes=outcomes, retransmits=retransmits)
+                    key, mode="inline" if pid == parent else "worker",
+                    set_name=set_name, host_seconds=seconds,
+                    outcomes=result.outcomes, retransmits=_retransmits(result),
+                    cache_counters=cache_counters)
+                done_cost += costs[key]
+                elapsed = walltime() - started
+                eta = (elapsed * (total_cost - done_cost) / done_cost
+                       if done_cost < total_cost else None)
+                recorder.progress(set_name, done + 1, total, elapsed=elapsed,
+                                  eta=eta, hits=summary["hits"])
             if progress is not None:
                 progress(set_name, done, total, config)
             done += 1
-        units = []
-    if units:
-        context = multiprocessing.get_context("spawn")
-        workers = min(jobs, len(units))
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context,
-                                 initializer=_worker_warm) as pool:
-            futures = {}
-            for unit in units:
-                if flight:
-                    for config in unit:
-                        recorder.task_start(config.key, mode="worker",
-                                            set_name=set_name,
-                                            est_cost=costs[config.key])
-                futures[pool.submit(_worker_run_batch, unit,
-                                    traced_key)] = unit
-            try:
-                for future in as_completed(futures):
-                    # a batch returns its members' tuples in batch order
-                    for item, config in zip(future.result(), futures[future]):
-                        key, result, cache_counters, records, seconds = item
-                        resolved[key] = result
-                        if records is not None:
-                            trace_records = records
-                        for name, value in cache_counters.items():
-                            # all of this task's cache traffic (including
-                            # its experiment miss — the parent's partition
-                            # probe is counter-neutral) happened only in
-                            # the worker
-                            cache.metrics.inc(name, value)
-                        if flight:
-                            outcomes, retransmits = _flight_outcome(result)
-                            recorder.task_finish(
-                                key, mode="worker", set_name=set_name,
-                                host_seconds=seconds, outcomes=outcomes,
-                                retransmits=retransmits,
-                                cache_counters=cache_counters)
-                            done_cost += costs[key]
-                            recorder.progress(set_name, done + 1, total,
-                                              elapsed=walltime() - started,
-                                              eta=eta(), hits=stats["hits"])
-                        if progress is not None:
-                            progress(set_name, done, total, config)
-                        done += 1
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                pool.shutdown(wait=True, cancel_futures=True)
-                raise
 
-    # -- merge in original order --------------------------------------------
-    # Counter sums and histogram sample order then match the serial run
-    # exactly, whatever order workers finished in.
-    results = {}
+    run_sharded(partial(_worker_run_batch, traced_key=traced_key), units,
+                jobs=jobs, on_complete=finished)
+
+    # -- merge in original order: counter sums and histogram sample order
+    # then match at any jobs, whatever order units finished in ------------
     for config in configs:
-        result = resolved[config.key]
-        results[config.key] = result
-        merge_result_metrics(result, metrics)
+        merge_result_metrics(resolved[config.key], metrics)
     if trace_records is not None:
         tracer.absorb(*trace_records)
-    if flight:
-        recorder.event("campaign_end", set=set_name, experiments=total,
-                       host_seconds=round(walltime() - started, 6))
-    return results
+    recorder.event("campaign_end", set=set_name, experiments=total,
+                   host_seconds=round(walltime() - started, 6))
+    return {config.key: resolved[config.key] for config in configs}

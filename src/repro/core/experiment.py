@@ -88,11 +88,9 @@ class ExperimentResult:
     server_cpu_by_library: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)  # Metrics.snapshot() of the run
     # outcome-key -> count over every attempted handshake ("success",
-    # "timeout", "transport-error", "alert.<name>"); read with
-    # getattr(result, "outcomes", {}) when old cached pickles may appear
+    # "timeout", "transport-error", "alert.<name>")
     outcomes: dict = field(default_factory=dict)
-    # connect -> first application byte, per successful handshake; read
-    # with getattr(result, "ttfb_samples", []) against old cached pickles
+    # connect -> first application byte, per successful handshake
     ttfb_samples: list = field(default_factory=list)
 
     @property
@@ -113,8 +111,7 @@ class ExperimentResult:
 
     @property
     def ttfb_median(self) -> float:
-        samples = getattr(self, "ttfb_samples", [])
-        return statistics.median(samples) if samples else 0.0
+        return statistics.median(self.ttfb_samples) if self.ttfb_samples else 0.0
 
     @property
     def handshakes_per_second(self) -> float:
@@ -163,9 +160,7 @@ def merge_result_metrics(result: ExperimentResult, metrics) -> None:
     Used on cache hits and when folding parallel-worker results into the
     campaign registry, so an aggregated registry is identical whether the
     experiment ran here, in a worker, or was loaded from disk. Counters,
-    gauges, *and* histograms are restored (snapshots carry raw samples;
-    pre-samples snapshots from old cache entries degrade to counters and
-    gauges only).
+    gauges, *and* histograms are restored (snapshots carry raw samples).
     """
     if metrics.enabled and result.metrics:
         metrics.merge_snapshot(result.metrics)

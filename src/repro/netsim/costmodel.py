@@ -117,8 +117,7 @@ def op_label(op) -> str:
     the TLS-message context the endpoint recorded.
     """
     name = f"{op.op}:{op.algorithm}" if op.algorithm else op.op
-    detail = getattr(op, "detail", "")
-    return f"{name} ({detail})" if detail else name
+    return f"{name} ({op.detail})" if op.detail else name
 
 
 def _kem_cost(name: str, index: int) -> float:

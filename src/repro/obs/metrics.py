@@ -245,17 +245,14 @@ class Histogram:
         """Rebuild the histogram a snapshot came from.
 
         Unspilled snapshots carry the full ordered stream and replay
-        exactly; spilled ones import their streaming state. Snapshots
-        written before ``samples`` existed degrade to an empty histogram
-        (counters/gauges still restore), preserving the pre-streaming
-        contract for old cached results.
+        exactly; spilled ones import their streaming state.
         """
         histogram = cls(name, retention=retention,
                         relative_accuracy=relative_accuracy,
                         reservoir_k=reservoir_k)
         streaming = entry.get("streaming")
         if streaming is None:
-            for value in entry.get("samples", ()):
+            for value in entry["samples"]:
                 histogram.observe(value)
             return histogram
         histogram.sketch = QuantileSketch.from_state(streaming["sketch"])
@@ -266,7 +263,7 @@ class Histogram:
         if histogram._count:
             histogram._min = float(entry["min"])
             histogram._max = float(entry["max"])
-        histogram._next_index = int(streaming.get("observed", histogram._count))
+        histogram._next_index = int(streaming["observed"])
         return histogram
 
 
@@ -351,9 +348,7 @@ class Metrics:
         leaves ``a`` exactly as ``a.merge(b)`` would — including streaming
         (sketch + reservoir) state, so cache-hit restores and parallel
         workers replay their metrics bit-identically to an in-process
-        run. Histogram replay needs the snapshot's ``samples`` (or
-        ``streaming``) payload; snapshots written before those existed
-        merge their counters/gauges only.
+        run.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.inc(name, value)

@@ -70,11 +70,9 @@ class FlightRecorder:
             self._file.flush()
         return record
 
-    def task_start(self, key: str, *, mode: str, set_name: str,
-                   cached: bool | None = None, est_cost: float | None = None) -> None:
-        fields = {"key": key, "mode": mode, "set": set_name}
-        if cached is not None:
-            fields["cached"] = cached
+    def task_start(self, key: str, *, set_name: str,
+                   est_cost: float | None = None) -> None:
+        fields = {"key": key, "set": set_name}
         if est_cost is not None:
             fields["est_cost"] = round(est_cost, 4)
         self.event("task_start", **fields)

@@ -60,39 +60,3 @@ def test_trace_requires_single_experiment(tmp_path):
 def test_evaluate_rejects_single_experiment_mode():
     with pytest.raises(SystemExit):
         main(["--evaluate", "--kem", "x25519", "--sig", "rsa:1024"])
-
-
-def test_evaluate_forwards_batch_seconds(tmp_path, monkeypatch):
-    # --batch-seconds 0 must reach the executor through --evaluate too
-    # (not silently fall back to the default batching window)
-    from repro.core import cli
-
-    captured = {}
-
-    def fake_run_sets(names, progress, *, jobs, recorder, batch_seconds):
-        captured["names"] = names
-        captured["batch_seconds"] = batch_seconds
-        return {}
-
-    monkeypatch.setattr(cli.campaign, "run_sets", fake_run_sets)
-    monkeypatch.setattr(cli.evaluate, "table3", lambda results: [])
-    monkeypatch.setattr(cli.report, "render_table3", lambda rows: "stub")
-    cli.evaluate_artifact("table3", tmp_path, batch_seconds=0.0)
-    assert captured["names"] == ["table3-perf"]
-    assert captured["batch_seconds"] == 0.0
-
-
-def test_evaluate_cli_flag_reaches_run_sets(tmp_path, monkeypatch):
-    from repro.core import cli
-
-    captured = {}
-
-    def fake_run_sets(names, progress, *, jobs, recorder, batch_seconds):
-        captured["batch_seconds"] = batch_seconds
-        return {}
-
-    monkeypatch.setattr(cli.campaign, "run_sets", fake_run_sets)
-    monkeypatch.setattr(cli.evaluate, "table3", lambda results: [])
-    monkeypatch.setattr(cli.report, "render_table3", lambda rows: "stub")
-    main(["--evaluate", "table3", "-o", str(tmp_path), "--batch-seconds", "0"])
-    assert captured["batch_seconds"] == 0.0

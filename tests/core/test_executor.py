@@ -19,7 +19,7 @@ from repro.core.executor import (
     run_campaign,
     schedule,
 )
-from repro.core.experiment import ExperimentConfig, script_key
+from repro.core.experiment import ExperimentConfig, run_experiment, script_key
 from repro.obs.metrics import Metrics
 from repro.obs.tracer import Tracer
 
@@ -43,7 +43,7 @@ def multicore(monkeypatch):
     """Pretend the host has 4 cores.
 
     ``resolve_jobs`` clamps to ``os.cpu_count()``, so on a 1-core CI
-    runner every ``jobs > 1`` request would take the serial path and the
+    runner every ``jobs > 1`` request would run inline and the
     pool tests would silently stop exercising the pool.
     """
     monkeypatch.setattr(executor.os, "cpu_count", lambda: 4)
@@ -203,14 +203,15 @@ def test_batched_parallel_equals_serial(tmp_path, monkeypatch, multicore):
     results and metrics must still be bit-identical to the serial run."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
     serial_metrics = Metrics()
-    serial = run_campaign(SMALL_SET, jobs=1, metrics=serial_metrics,
-                          batch_seconds=0.0)
+    monkeypatch.setattr(executor, "BATCH_SECONDS", 0.0)
+    serial = run_campaign(SMALL_SET, jobs=1, metrics=serial_metrics)
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "batched"))
     batched_metrics = Metrics()
     stats = {}
+    monkeypatch.setattr(executor, "BATCH_SECONDS", 0.5)
     batched = run_campaign(SMALL_SET, jobs=3, metrics=batched_metrics,
-                           stats=stats, batch_seconds=0.5)
+                           stats=stats)
     assert batched == serial
     assert batched_metrics.snapshot() == serial_metrics.snapshot()
     assert stats["batched"] >= 2                  # some unit actually shared
@@ -253,7 +254,7 @@ def test_single_miss_runs_inline_without_pool(cold_cache, monkeypatch, multicore
     assert after["cache.experiment.store"] - before.get("cache.experiment.store", 0.0) == 1
 
 
-def test_one_core_host_takes_exact_serial_path(cold_cache, monkeypatch):
+def test_one_core_host_runs_inline_without_pool(cold_cache, monkeypatch):
     monkeypatch.setattr(executor.os, "cpu_count", lambda: 1)
 
     class PoolBomb:
@@ -264,7 +265,46 @@ def test_one_core_host_takes_exact_serial_path(cold_cache, monkeypatch):
     stats = {}
     results = run_campaign(SMALL_SET, jobs=4, metrics=Metrics(), stats=stats)
     assert len(results) == len(SMALL_SET)
-    assert stats["jobs"] == 1 and stats["dispatched"] is None  # serial branch
+    # the same partition/schedule/batch pipeline ran, just without a pool
+    assert stats["jobs"] == 1 and stats["experiments"] == len(SMALL_SET)
+    assert stats["hits"] == 0 and stats["dispatched"] == len(SMALL_SET)
+    assert stats["distinct_scripts"] == 3
+    assert 1 <= stats["units"] <= len(SMALL_SET)
+
+
+def _cache_counter_delta(before: dict) -> dict:
+    after = cache.metrics.snapshot()["counters"]
+    return {name: value - before.get(name, 0.0) for name, value in after.items()
+            if value != before.get(name, 0.0)}
+
+
+def test_inline_campaign_equals_hand_loop(tmp_path, monkeypatch):
+    """Oracle for jobs=1: the campaign pipeline matches running every
+    config by hand — same results, same merged metrics, and the same cache
+    hit/miss/store traffic (inline tasks' counters are not replayed twice)."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "loop"))
+    loop_metrics = Metrics()
+    before = cache.metrics.snapshot()["counters"]
+    loop = {config.key: run_experiment(config, metrics=loop_metrics)
+            for config in SMALL_SET}
+    loop_delta = _cache_counter_delta(before)
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "campaign"))
+    campaign_metrics = Metrics()
+    before = cache.metrics.snapshot()["counters"]
+    campaign = run_campaign(SMALL_SET, jobs=1, metrics=campaign_metrics)
+    campaign_delta = _cache_counter_delta(before)
+
+    assert campaign == loop
+    assert campaign_metrics.snapshot() == loop_metrics.snapshot()
+    assert campaign_delta == loop_delta
+    assert loop_delta["cache.experiment.miss"] == len(SMALL_SET)
+
+
+def test_empty_campaign_returns_empty(cold_cache):
+    stats = {}
+    assert run_campaign([], tracer=Tracer(), stats=stats) == {}
+    assert stats["experiments"] == 0 and stats["units"] == 0
 
 
 def test_duplicate_configs_merge_like_serial(cold_cache, monkeypatch, multicore):

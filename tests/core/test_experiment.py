@@ -173,8 +173,7 @@ def test_session_and_chain_extend_key_only_when_set():
 
 
 def test_successful_run_outcomes_all_success(baseline):
-    outcomes = getattr(baseline, "outcomes", {})
-    assert outcomes == {"success": len(baseline.total_samples)}
+    assert baseline.outcomes == {"success": len(baseline.total_samples)}
     assert baseline.n_failures == 0
 
 

@@ -37,8 +37,9 @@ def test_serial_campaign_emits_bracketed_task_events(cold_cache):
     starts = events_of(recorder, "task_start")
     finishes = events_of(recorder, "task_finish")
     assert len(starts) == len(finishes) == len(SMALL_SET)
-    assert all(s["mode"] == "serial" and s["set"] == "small" for s in starts)
-    assert all(s["cached"] is False for s in starts)       # cold cache
+    assert all(s["set"] == "small" and "mode" not in s for s in starts)
+    assert all(f["mode"] == "inline" and f["set"] == "small" for f in finishes)
+    assert not events_of(recorder, "cache_hit")            # cold cache
     assert all(s["est_cost"] > 0 for s in starts)
     assert all(f["host_seconds"] > 0 for f in finishes)
     assert all(f["outcomes"] == {"success": 3} for f in finishes)
@@ -46,10 +47,14 @@ def test_serial_campaign_emits_bracketed_task_events(cold_cache):
 
 
 def test_serial_warm_cache_marks_tasks_cached(cold_cache):
+    # a warm task is logged as a cache_hit, never dispatched as a task
     run_campaign(SMALL_SET, jobs=1)
     recorder = FlightRecorder()
     run_campaign(SMALL_SET, jobs=1, recorder=recorder)
-    assert all(s["cached"] is True for s in events_of(recorder, "task_start"))
+    hits = events_of(recorder, "cache_hit")
+    assert [h["key"] for h in hits] == [c.key for c in SMALL_SET]
+    assert not events_of(recorder, "task_start")
+    assert not events_of(recorder, "task_finish")
 
 
 def test_parallel_campaign_emits_schedule_and_worker_events(

@@ -105,18 +105,6 @@ def test_merge_snapshot_is_inverse_of_snapshot():
     assert via_snapshot.histogram("lat").samples == [0.5, 1.5]
 
 
-def test_merge_snapshot_tolerates_presamples_snapshots():
-    # snapshots cached before `samples` existed: counters/gauges restore,
-    # histograms degrade silently instead of raising
-    legacy = {"counters": {"hits": 2.0}, "gauges": {"cwnd": 4.0},
-              "histograms": {"lat": {"count": 1, "sum": 1.0}}}
-    metrics = Metrics()
-    metrics.merge_snapshot(legacy)
-    assert metrics.value("hits") == 2.0
-    assert metrics.value("cwnd") == 4.0
-    assert metrics.histogram("lat").samples == []
-
-
 def test_histogram_quantile_uses_cached_sorted_view():
     histogram = Histogram("lat")
     for v in (3.0, 1.0, 2.0):

@@ -29,9 +29,8 @@ def test_jsonl_file_is_written_incrementally(tmp_path):
     # flushed line-by-line: readable before close (crash-safe log)
     lines = path.read_text().splitlines()
     assert len(lines) == 1
-    recorder.task_start("k1", mode="serial", set_name="s", cached=False,
-                        est_cost=1.23456789)
-    recorder.task_finish("k1", mode="serial", set_name="s",
+    recorder.task_start("k1", set_name="s", est_cost=1.23456789)
+    recorder.task_finish("k1", mode="inline", set_name="s",
                          host_seconds=0.5, outcomes={"success": 3},
                          retransmits=2, cache_counters={"cache.hit": 1})
     recorder.close()
@@ -39,7 +38,7 @@ def test_jsonl_file_is_written_incrementally(tmp_path):
     assert [e["event"] for e in events] == [
         "campaign_begin", "task_start", "task_finish"]
     start, finish = events[1], events[2]
-    assert start["cached"] is False and start["est_cost"] == 1.2346
+    assert "mode" not in start and start["est_cost"] == 1.2346
     assert finish["host_seconds"] == 0.5
     assert finish["outcomes"] == {"success": 3}
     assert finish["retransmits"] == 2
@@ -48,7 +47,7 @@ def test_jsonl_file_is_written_incrementally(tmp_path):
 
 def test_task_events_omit_empty_optional_fields():
     recorder = FlightRecorder()
-    recorder.task_finish("k", mode="serial", set_name="s",
+    recorder.task_finish("k", mode="inline", set_name="s",
                          outcomes={}, retransmits=0, cache_counters={})
     (event,) = recorder.events
     assert "outcomes" not in event and "retransmits" not in event
