@@ -1,15 +1,16 @@
 """CT — constant-time discipline for `repro.crypto` / `repro.pqc`.
 
-Intraprocedural taint tracking: taint seeds from secret-named parameters
-(``sk``, ``seed``, ``coins``, ``*secret*``, ...) and from the secret
-outputs of ``keygen`` / ``decaps`` calls, propagates through assignments
-and expressions, and any secret-dependent ``if``/``while`` condition,
-``range()`` loop bound, or subscript index is flagged.  This is the
-AST-level analogue of the constant-time C discipline liboqs/OpenSSL rely
-on (and OpenSSLNTRU emphasises for key exchange): pure Python can never
-be cycle-exact, but it *can* refuse control flow and memory addressing
-keyed on secrets, which keeps the reproduction's algorithms structurally
-faithful to their specs.
+A per-function view over the flow taint dataflow: taint seeds from
+secret-named parameters (``sk``, ``seed``, ``coins``, ``*secret*``, ...)
+and from the secret outputs of ``keygen`` / ``decaps`` calls, follows
+assignments flow-sensitively (a public reassignment kills it, a loop
+carries it), passes straight through calls, and any secret-dependent
+``if``/``while`` condition, ``range()`` loop bound, or subscript index is
+flagged.  This is the AST-level analogue of the constant-time C
+discipline liboqs/OpenSSL rely on (and OpenSSLNTRU emphasises for key
+exchange): pure Python can never be cycle-exact, but it *can* refuse
+control flow and memory addressing keyed on secrets, which keeps the
+reproduction's algorithms structurally faithful to their specs.
 
 Deliberate declassification (e.g. FO-transform outcomes that the
 protocol reveals anyway) goes through
@@ -34,144 +35,41 @@ from typing import Iterator
 
 from repro.analysis.context import FileContext
 from repro.analysis.finding import Finding
+from repro.analysis.flow.engine import origin_text
 from repro.analysis.flow.taint import (
-    CRYPTO_SCOPES as _SCOPES,
-    KEYGEN_NAMES as _KEYGEN_NAMES,
-    SANITIZERS as _SANITIZERS,
-    SECRET_RETURNING as _SECRET_RETURNING,
-    STRICT_SCOPES as _STRICT_SCOPES,
-    attr_root,
-    call_name as _call_name,
-    is_secret_name as _is_secret_name,
+    CRYPTO_SCOPES,
+    KEYGEN_NAMES,
+    SECRET_RETURNING,
+    STRICT_SCOPES,
+    _ExprTaint,
+    analyze_dataflow,
+    call_name,
+    ct_seeds,
+    in_scope,
+    iter_ct_sinks,
 )
 from repro.analysis.registry import Checker, register
 
 
-class _FunctionTaint:
-    """One function's forward taint pass (iterated to a fixpoint)."""
+# the sink phrase each finding's message opens with
+_WHAT = {ast.If: "`if` condition", ast.While: "`while` condition",
+         ast.IfExp: "conditional expression", ast.Match: "`match` subject",
+         ast.For: "`range()` loop bound", ast.AsyncFor: "`range()` loop bound",
+         ast.Subscript: "subscript index"}
 
-    def __init__(self, func: ast.FunctionDef, strict: bool = False):
-        self.func = func
-        self.tainted: dict[str, str] = {}   # name -> origin description
-        for arg in [*func.args.posonlyargs, *func.args.args, *func.args.kwonlyargs]:
-            if strict and arg.arg not in ("self", "cls"):
-                self.tainted[arg.arg] = f"parameter {arg.arg!r} (strict kernel scope)"
-            elif _is_secret_name(arg.arg):
-                self.tainted[arg.arg] = f"parameter {arg.arg!r}"
 
-    # -- expression taint ---------------------------------------------------
-    def origin_of(self, expr: ast.AST) -> str | None:
-        """Origin string if *expr* is tainted, else None.
-
-        Sanitizer calls (``len``, ``declassify``, ...) produce public
-        values, so their subtrees are not descended into — with one
-        exception: a sanitizer applied to an *attribute or subscript* of
-        a tainted value does not launder.  ``len(sk)`` is a public wire
-        size, but ``len(sk.x)`` / ``declassify(sk[i])`` project a
-        component out of secret data first, and the projection (or its
-        length) may itself be secret-dependent.
-        """
-        stack = [expr]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ast.Call) and _call_name(node) in _SANITIZERS:
-                for arg in [*node.args, *[kw.value for kw in node.keywords]]:
-                    if isinstance(arg, (ast.Attribute, ast.Subscript)):
-                        root = attr_root(arg)
-                        if root is not None and root in self.tainted:
-                            return self.tainted[root]
-                continue  # public result: do not descend further
-            if isinstance(node, ast.Name) and node.id in self.tainted:
-                return self.tainted[node.id]
-            if isinstance(node, ast.Call) and _call_name(node) in _SECRET_RETURNING:
-                return f"{_call_name(node)}() result"
-            stack.extend(ast.iter_child_nodes(node))
-        return None
-
-    # -- statement transfer -------------------------------------------------
-    def _taint_target(self, target: ast.AST, origin: str) -> bool:
-        changed = False
-        if isinstance(target, ast.Name):
-            if target.id not in self.tainted:
-                self.tainted[target.id] = origin
-                changed = True
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                changed |= self._taint_target(element, origin)
-        elif isinstance(target, ast.Starred):
-            changed |= self._taint_target(target.value, origin)
-        return changed
-
-    def propagate_once(self) -> bool:
-        changed = False
-        for node in ast.walk(self.func):
-            if isinstance(node, ast.Assign):
-                changed |= self._transfer_assign(node.targets, node.value)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                changed |= self._transfer_assign([node.target], node.value)
-            elif isinstance(node, ast.AugAssign):
-                origin = self.origin_of(node.value)
-                if origin:
-                    changed |= self._taint_target(node.target, origin)
-            elif isinstance(node, ast.NamedExpr):
-                origin = self.origin_of(node.value)
-                if origin:
-                    changed |= self._taint_target(node.target, origin)
-            elif isinstance(node, ast.For):
-                origin = self.origin_of(node.iter)
-                if origin:
-                    changed |= self._taint_target(node.target, origin)
-            elif isinstance(node, ast.comprehension):
-                # `[table[x] for x in sk]` indexes on secret data even
-                # though x never appears in an assignment statement
-                origin = self.origin_of(node.iter)
-                if origin:
-                    changed |= self._taint_target(node.target, origin)
-        return changed
-
-    def _transfer_assign(self, targets: list[ast.AST], value: ast.AST) -> bool:
-        changed = False
-        # `pk, sk = scheme.keygen(drbg)`: only the secret-key element
-        # taints; any other target shape (`pair = scheme.keygen(drbg)`)
-        # keeps the whole binding secret so a later unpacking cannot
-        # launder the key
-        if isinstance(value, ast.Call) and _call_name(value) in _KEYGEN_NAMES:
-            origin = f"{_call_name(value)}() secret key"
-            for target in targets:
-                if isinstance(target, ast.Tuple) and len(target.elts) == 2:
-                    changed |= self._taint_target(target.elts[1], origin)
-                else:
-                    changed |= self._taint_target(target, origin)
-            return changed
-        for target in targets:
-            # element-wise tuple transfer: `a, b = sk, pk` taints only a,
-            # and `n, m = len(sk.x), declassify(sk.y)` taints both (the
-            # whole-tuple origin used to launder these)
-            if (isinstance(target, (ast.Tuple, ast.List))
-                    and isinstance(value, (ast.Tuple, ast.List))
-                    and len(target.elts) == len(value.elts)
-                    and not any(isinstance(e, ast.Starred) for e in target.elts)):
-                for t_elt, v_elt in zip(target.elts, value.elts):
-                    origin = self.origin_of(v_elt)
-                    if origin:
-                        changed |= self._taint_target(t_elt, origin)
-            else:
-                origin = self.origin_of(value)
-                if origin:
-                    changed |= self._taint_target(target, origin)
-        return changed
-
-    def solve(self, max_rounds: int = 10) -> None:
-        for _ in range(max_rounds):
-            if not self.propagate_once():
-                return
+def _mints_secrets(func: ast.AST) -> bool:
+    """True if *func* calls a ``keygen``/``decaps``-style secret source."""
+    return any(isinstance(node, ast.Call)
+               and call_name(node) in KEYGEN_NAMES | SECRET_RETURNING
+               for node in ast.walk(func))
 
 
 @register
 class ConstantTimeChecker(Checker):
     name = "ct"
     description = ("no secret-dependent control flow or memory indexing in "
-                   "repro.crypto / repro.pqc (intraprocedural taint tracking)")
+                   "repro.crypto / repro.pqc (per-function taint dataflow)")
     codes = {
         "CT001": "branch condition (`if`/`while`/ternary/`match`) depends on secret data",
         "CT002": "loop bound depends on secret data",
@@ -179,79 +77,21 @@ class ConstantTimeChecker(Checker):
     }
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        if not any(ctx.module == s or ctx.module.startswith(s + ".") for s in _SCOPES):
+        if not in_scope(ctx.module, CRYPTO_SCOPES):
             return
-        strict = any(ctx.module == s or ctx.module.startswith(s + ".")
-                     for s in _STRICT_SCOPES)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(ctx, node, strict)
-
-    def _check_function(self, ctx: FileContext, func: ast.FunctionDef,
-                        strict: bool = False) -> Iterator[Finding]:
-        taint = _FunctionTaint(func, strict=strict)
-        taint.solve()
-        if not taint.tainted:
-            return
-
-        def finding(code: str, node: ast.AST, message: str) -> Finding:
-            return Finding(code=code, message=message, path=ctx.relpath,
-                           line=node.lineno, col=node.col_offset,
-                           symbol=ctx.symbol_at(node), checker=self.name)
-
-        nested = {
-            child for child in ast.walk(func)
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and child is not func
-        }
-
-        def in_nested(node: ast.AST) -> bool:
-            current = ctx.parents.get(node)
-            while current is not None and current is not func:
-                if current in nested:
-                    return True
-                current = ctx.parents.get(current)
-            return False
-
-        for node in ast.walk(func):
-            if in_nested(node):
-                continue  # nested defs get their own pass with their own seeds
-            if isinstance(node, (ast.If, ast.While)):
-                origin = taint.origin_of(node.test)
-                if origin:
-                    kind = "if" if isinstance(node, ast.If) else "while"
-                    yield finding("CT001", node,
-                                  f"`{kind}` condition depends on {origin}")
-            elif isinstance(node, ast.IfExp):
-                origin = taint.origin_of(node.test)
-                if origin:
-                    yield finding("CT001", node,
-                                  f"conditional expression depends on {origin}")
-            elif isinstance(node, ast.Match):
-                origin = taint.origin_of(node.subject)
-                if origin:
-                    yield finding("CT001", node,
-                                  f"`match` subject depends on {origin}")
-            elif isinstance(node, ast.For):
-                if isinstance(node.iter, ast.Call) and _call_name(node.iter) == "range":
-                    for arg in node.iter.args:
-                        origin = taint.origin_of(arg)
-                        if origin:
-                            yield finding("CT002", node,
-                                          f"`range()` loop bound depends on {origin}")
-                            break
-            elif isinstance(node, ast.Subscript):
-                origin = self._slice_origin(taint, node.slice)
-                if origin:
-                    yield finding("CT003", node,
-                                  f"subscript index depends on {origin}")
-
-    @staticmethod
-    def _slice_origin(taint: _FunctionTaint, node: ast.AST) -> str | None:
-        if isinstance(node, ast.Slice):
-            for part in (node.lower, node.upper, node.step):
-                if part is not None:
-                    origin = taint.origin_of(part)
-                    if origin:
-                        return origin
-            return None
-        return taint.origin_of(node)
+        strict = in_scope(ctx.module, STRICT_SCOPES)
+        expr_taint = _ExprTaint()  # no source hook, calls pass through
+        for func in ast.walk(ctx.tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            seeds = ct_seeds(func, strict)
+            if not seeds and not _mints_secrets(func):
+                continue  # nothing in it can ever be tainted
+            analysis = analyze_dataflow(func, seeds, expr_taint, parents=ctx.parents)
+            for stmt, env in analysis.iter_env():
+                for _, code, node, tokens in iter_ct_sinks(stmt, env, expr_taint):
+                    yield Finding(
+                        code=code,
+                        message=f"{_WHAT[type(node)]} depends on {origin_text(tokens)}",
+                        path=ctx.relpath, line=node.lineno, col=node.col_offset,
+                        symbol=ctx.symbol_at(node), checker=self.name)

@@ -10,9 +10,8 @@ header — the transfer function evaluates only their header expressions
 transfer function can model the names they bind.
 
 Loops get a dedicated header block with a back edge from the body, so a
-fixpoint over the graph makes taint survive reassignment *and* loops —
-the property the sticky intraprocedural pass can't give (it never kills
-a definition, so ``x = sk; x = 0`` stays tainted there).
+fixpoint over the graph kills taint at a public reassignment
+(``x = sk; x = 0`` leaves ``x`` clean) yet carries it around loops.
 
 Conservative choices (documented in DESIGN.md §11): every block inside a
 ``try`` body edges to every handler (an exception can fly mid-block),

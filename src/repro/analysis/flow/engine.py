@@ -42,6 +42,7 @@ from repro.analysis.flow.taint import (
     TaintSummary,
     _ExprTaint,
     analyze_dataflow,
+    ct_seeds,
     header_exprs,
     in_scope,
     is_secret_name,
@@ -123,17 +124,12 @@ class FlowEngine:
     # -- seeds and expression taint ----------------------------------------
 
     def _seeds(self, info: FunctionInfo, profile: str) -> dict[str, frozenset]:
+        if profile == "ct":
+            return ct_seeds(info.node, in_scope(info.module, STRICT_SCOPES))
         env: dict[str, frozenset] = {}
-        strict = in_scope(info.module, STRICT_SCOPES)
         for index, name in enumerate(info.param_names):
             if profile == "summary":
                 env[name] = frozenset({("param", index, name)})
-            elif profile == "ct":
-                if strict and name not in ("self", "cls"):
-                    env[name] = frozenset(
-                        {("secret", f"parameter {name!r} (strict kernel scope)")})
-                elif is_secret_name(name):
-                    env[name] = frozenset({("secret", f"parameter {name!r}")})
             elif profile == "leak":
                 if in_scope(info.module, LEAK_SEED_SCOPES) and is_secret_name(name):
                     env[name] = frozenset({("secret", f"parameter {name!r}")})

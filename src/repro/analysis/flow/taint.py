@@ -1,11 +1,12 @@
 """Flow-sensitive taint tracking and per-function taint summaries.
 
-This module owns the taint *semantics* shared by the intraprocedural CT
-checker and the whole-program engine:
+This is the repo's one taint implementation: the file-scoped CT checker
+and the whole-program engine both run its dataflow.  It owns:
 
-- which names seed taint (:data:`SECRET_NAME_RE`, and the narrower
-  :data:`SECRET_ATTR_RE` used for attribute reads, where ``seed`` /
-  ``coins`` would over-taint public configuration),
+- which names seed taint (:data:`SECRET_NAME_RE`, applied to parameters
+  by :func:`ct_seeds`, and the narrower :data:`SECRET_ATTR_RE` used for
+  attribute reads, where ``seed`` / ``coins`` would over-taint public
+  configuration),
 - which calls return secrets (``decaps``/``decap``), how ``keygen``
   results split into a public and a secret half,
 - which calls sanitize (``len``, ``declassify``, ...) — with the rule
@@ -150,6 +151,23 @@ def function_params(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     return [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]]
 
 
+def ct_seeds(func: ast.FunctionDef | ast.AsyncFunctionDef,
+             strict: bool) -> dict[str, frozenset]:
+    """Entry environment of the constant-time profile for *func*.
+
+    Secret-named parameters seed taint; in the strict kernel scope every
+    parameter except ``self``/``cls`` does.
+    """
+    env: dict[str, frozenset] = {}
+    for name in function_params(func):
+        if strict and name not in ("self", "cls"):
+            env[name] = frozenset(
+                {("secret", f"parameter {name!r} (strict kernel scope)")})
+        elif is_secret_name(name):
+            env[name] = frozenset({("secret", f"parameter {name!r}")})
+    return env
+
+
 # ---------------------------------------------------------------------------
 # expression taint
 
@@ -157,15 +175,16 @@ def function_params(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
 class _ExprTaint:
     """Token computation for expressions, given an environment.
 
-    *call_tokens* maps a resolved call plus its argument-token callback
-    to result tokens via callee summaries; unresolved calls pass their
-    argument taint through (the conservative choice the intraprocedural
-    checker also makes).
+    *sources* seeds tokens from a node regardless of the environment
+    (secret-named attribute reads); *call_tokens* maps a resolved call
+    plus its argument-token callback to result tokens via callee
+    summaries.  Calls it does not resolve — every call, when it is
+    ``None`` — pass their receiver's and arguments' taint through.
     """
 
-    def __init__(self, env_free_sources: Callable[[ast.AST], frozenset],
+    def __init__(self, sources: Callable[[ast.AST], frozenset] | None = None,
                  call_tokens=None):
-        self.sources = env_free_sources
+        self.sources = sources
         self.call_tokens = call_tokens
 
     def tokens(self, expr: ast.AST, env: dict[str, frozenset]) -> frozenset:
@@ -192,7 +211,8 @@ class _ExprTaint:
                 continue
             if isinstance(node, ast.Name) and node.id in env:
                 out |= env[node.id]
-            out |= self.sources(node)
+            if self.sources is not None:
+                out |= self.sources(node)
             stack.extend(ast.iter_child_nodes(node))
         return frozenset(out)
 
@@ -237,9 +257,12 @@ class _Transfer:
     """Applies one statement's effect on the environment (in place)."""
 
     def __init__(self, expr_taint: _ExprTaint,
-                 parents: dict[ast.AST, ast.AST] | None = None):
+                 parents: dict[ast.AST, ast.AST] | None, walruses: bool):
         self.expr = expr_taint
         self.parents = parents or {}
+        # False when the function holds no `:=`, so apply() can skip
+        # walking every header expression for one
+        self.walruses = walruses
 
     def _apply_walruses(self, node: ast.AST, env: dict) -> None:
         for sub in ast.walk(node):
@@ -271,8 +294,9 @@ class _Transfer:
                 _transfer_target(env, target, self.expr.tokens(value, env))
 
     def apply(self, stmt: ast.AST, env: dict) -> None:
-        for expr in header_exprs(stmt):
-            self._apply_walruses(expr, env)
+        if self.walruses:
+            for expr in header_exprs(stmt):
+                self._apply_walruses(expr, env)
         if isinstance(stmt, ast.Assign):
             self._assign(env, stmt.targets, stmt.value)
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
@@ -376,7 +400,8 @@ def analyze_dataflow(func: ast.FunctionDef | ast.AsyncFunctionDef,
     bounds pathological graphs.
     """
     cfg = build_cfg(func)
-    transfer = _Transfer(expr_taint, parents)
+    walruses = any(isinstance(node, ast.NamedExpr) for node in ast.walk(func))
+    transfer = _Transfer(expr_taint, parents, walruses)
     in_states: dict[int, dict[str, frozenset]] = {0: dict(seed_env)}
     out_states: dict[int, dict[str, frozenset]] = {}
     worklist = [block.index for block in cfg.blocks]
@@ -407,7 +432,7 @@ def analyze_dataflow(func: ast.FunctionDef | ast.AsyncFunctionDef,
 
 
 # ---------------------------------------------------------------------------
-# sink discovery (shared by the summary builder and the CT1xx checker)
+# sink discovery (shared by the summary builder and the CT/CT1xx checkers)
 
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 

@@ -12,8 +12,10 @@ from repro.analysis.runner import analyze
 
 def test_src_repro_lints_clean_with_committed_baseline(repo_root):
     baseline = Baseline.load(repo_root / ".pqtls-baseline.json")
+    # check_pragmas: a `pqtls: allow` whose finding went away is stale
+    # (ANA001) and fails here as well as in CI's --check-pragmas step
     report = analyze([repo_root / "src" / "repro"], project_root=repo_root,
-                     baseline=baseline)
+                     baseline=baseline, check_pragmas=True)
     assert report.ok, "\n".join(
         f"{f.location}: {f.code} {f.message}" for f in report.findings
     )

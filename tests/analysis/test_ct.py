@@ -177,3 +177,46 @@ def test_pragma_allows_a_deliberate_branch(lint):
     """, select=["ct"])
     assert codes(report) == []
     assert report.pragma_suppressed == 1
+
+
+# CT001-003 run on the flow dataflow, so they are flow-sensitive: a
+# public reassignment kills taint, a write into a container taints it,
+# and a loop back edge still carries taint to the header.
+
+def test_public_reassignment_kills_taint(lint):
+    report = lint("repro/pqc/fix.py", """
+        def wipe(sk):
+            x = sk[0]
+            x = 0
+            if x:
+                return 1
+            return 0
+    """, select=["ct"])
+    assert codes(report) == []
+
+
+def test_secret_write_taints_the_container(lint):
+    report = lint("repro/pqc/fix.py", """
+        def stash(sk):
+            buf = [0]
+            buf[0] = sk[0]
+            if buf[0]:
+                return 1
+            return 0
+    """, select=["ct"])
+    assert codes(report) == ["CT001"]
+    assert "'sk'" in report.findings[0].message
+
+
+def test_loop_carried_taint_reaches_the_header(lint):
+    report = lint("repro/pqc/fix.py", """
+        def scan(sk, n):
+            x = 0
+            for i in range(n):
+                if x:
+                    return i
+                x = sk[i]
+            return -1
+    """, select=["ct"])
+    assert codes(report) == ["CT001"]
+    assert report.findings[0].line == 5

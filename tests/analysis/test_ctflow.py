@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 
 def codes(report):
     return [f.code for f in report.findings]
@@ -105,3 +107,34 @@ def test_kernel_caller_inherits_allowed_sink_as_note(lint_tree):
     assert finding.severity.value == "note"
     assert "pragma-allowed" in finding.message
     assert report.ok  # notes never gate
+
+
+@pytest.mark.parametrize("method", [
+    "hexdigest",
+    pytest.param("digest", marks=pytest.mark.xfail(strict=True, reason=(
+        "name dispatch routes `.digest()` to the in-tree Hasher.digest, "
+        "whose summary carries no flow from its receiver, so the secret "
+        "is dropped at the call (DESIGN.md §11)"))),
+])
+def test_builtin_method_call_carries_taint_past_in_tree_namesakes(lint_tree, method):
+    # hashlib's digest() is not in the tree; an in-tree method that only
+    # shares its name must not swallow the secret flowing through it
+    report = lint_tree({
+        "repro/crypto/hashwrap.py": f"""
+            class Hasher:
+                def {method}(self):
+                    return b""
+        """,
+        "repro/pqc/fix.py": """
+            import hashlib
+
+            def check(data):
+                if data[0]:
+                    return 1
+                return 0
+
+            def derive(secret_key):
+                return check(hashlib.sha256(secret_key).digest())
+        """,
+    }, select=["ctflow"])
+    assert [(f.code, f.symbol) for f in report.findings] == [("CT101", "derive")]
