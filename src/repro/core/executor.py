@@ -67,7 +67,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 # byte is bought with a fixed number of hash calls).
 #
 # Coefficients are calibrated against measured cold-record times with the
-# default fast kernels (PQTLS_KERNELS=fast; see benchmarks/bench_crypto.py)
+# default fast kernels (PQTLS_KERNELS=fast; see `benchmarks/bench.py crypto`)
 # and the primorial-screened prime search in repro.crypto.modmath:
 # dilithium2 0.14 s, rsa:2048 ~1.2 s, falcon512 2.24 s, sphincs128 11.5 s,
 # hqc/bike within noise of the lattice KEMs. RSA recording varies ~2x run

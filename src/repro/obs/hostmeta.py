@@ -1,12 +1,12 @@
-"""Uniform host metadata for every ``BENCH_*.json`` writer.
+"""Uniform host metadata for every ``BENCH_*.json`` file.
 
 A benchmark number is only meaningful next to the machine and kernel
-mode that produced it: a ``speedup_cold`` measured on one core (where
-the executor's clamp makes the pool a serial fallback) says nothing
-about the pool, and ``fast``-kernel wall times are incomparable to
-``ref`` ones. Every benchmark writer embeds :func:`host_metadata` under
-a ``"host"`` key, and ``pqtls-bench-check`` uses :func:`comparable` to
-refuse apples-to-oranges diffs before any tolerance band is consulted.
+mode that produced it: a campaign speedup needs at least two cores
+(on one, the executor's clamp runs the pool inline), and
+``fast``-kernel wall times are incomparable to ``ref`` ones. The bench
+runners embed :func:`host_metadata` under a ``"host"`` key, and
+``pqtls-bench-check`` uses :func:`comparable` to refuse
+apples-to-oranges diffs before any tolerance band is consulted.
 
 This lives in ``repro.obs`` because describing the host is observation,
 not simulation: DET005 confines ``os.cpu_count`` to the executor, and
@@ -33,16 +33,6 @@ FINGERPRINT_KEYS = ("kernels", "machine", "python_major")
 # keys whose mismatch invalidates only CPU-topology-sensitive metrics
 # (parallel speedups), not the whole file
 CPU_KEYS = ("cpu_count",)
-
-
-def serial_fallback_reason(jobs: int, cpu_count: int | None) -> str | None:
-    """Why a campaign bench fell back to the serial path, or None."""
-    cpus = cpu_count or 1
-    if jobs <= 1:
-        return "jobs<=1 requested"
-    if cpus < 2:
-        return f"host has {cpus} cpu (jobs clamped to core count)"
-    return None
 
 
 def host_metadata() -> dict:
