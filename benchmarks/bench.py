@@ -366,7 +366,12 @@ def bench_cached_sort() -> dict:
 
 
 def bench_streaming_spill() -> dict:
-    """100k observations past the retention bound, and the sketch's error."""
+    """100k observations past the retention bound, and the sketch's error.
+
+    ``observe_s`` feeds them one ``observe`` call at a time,
+    ``observe_many_s`` as one ``observe_many`` batch; both must leave the
+    same histogram.
+    """
     values = synthetic_latencies(STREAM_N)
     exact = sorted(values)
     histogram = Histogram("bench.stream")
@@ -374,6 +379,11 @@ def bench_streaming_spill() -> dict:
     for value in values:
         histogram.observe(value)
     elapsed = time.perf_counter() - start
+    batched = Histogram("bench.stream")
+    start = time.perf_counter()
+    batched.observe_many(values)
+    elapsed_many = time.perf_counter() - start
+    assert batched.snapshot_entry() == histogram.snapshot_entry()
 
     streaming = histogram.snapshot_entry()["streaming"]
     errors = {}
@@ -385,6 +395,7 @@ def bench_streaming_spill() -> dict:
         "observations": STREAM_N,
         "retention": DEFAULT_RETENTION,
         "observe_s": round(elapsed, 4),
+        "observe_many_s": round(elapsed_many, 4),
         "retained_buckets": len(streaming["sketch"]["buckets"]),
         "reservoir_k": len(streaming["reservoir"]),
         **errors,

@@ -21,6 +21,16 @@ structures merge associatively, so worker→leader snapshot shipping in
 ``repro.core.executor`` is bit-identical at any ``--jobs`` and a
 million-handshake campaign holds O(retention) memory per histogram.
 
+Streaming observations are *folded* in chunks: after the spill, scalar
+``observe`` appends to a pending buffer of at most :data:`FOLD_CHUNK`
+values, and ``observe_many`` hands a whole batch over at once. One fold
+(numpy, imported on first use) feeds a chunk to the sketch and the
+reservoir; it serves the spill itself, the pending buffer, batches,
+merges of unspilled histograms and snapshot restores. Sketch counts and
+reservoir priorities do not depend on how a stream was chunked, so
+batching is invisible in every snapshot. The buffer is folded before
+any read of streaming state, before a merge and before a snapshot.
+
 :data:`NULL_METRICS` mirrors :data:`repro.obs.tracer.NULL_TRACER`:
 ``enabled`` is False and the instruments it hands out swallow updates, so
 un-observed runs pay nothing beyond an attribute check.
@@ -43,6 +53,9 @@ from repro.obs.sketch import (
 # handshake samples, a few thousand TCP flight observations) stays exact,
 # while campaign-level aggregates over large sets stream.
 DEFAULT_RETENTION = 4096
+
+# Streaming values buffered per histogram before one numpy fold.
+FOLD_CHUNK = 4096
 
 
 @dataclass
@@ -88,13 +101,14 @@ class Histogram:
         self.relative_accuracy = relative_accuracy
         self.reservoir_k = reservoir_k
         self.samples: list[float] = []
-        self.sketch: QuantileSketch | None = None
-        self.reservoir: ReservoirSample | None = None
+        self._sketch: QuantileSketch | None = None
+        self._reservoir: ReservoirSample | None = None
+        self._pending: list[float] = []   # streaming values not yet folded
         self._count = 0
         self._sum = 0.0
         self._min: float | None = None
         self._max: float | None = None
-        self._next_index = 0          # stream position of the next direct observe
+        self._next_index = 0          # stream position of the next fold
         self._sorted: list[float] | None = None   # cached sorted view
 
     # -- writes --------------------------------------------------------------
@@ -106,37 +120,92 @@ class Histogram:
             self._min = value
         if self._max is None or value > self._max:
             self._max = value
-        if self.sketch is None:
+        if self._sketch is None:
             self.samples.append(value)
             self._sorted = None
             self._next_index += 1
             if len(self.samples) > self.retention:
                 self._spill()
         else:
-            self.sketch.add(value)
-            self.reservoir.add(self._next_index, value)
-            self._next_index += 1
+            self._pending.append(value)
+            if len(self._pending) >= FOLD_CHUNK:
+                self._flush()
+
+    def observe_many(self, values) -> None:
+        """Observe a sequence of values in order, as ``observe`` would.
+
+        The exact window fills (and spills) at the same sample; past the
+        spill, count/min/max are exact and ``sum`` accumulates in stream
+        order, so the result is bit-identical to one ``observe`` per value.
+        """
+        if self._sketch is None:
+            room = self.retention + 1 - len(self.samples)
+            for value in values[:room]:
+                self.observe(value)
+            if len(values) <= room:
+                return
+            values = values[room:]
+        import numpy as np
+
+        chunk = np.asarray(values, dtype=np.float64)
+        if not chunk.size:
+            return
+        self._count += chunk.size
+        self._sum = float(np.add.accumulate(
+            np.concatenate(((self._sum,), chunk)))[-1])
+        # the first value equal to the extreme, as a running `<` keeps it
+        low = float(chunk[(chunk == chunk.min()).argmax()])
+        high = float(chunk[(chunk == chunk.max()).argmax()])
+        if self._min is None or low < self._min:
+            self._min = low
+        if self._max is None or high > self._max:
+            self._max = high
+        self._flush()
+        self._fold(chunk, self._next_index)
+        self._next_index += chunk.size
+
+    def _fold(self, values, start: int) -> None:
+        """Feed values observed at stream positions ``start, start+1, ...``."""
+        import numpy as np
+
+        values = np.asarray(values, dtype=np.float64)
+        self._sketch.add_many(values)
+        self._reservoir.add_many(start, values)
+
+    def _flush(self) -> None:
+        if self._pending:
+            pending, self._pending = self._pending, []
+            self._fold(pending, self._next_index)
+            self._next_index += len(pending)
 
     def _spill(self) -> None:
         """Hand the retained stream to the streaming structures.
 
-        Samples are replayed at their stream positions, so a spilled
+        Samples are folded at their stream positions, so a spilled
         histogram's state is a pure function of the observation stream —
         whichever process, merge order, or snapshot round-trip produced
         it (the ``--jobs`` bit-identity contract).
         """
-        self.sketch = QuantileSketch(relative_accuracy=self.relative_accuracy)
-        self.reservoir = ReservoirSample(k=self.reservoir_k)
-        for index, value in enumerate(self.samples):
-            self.sketch.add(value)
-            self.reservoir.add(index, value)
+        self._sketch = QuantileSketch(relative_accuracy=self.relative_accuracy)
+        self._reservoir = ReservoirSample(k=self.reservoir_k)
+        self._fold(self.samples, 0)
         self.samples.clear()
         self._sorted = None
 
     # -- reads ---------------------------------------------------------------
     @property
     def spilled(self) -> bool:
-        return self.sketch is not None
+        return self._sketch is not None
+
+    @property
+    def sketch(self) -> QuantileSketch | None:
+        self._flush()
+        return self._sketch
+
+    @property
+    def reservoir(self) -> ReservoirSample | None:
+        self._flush()
+        return self._reservoir
 
     @property
     def count(self) -> int:
@@ -189,6 +258,8 @@ class Histogram:
         (both ways) otherwise. Spilled state merges associatively, so
         campaign aggregation gives one answer at any ``--jobs``.
         """
+        self._flush()
+        other._flush()
         if other._count == 0:
             return
         self._count += other._count
@@ -208,12 +279,10 @@ class Histogram:
         if not other.spilled:
             # feed at *other's* stream positions: identical to merging the
             # histogram a snapshot round-trip would reconstruct
-            for index, value in enumerate(other.samples):
-                self.sketch.add(value)
-                self.reservoir.add(index, value)
+            self._fold(other.samples, 0)
         else:
-            self.sketch.merge(other.sketch)
-            self.reservoir.merge(other.reservoir)
+            self._sketch.merge(other._sketch)
+            self._reservoir.merge(other._reservoir)
 
     def snapshot_entry(self) -> dict:
         """Plain-dict dump; lossless (see :meth:`from_snapshot_entry`)."""
@@ -252,11 +321,10 @@ class Histogram:
                         reservoir_k=reservoir_k)
         streaming = entry.get("streaming")
         if streaming is None:
-            for value in entry["samples"]:
-                histogram.observe(value)
+            histogram.observe_many(entry["samples"])
             return histogram
-        histogram.sketch = QuantileSketch.from_state(streaming["sketch"])
-        histogram.reservoir = ReservoirSample.from_state(
+        histogram._sketch = QuantileSketch.from_state(streaming["sketch"])
+        histogram._reservoir = ReservoirSample.from_state(
             streaming["reservoir"], k=reservoir_k)
         histogram._count = int(entry["count"])
         histogram._sum = float(entry["sum"])
@@ -399,6 +467,9 @@ class _NullInstrument:
         pass
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values) -> None:
         pass
 
     def quantile(self, q: float) -> float:

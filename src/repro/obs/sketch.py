@@ -13,14 +13,22 @@ ROADMAP's ≥1M-handshake campaigns without retaining every sample:
 
 - :class:`ReservoirSample` — a deterministic bottom-k sample of the raw
   values. Every observation is assigned a priority once, at observation
-  time — the BLAKE2b hash of its (stream index, value) pair — and the
-  reservoir keeps the k entries with the smallest priorities. Merging is
-  "bottom-k of the multiset union", which is associative and independent
-  of merge order or process boundaries; no ambient randomness is drawn
-  (the DET002/DET003 contracts hold), yet the kept set behaves like a
-  uniform sample for diagnostics. Identical (index, value) pairs from
-  different streams collide on priority and tie-break on value, a
-  documented bias that is irrelevant for the debugging peeks this backs.
+  time — the splitmix64 mix of its (stream index, float64 bits) pair —
+  and the reservoir keeps the k entries with the smallest priorities.
+  Merging is "bottom-k of the multiset union", which is associative and
+  independent of merge order or process boundaries; no ambient
+  randomness is drawn (the DET002/DET003 contracts hold), yet the kept
+  set behaves like a uniform sample for diagnostics. Identical (index,
+  value) pairs from different streams collide on priority and tie-break
+  on value, a documented bias that is irrelevant for the debugging peeks
+  this backs.
+
+Both take values in batches (``add_many``): the bucket index and the
+priority are numpy folds over a whole chunk. The scalar paths share
+them — ``QuantileSketch.add`` wraps the batch path and :func:`priority`
+runs the same splitmix64 code on Python ints — so there is one bucket
+rule and one priority mix. numpy is imported inside the folds, never at
+module import, so importing :mod:`repro.obs` stays numpy-free.
 
 Both carry their state as JSON-safe plain structures (:meth:`state` /
 :meth:`from_state`) so metrics snapshots remain lossless across the
@@ -29,7 +37,7 @@ worker→leader shipping path and the on-disk result cache.
 
 from __future__ import annotations
 
-import hashlib
+import bisect
 import math
 import struct
 
@@ -44,6 +52,27 @@ DEFAULT_RESERVOIR_K = 256
 DEFAULT_MAX_BUCKETS = 4096
 
 
+# A ratio log(m)/log(gamma) this close to an integer may round to the
+# other bucket when np.log and math.log differ in the last bit; those
+# rare magnitudes are settled with math.log, the reference rule.
+_BUCKET_EDGE = 1e-9
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(z):
+    """The splitmix64 finalizer on a Python int or a uint64 array."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _mix(index, bits):
+    """Priority of (stream index, float64 bits): ints or uint64 arrays."""
+    return _splitmix64(_splitmix64(index) ^ bits)
+
+
 def priority(index: int, value: float) -> int:
     """Deterministic 64-bit priority of one observation.
 
@@ -52,8 +81,20 @@ def priority(index: int, value: float) -> int:
     (index, value) pairs — not of sharding, merge order, or
     ``PYTHONHASHSEED``.
     """
-    packed = struct.pack("<qd", index, float(value))
-    return int.from_bytes(hashlib.blake2b(packed, digest_size=8).digest(), "big")
+    bits, = struct.unpack("<Q", struct.pack("<d", value))
+    return _mix(index, bits)
+
+
+def _bucket_indices(magnitudes, log_gamma: float):
+    """``ceil(log_gamma(m))`` for a float64 array of magnitudes ``m > 0``."""
+    import numpy as np
+
+    ratio = np.log(magnitudes) / log_gamma
+    indices = np.ceil(ratio).astype(np.int64)
+    edge = np.flatnonzero(np.abs(ratio - np.rint(ratio)) < _BUCKET_EDGE)
+    for i in edge.tolist():
+        indices[i] = math.ceil(math.log(magnitudes[i]) / log_gamma)
+    return indices
 
 
 class QuantileSketch:
@@ -82,28 +123,36 @@ class QuantileSketch:
         self.negative: dict[int, int] = {}    # mirrored for v < 0
         self.zeros = 0
 
-    def _index(self, magnitude: float) -> int:
-        return math.ceil(math.log(magnitude) / self._log_gamma)
-
     def _estimate(self, index: int) -> float:
         # midpoint (in log space) of bucket (gamma^(i-1), gamma^i]:
         # max relative error (gamma-1)/(gamma+1) == relative_accuracy
         return 2.0 * self.gamma ** index / (self.gamma + 1.0)
 
-    def add(self, value: float, count: int = 1) -> None:
-        value = float(value)
-        if value > 0.0:
-            table, index = self.buckets, self._index(value)
-        elif value < 0.0:
-            table, index = self.negative, self._index(-value)
-        else:
-            self.zeros += count
-            self.count += count
-            return
-        table[index] = table.get(index, 0) + count
-        self.count += count
-        if len(table) > self.max_buckets:
-            self._collapse(table)
+    def add(self, value: float) -> None:
+        self.add_many((value,))
+
+    def add_many(self, values) -> None:
+        """Count every value of a batch; the order within it is irrelevant."""
+        import numpy as np
+
+        values = np.asarray(values, dtype=np.float64)
+        positive = values[values > 0.0]
+        negative = values[values < 0.0]
+        self.zeros += values.size - positive.size - negative.size
+        self.count += values.size
+        for table, magnitudes in ((self.buckets, positive),
+                                  (self.negative, -negative)):
+            if not magnitudes.size:
+                continue
+            indices = _bucket_indices(magnitudes, self._log_gamma)
+            low = int(indices.min())
+            counts = np.bincount(indices - low)
+            seen = np.flatnonzero(counts)
+            for index, count in zip((seen + low).tolist(),
+                                    counts[seen].tolist()):
+                table[index] = table.get(index, 0) + count
+            if len(table) > self.max_buckets:
+                self._collapse(table)
 
     def _collapse(self, table: dict[int, int]) -> None:
         # fold the lowest bucket into its neighbour above: the low tail
@@ -189,19 +238,35 @@ class ReservoirSample:
         self.entries: list[tuple[int, float]] = []  # (priority, value), sorted
 
     def add(self, index: int, value: float) -> None:
-        entry = (priority(index, float(value)), float(value))
-        if len(self.entries) >= self.k and entry >= self.entries[-1]:
+        entry = (priority(index, value), float(value))
+        if len(self.entries) < self.k or entry < self.entries[-1]:
+            bisect.insort(self.entries, entry)
+            del self.entries[self.k:]
+
+    def add_many(self, start: int, values) -> None:
+        """Offer ``values`` observed at stream positions ``start, start+1, ...``.
+
+        Candidates above the current k-th priority cannot enter; the
+        rest are cut to their own bottom k by (priority, value) before
+        the merge with the kept entries, which leaves the same bottom k
+        as one ``add`` per value.
+        """
+        import numpy as np
+
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        if not values.size:
             return
-        lo, hi = 0, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.entries[mid] < entry:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.entries.insert(lo, entry)
-        if len(self.entries) > self.k:
-            self.entries.pop()
+        indices = np.arange(start, start + values.size, dtype=np.uint64)
+        priorities = _mix(indices, values.view(np.uint64))
+        if len(self.entries) >= self.k:
+            keep = priorities <= np.uint64(self.entries[-1][0])
+            priorities, values = priorities[keep], values[keep]
+        if priorities.size > self.k:
+            keep = priorities <= np.partition(priorities, self.k - 1)[self.k - 1]
+            priorities, values = priorities[keep], values[keep]
+        order = np.lexsort((values, priorities))[:self.k]
+        fresh = zip(priorities[order].tolist(), values[order].tolist())
+        self.entries = sorted([*self.entries, *fresh])[:self.k]
 
     def merge(self, other: "ReservoirSample") -> None:
         merged = sorted(self.entries + other.entries)

@@ -4,11 +4,15 @@ One *shard* simulates a contiguous time-slice of the arrival timeline
 against its own :class:`~repro.traffic.server.ServerCores` and a fresh
 :class:`~repro.obs.metrics.Metrics` registry. Per handshake the engine
 runs exactly four event-loop callbacks — arrival, burst-A enqueue,
-burst-B enqueue (where every latency is observed), completion — and
-allocates nothing but three `partial` thunks: connection state lives in
-a pooled free-list, latencies stream straight into the registry's
-histograms (exact to the retention window, constant-memory sketch +
-reservoir beyond), so memory is flat in the handshake count.
+burst-B enqueue (where the two queueing waits are kept), completion —
+and allocates nothing but three `partial` thunks: connection state lives
+in a pooled free-list. The five latencies of a handshake are its
+profile's constants plus its two waits, so each channel keeps only
+(wait_a, wait_b); every :data:`OBSERVE_CHUNK` handshakes, and at the
+shard's end, it computes the latencies as numpy arrays and hands them to
+its histograms' ``observe_many`` (exact to the retention window,
+constant-memory sketch + reservoir beyond), so memory is flat in the
+handshake count.
 
 Determinism contract (`--jobs` bit-identity): the shard layout depends
 only on the config (never on the worker count), each shard forks its
@@ -31,6 +35,8 @@ import re
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from repro.core import executor
 from repro.crypto.drbg import Drbg
 from repro.netsim.eventloop import EventLoop
@@ -45,6 +51,9 @@ from repro.traffic.server import ServerCores
 # _HEARTBEAT_MASK+1 completions so the hot path never reads the clock)
 HEARTBEAT_SECONDS = 5.0
 _HEARTBEAT_MASK = 0x3FF
+
+# handshakes a channel keeps (as two waits) before it observes them
+OBSERVE_CHUNK = 4096
 
 _UNSAFE = re.compile(r"[^a-z0-9_]")
 
@@ -131,20 +140,42 @@ class _Conn:
 
 
 class _PairChannel:
-    """One (KEM, SIG) pair's profile plus bound histogram observers."""
+    """One (KEM, SIG) pair's profile, its histograms and unobserved waits."""
 
-    __slots__ = ("profile", "prefix", "completed", "part_a", "part_b",
-                 "total", "ttfb", "wait")
+    __slots__ = ("profile", "prefix", "completed", "wait_a", "wait_b",
+                 "histograms")
 
     def __init__(self, profile, metrics, prefix: str):
         self.profile = profile
         self.prefix = prefix
         self.completed = 0
-        self.part_a = metrics.histogram(prefix + "part_a").observe
-        self.part_b = metrics.histogram(prefix + "part_b").observe
-        self.total = metrics.histogram(prefix + "total").observe
-        self.ttfb = metrics.histogram(prefix + "ttfb").observe
-        self.wait = metrics.histogram(prefix + "server_wait").observe
+        self.wait_a: list[float] = []
+        self.wait_b: list[float] = []
+        self.histograms = tuple(
+            metrics.histogram(prefix + name)
+            for name in ("part_a", "part_b", "total", "ttfb", "server_wait"))
+
+    def observe(self) -> None:
+        """Turn the kept waits into latencies and observe them in order.
+
+        wait_a shifts the whole server flight, so it lands in part A and
+        everything downstream; wait_b happens after the client's Finished
+        is already on the wire, so only TTFB sees it. The additions run
+        left to right, as one handshake at a time would.
+        """
+        if not self.wait_a:
+            return
+        profile = self.profile
+        wait_a = np.array(self.wait_a)
+        wait_b = np.array(self.wait_b)
+        part_a, part_b, total, ttfb, wait = self.histograms
+        part_a.observe_many(profile.part_a + wait_a)
+        part_b.observe_many(np.full(wait_a.size, profile.part_b))
+        total.observe_many(profile.total + wait_a)
+        ttfb.observe_many((profile.ttfb + wait_a) + wait_b)
+        wait.observe_many(wait_a + wait_b)
+        self.wait_a.clear()
+        self.wait_b.clear()
 
 
 class _ShardEngine:
@@ -262,17 +293,11 @@ class _ShardEngine:
         channel = conn.channel
         profile = channel.profile
         start, end = self.server.acquire(now, profile.burst_b)
-        wait_a = conn.wait_a
-        wait_b = start - now
-        # wait_a shifts the whole server flight, so it lands in part A and
-        # everything downstream; wait_b happens after the client's
-        # Finished is already on the wire, so only TTFB sees it
-        channel.part_a(profile.part_a + wait_a)
-        channel.part_b(profile.part_b)
-        channel.total(profile.total + wait_a)
-        channel.ttfb(profile.ttfb + wait_a + wait_b)
-        channel.wait(wait_a + wait_b)
+        channel.wait_a.append(conn.wait_a)
+        channel.wait_b.append(start - now)
         channel.completed += 1
+        if len(channel.wait_b) >= OBSERVE_CHUNK:
+            channel.observe()
         self.loop.schedule(end + profile.resp_transit - now,
                            partial(self._finish, conn))
 
@@ -308,6 +333,9 @@ class _ShardEngine:
 
     def finalize(self, metrics) -> dict:
         """Flush shard counters into the registry, return the aggregates."""
+        for channel in (*self.channels, *self.resume_channels):
+            if channel is not None:
+                channel.observe()
         metrics.inc("traffic.offered", self.offered)
         metrics.inc("traffic.completed", self.completed)
         metrics.inc("traffic.dropped", self.dropped)

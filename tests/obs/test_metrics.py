@@ -1,8 +1,14 @@
 """Metrics registry: instruments, prefix reads, merging, snapshots."""
 
-import pytest
+import json
+import subprocess
+import sys
 
-from repro.obs.metrics import NULL_METRICS, Histogram, Metrics
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.obs.metrics import FOLD_CHUNK, NULL_METRICS, Histogram, Metrics
 from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY
 
 
@@ -261,9 +267,128 @@ def test_null_metrics_swallows_everything():
     NULL_METRICS.inc("x")
     NULL_METRICS.set("y", 1)
     NULL_METRICS.observe("z", 2)
+    NULL_METRICS.histogram("z").observe_many([1.0, 2.0])
     NULL_METRICS.counter("x").inc(5)
     assert NULL_METRICS.counter("x").value == 0.0
     assert NULL_METRICS.names() == []
     assert NULL_METRICS.counters_with_prefix("x") == {}
     assert NULL_METRICS.snapshot() == {
         "counters": {}, "gauges": {}, "histograms": {}}
+
+
+# -- batched observation -----------------------------------------------------
+# observe_many and the post-spill pending buffer change how values reach
+# the sketch and reservoir, never the state they leave behind.
+
+def _scalar(retention, values):
+    metrics = Metrics(retention=retention)
+    histogram = metrics.histogram("lat")
+    for value in values:
+        histogram.observe(value)
+    return metrics
+
+
+def _batched(retention, values, sizes):
+    metrics = Metrics(retention=retention)
+    histogram = metrics.histogram("lat")
+    start, turn = 0, 0
+    while start < len(values):
+        size = sizes[turn % len(sizes)]
+        histogram.observe_many(values[start:start + size])
+        start, turn = start + size, turn + 1
+    return metrics
+
+
+def _dump(metrics):
+    return json.dumps(metrics.snapshot(), sort_keys=True)
+
+
+@settings(max_examples=100)
+@example(pool=[0.5, -0.0, 2.25, 0.0, -1.5, 1e-3], length=9000,
+         sizes=[1000, 3, 4097], cut=0.4, retention=4096)
+@given(pool=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1,
+                     max_size=64),
+       length=st.integers(min_value=0, max_value=9000),
+       sizes=st.lists(st.integers(min_value=1, max_value=5000), min_size=1,
+                      max_size=8),
+       cut=st.floats(min_value=0.0, max_value=1.0),
+       retention=st.sampled_from([1, 8, 4096]))
+def test_batching_is_invisible_in_the_snapshot(pool, length, sizes, cut,
+                                               retention):
+    # the pool repeats so a stream can pass the 4096 retention window
+    values = [pool[(i * 7919) % len(pool)] for i in range(length)]
+    expected = _dump(_scalar(retention, values))
+    assert _dump(_batched(retention, values, sizes)) == expected
+
+    split = round(cut * length)
+    halves = (values[:split], values[split:])
+    merged = []
+    for build in (lambda v: _scalar(retention, v),
+                  lambda v: _batched(retention, v, sizes)):
+        first, second = (build(half) for half in halves)
+        first.merge(second)
+        merged.append(_dump(first))
+        first, second = (build(half) for half in halves)
+        first.merge_snapshot(second.snapshot())
+        merged.append(_dump(first))
+    assert len(set(merged)) == 1
+    if split in (0, length):                 # nothing to merge: the stream
+        assert merged[0] == expected
+
+
+def _pending_histogram(retention=8, extra=5):
+    """Spilled, with ``extra`` values waiting in the pending buffer."""
+    histogram = Histogram("lat", retention=retention)
+    for value in synthetic_latencies(retention + 1 + extra):
+        histogram.observe(value)
+    assert histogram.spilled and len(histogram._pending) == extra
+    return histogram
+
+
+READS = {
+    "sketch": lambda h: h.sketch,
+    "reservoir": lambda h: h.reservoir,
+    "median": lambda h: h.median,
+    "quantile": lambda h: h.quantile(0.99),
+    "snapshot_entry": lambda h: h.snapshot_entry(),
+    "merge_as_self": lambda h: h.merge(Histogram("lat", retention=8)),
+    "merge_as_other": lambda h: Histogram("lat", retention=8).merge(h),
+}
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+def test_every_read_path_folds_the_pending_buffer(read):
+    histogram = _pending_histogram()
+    READS[read](histogram)
+    assert histogram._pending == []
+    assert histogram._sketch.count == histogram.count
+
+
+def test_reads_interleaved_with_observes_change_nothing():
+    values = synthetic_latencies(3 * FOLD_CHUNK + 37)
+    quiet, noisy = Histogram("lat", retention=64), Histogram("lat", retention=64)
+    for i, value in enumerate(values):
+        quiet.observe(value)
+        noisy.observe(value)
+        if i % 97 == 0:
+            READS[sorted(READS)[i % len(READS)]](noisy)
+            assert noisy._sketch is None or noisy._sketch.count == noisy.count
+    assert noisy.snapshot_entry() == quiet.snapshot_entry()
+
+
+def test_merge_reads_a_pending_other():
+    target = Histogram("lat", retention=8)
+    target.merge(_pending_histogram(extra=5))
+    assert target.sketch.count == target.count == 14
+    assert target.snapshot_entry()["streaming"]["sketch"] == \
+        _pending_histogram(extra=5).snapshot_entry()["streaming"]["sketch"]
+
+
+def test_importing_obs_loads_no_numpy():
+    # every benchmark child imports repro.obs; numpy there would cost
+    # ~13 MB of RSS in workloads that never fold a stream
+    code = ("import sys, repro.obs, repro.obs.metrics, repro.obs.sketch; "
+            "print('numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "False"

@@ -1,11 +1,18 @@
 """Streaming instruments: sketch accuracy, reservoir determinism, merges."""
 
+import math
+import random
+
+import numpy as np
 import pytest
 
 from repro.obs.sketch import (
     DEFAULT_RELATIVE_ACCURACY,
     QuantileSketch,
     ReservoirSample,
+    _bucket_indices,
+    _mix,
+    _splitmix64,
     priority,
 )
 
@@ -120,6 +127,54 @@ def test_priority_is_deterministic_and_index_sensitive():
     assert priority(3, 1.25) == priority(3, 1.25)
     assert priority(3, 1.25) != priority(4, 1.25)
     assert priority(3, 1.25) != priority(3, 1.5)
+
+
+def test_priority_is_pinned_splitmix64():
+    # literal values: a numpy upgrade or a refactor must not silently
+    # change which entries a reservoir keeps
+    assert _splitmix64(0) == 0xE220A8397B1DCDAF    # published first output
+    assert priority(0, 0.0) == 12035550249420947055
+    assert priority(1, 1.5) == 18223365353263475353
+    assert priority(123456789, -2.25) == 12516257284804165942
+
+
+def test_scalar_and_vectorized_priorities_agree():
+    rng = random.Random(7)
+    indices = [rng.randrange(1 << 40) for _ in range(10_000)]
+    values = [rng.uniform(-1e6, 1e6) * rng.choice((1e-9, 1.0, 1e9))
+              for _ in range(10_000)]
+    vectorized = _mix(np.array(indices, dtype=np.uint64),
+                      np.array(values).view(np.uint64))
+    assert vectorized.tolist() == [priority(i, v)
+                                   for i, v in zip(indices, values)]
+
+
+def test_reservoir_add_many_matches_scalar_adds():
+    values = synthetic_latencies(5000)
+    scalar, batched = ReservoirSample(k=32), ReservoirSample(k=32)
+    for i, v in enumerate(values):
+        scalar.add(100 + i, v)
+    for start in range(0, 5000, 700):
+        batched.add_many(100 + start, values[start:start + 700])
+    assert batched.entries == scalar.entries
+
+
+def test_bucket_index_matches_the_math_log_rule():
+    # np.log and math.log differ in the last bit for some inputs; magnitudes
+    # at and next to every bucket edge must still land where math.log puts them
+    sketch = QuantileSketch()
+    edges = np.array([sketch.gamma ** k for k in range(-2000, 2000)])
+    # edge magnitudes where one x86-64 numpy build's np.log put them in
+    # the neighbouring bucket
+    disputed = np.array([2.42999241469701e-43, 2.276872031774532e-33,
+                         1.2120113842591075e+27, 1.5176635947293917e+41,
+                         3.0333575644899535e+44])
+    magnitudes = np.concatenate(
+        [np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf),
+         disputed])
+    expected = [math.ceil(math.log(m) / sketch._log_gamma)
+                for m in magnitudes.tolist()]
+    assert _bucket_indices(magnitudes, sketch._log_gamma).tolist() == expected
 
 
 def test_reservoir_keeps_bottom_k_of_union():

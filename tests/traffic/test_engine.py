@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.core import executor
-from repro.obs.metrics import Metrics
+from repro.obs.metrics import DEFAULT_RETENTION, Metrics
 from repro.obs.recorder import FlightRecorder
+from repro.traffic import engine
 from repro.traffic.engine import (
     TrafficConfig,
     metric_key,
@@ -201,6 +202,47 @@ def test_resume_mix_jobs_bit_identity(multicore):
     assert (json.dumps(serial.snapshot(), sort_keys=True)
             == json.dumps(parallel.snapshot(), sort_keys=True))
     assert (s1.offered, s1.completed) == (s3.offered, s3.completed)
+
+
+def test_jobs_bit_identity_with_spilled_shards(multicore):
+    # >4096 handshakes per shard per channel: every worker ships spilled
+    # (sketch + reservoir) histograms, not raw samples
+    config = TrafficConfig(arrival="poisson:2500/s", duration=6.0,
+                           pairs=(PAIR,), shard_seconds=2.0, server_cores=4)
+    serial, parallel = Metrics(), Metrics()
+    s1 = run_traffic(config, jobs=1, metrics=serial)
+    s3 = run_traffic(config, jobs=3, metrics=parallel)
+    assert s1.completed / s1.shards > DEFAULT_RETENTION
+    assert (json.dumps(serial.snapshot(), sort_keys=True)
+            == json.dumps(parallel.snapshot(), sort_keys=True))
+    assert (s1.offered, s1.completed) == (s3.offered, s3.completed)
+
+
+def test_observe_chunk_is_invisible(monkeypatch):
+    # observing every handshake on its own and in OBSERVE_CHUNK batches
+    # leaves byte-identical shard metrics; the small retention makes the
+    # busier channels spill, so both the exact and the folded paths run
+    config = TrafficConfig(arrival="poisson:2000/s", duration=1.0,
+                           pairs=(PAIR, ("x25519", "rsa:2048")),
+                           shard_seconds=0.5, server_cores=4,
+                           resume=(0.6, 0.3))
+
+    def shard_dumps():
+        dumps = []
+        for window in shard_windows(config):
+            metrics = Metrics(retention=256)
+            engine._run_shard(config, window.index, metrics)
+            dumps.append(json.dumps(metrics.snapshot(), sort_keys=True))
+        return dumps, metrics
+
+    chunked, last = shard_dumps()
+    histograms = [last.histogram(name) for name in last.names()
+                  if name.endswith(".total")]
+    assert any(h.spilled for h in histograms)
+    assert not all(h.spilled for h in histograms)
+    monkeypatch.setattr(engine, "OBSERVE_CHUNK", 1)
+    single, _ = shard_dumps()
+    assert single == chunked
 
 
 def test_run_is_reproducible_and_seed_sensitive():
