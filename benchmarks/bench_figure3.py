@@ -1,74 +1,50 @@
 """Figure 3: KA/SA (in)dependence and the buffering optimization.
 
-Regenerates the deviation analysis E(k,s) - M(k,s) under both OpenSSL
-policies (3a default, 3b optimized) and the improvement table (3c), and
-benchmarks the deviation computation.
+Asserts the paper's shape of the deviation analysis E(k,s) - M(k,s) under
+both OpenSSL policies (3a default, 3b optimized) and of the improvement
+table (3c); ``pqtls-experiment --evaluate figure3`` renders them.
 """
 
 import statistics
 
 import pytest
 
-from benchmarks.conftest import write_artifact
-from repro.core import campaign, report
+from repro.core import campaign
 from repro.core.analysis import deviations_for_levels
 from repro.pqc.registry import LEVEL_GROUPS
 
 
 @pytest.fixture(scope="module")
-def optimized_results():
-    return campaign.run_sets(["level1", "level3", "level5"])
+def optimized():
+    results = campaign.run_sets(["level1", "level3", "level5"])
+    return deviations_for_levels(results, "optimized", LEVEL_GROUPS)
 
 
 @pytest.fixture(scope="module")
-def default_results():
-    return campaign.run_sets(["level1-nopush", "level3-nopush", "level5-nopush"])
+def default():
+    results = campaign.run_sets(["level1-nopush", "level3-nopush", "level5-nopush"])
+    return deviations_for_levels(results, "default", LEVEL_GROUPS)
 
 
-def test_figure3a_default_policy(default_results, artifacts_dir, benchmark):
-    deviations = benchmark(
-        lambda: deviations_for_levels(default_results, "default", LEVEL_GROUPS))
-    text = report.render_deviations(
-        deviations, "Figure 3a: deviation E-M, default OpenSSL (ms, + = faster)")
-    print("\n" + text)
-    write_artifact(artifacts_dir, "figure3a.txt", text)
+def test_figure3a_default_policy(default):
     # CPU-heavy KA x heavy SA combinations beat the additive prediction
     # when the buffer overflow pushes the SH early (parallel processing)
-    by_pair = {(d.kem, d.sig): d for d in deviations}
+    by_pair = {(d.kem, d.sig): d for d in default}
     heavy = by_pair[("bikel1", "sphincs128")]
     assert heavy.deviation > 0.5e-3  # >= 0.5 ms faster than predicted
 
 
-def test_figure3b_optimized_policy(optimized_results, artifacts_dir, benchmark):
-    deviations = benchmark(
-        lambda: deviations_for_levels(optimized_results, "optimized", LEVEL_GROUPS))
-    text = report.render_deviations(
-        deviations, "Figure 3b: deviation E-M, optimized OpenSSL (ms, + = faster)")
-    print("\n" + text)
-    write_artifact(artifacts_dir, "figure3b.txt", text)
-    write_artifact(artifacts_dir, "deviations.csv", report.deviations_csv(deviations))
+def test_figure3b_optimized_policy(optimized):
     # with the consistent early push, most deviations shrink: the bulk of
     # combinations sit within ~1.5 ms of the additive model
-    magnitudes = sorted(abs(d.deviation) for d in deviations)
-    median_abs = statistics.median(magnitudes)
+    median_abs = statistics.median(abs(d.deviation) for d in optimized)
     assert median_abs < 1.5e-3
 
 
-def test_figure3c_improvement(optimized_results, default_results, artifacts_dir,
-                              benchmark):
-    optimized = benchmark(
-        lambda: deviations_for_levels(optimized_results, "optimized", LEVEL_GROUPS))
-    default = deviations_for_levels(default_results, "default", LEVEL_GROUPS)
-    lines = ["Figure 3c: latency improvement of the optimized behaviour (ms)"]
-    improvements = {}
-    for d_opt, d_def in zip(optimized, default):
-        assert (d_opt.kem, d_opt.sig) == (d_def.kem, d_def.sig)
-        gain_ms = (d_def.measured - d_opt.measured) * 1e3
-        improvements[(d_opt.kem, d_opt.sig)] = gain_ms
-        lines.append(f"{d_opt.kem:<14} {d_opt.sig:<16} {gain_ms:+8.2f}")
-    text = "\n".join(lines)
-    print("\n" + text)
-    write_artifact(artifacts_dir, "figure3c.txt", text)
+def test_figure3c_improvement(optimized, default):
+    default_ms = {(d.kem, d.sig): d.measured for d in default}
+    improvements = {(d.kem, d.sig): (default_ms[(d.kem, d.sig)] - d.measured) * 1e3
+                    for d in optimized}
     # the paper: 'most handshakes were faster' with the optimized push
     gains = list(improvements.values())
     assert sum(1 for g in gains if g > -0.05) / len(gains) > 0.7

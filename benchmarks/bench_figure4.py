@@ -2,8 +2,7 @@
 
 import pytest
 
-from benchmarks.conftest import write_artifact
-from repro.core import campaign, evaluate, report
+from repro.core import campaign, evaluate
 from repro.pqc.registry import ALL_KEM_NAMES, ALL_SIG_NAMES
 
 
@@ -12,13 +11,8 @@ def results():
     return campaign.run_sets(["all-kem", "all-sig"])
 
 
-def test_figure4_ranking(results, artifacts_dir, benchmark):
-    kem_ranks, sig_ranks = benchmark(
-        lambda: evaluate.figure4(results, ALL_KEM_NAMES, ALL_SIG_NAMES))
-    text = report.render_ranking(kem_ranks, sig_ranks)
-    print("\n" + text)
-    write_artifact(artifacts_dir, "figure4.txt", text)
-
+def test_figure4_ranking(results):
+    kem_ranks, sig_ranks = evaluate.figure4(results, ALL_KEM_NAMES, ALL_SIG_NAMES)
     kem_rank = dict(kem_ranks)
     sig_rank = dict(sig_ranks)
     # ranks span the whole [0, 10] scale
@@ -34,8 +28,8 @@ def test_figure4_ranking(results, artifacts_dir, benchmark):
     assert sig_rank["rsa:1024"] == 0  # fastest overall (sub-level-one)
 
 
-def test_ranking_is_monotonic_in_latency(results, benchmark):
-    kem_ranks, _ = benchmark(lambda: evaluate.figure4(results, ALL_KEM_NAMES, ALL_SIG_NAMES))[0:2]
+def test_ranking_is_monotonic_in_latency(results):
+    kem_ranks, _ = evaluate.figure4(results, ALL_KEM_NAMES, ALL_SIG_NAMES)
     latencies = [
         results[campaign.ExperimentConfig(kem=k, sig="rsa:2048").key].total_median
         for k, _ in kem_ranks

@@ -2,8 +2,7 @@
 
 import pytest
 
-from benchmarks.conftest import write_artifact
-from repro.core import campaign, evaluate, report
+from repro.core import campaign, evaluate
 from repro.pqc.registry import ALL_SIG_NAMES
 
 
@@ -12,14 +11,9 @@ def results():
     return campaign.run_sets(["table3-perf", "all-sig"])
 
 
-def test_attack_metrics(results, artifacts_dir, benchmark):
-    whitebox = evaluate.table3(results)
+def test_attack_metrics(results):
     t2b = evaluate.table2b(results, ALL_SIG_NAMES)
-    metrics = benchmark(lambda: evaluate.attack_metrics(whitebox, t2b))
-    text = report.render_attack_metrics(metrics)
-    print("\n" + text)
-    write_artifact(artifacts_dir, "section55.txt", text)
-
+    metrics = evaluate.attack_metrics(evaluate.table3(results), t2b)
     # 'CPU costs can be up to 6x higher on the server'
     _, worst_sig, ratio = metrics.worst_cpu_ratio
     assert ratio > 4
@@ -33,8 +27,8 @@ def test_attack_metrics(results, artifacts_dir, benchmark):
     assert by_name["rsa:2048"].server_bytes / by_name["rsa:2048"].client_bytes < 4
 
 
-def test_amplification_ordering(results, benchmark):
-    t2b = benchmark(lambda: evaluate.table2b(results, ALL_SIG_NAMES))
-    amp = {row.algorithm: row.server_bytes / row.client_bytes for row in t2b}
+def test_amplification_ordering(results):
+    amp = {row.algorithm: row.server_bytes / row.client_bytes
+           for row in evaluate.table2b(results, ALL_SIG_NAMES)}
     assert amp["sphincs256"] > amp["sphincs192"] > amp["sphincs128"] > amp["dilithium2"]
     assert amp["dilithium2"] > amp["falcon512"] > amp["rsa:1024"]

@@ -1,14 +1,12 @@
 """Table 2: handshake latency, data usage, and per-minute totals.
 
-Regenerates both halves (2a: 23 KAs x rsa:2048, 2b: SAs x X25519),
-asserts the paper's shape, and benchmarks one full 60 s-period experiment.
+Asserts the paper's shape for both halves (2a: 23 KAs x rsa:2048, 2b:
+SAs x X25519); ``pqtls-experiment --evaluate table2`` renders them.
 """
 
 import pytest
 
-from benchmarks.conftest import write_artifact
-from repro.core import campaign, evaluate, report
-from repro.core.experiment import ExperimentConfig, run_experiment
+from repro.core import campaign, evaluate
 from repro.pqc.registry import ALL_KEM_NAMES, ALL_SIG_NAMES
 
 
@@ -17,14 +15,8 @@ def results():
     return campaign.run_sets(["all-kem", "all-sig"])
 
 
-def test_table2a(results, artifacts_dir, benchmark):
-    rows = benchmark(lambda: evaluate.table2a(results, ALL_KEM_NAMES))
-    text = report.render_table2(rows, "Table 2a: KAs combined with rsa:2048 as SA")
-    print("\n" + text)
-    write_artifact(artifacts_dir, "table2a.txt", text)
-    write_artifact(artifacts_dir, "latencies_kem.csv", report.latencies_csv(rows))
-
-    by_name = {row.algorithm: row for row in rows}
+def test_table2a(results):
+    by_name = {row.algorithm: row for row in evaluate.table2a(results, ALL_KEM_NAMES)}
     # paper shape: Kyber challenges X25519 at level 1...
     assert by_name["kyber512"].part_a_ms <= by_name["x25519"].part_a_ms * 1.2
     # ... and crushes the classical curves at levels 3/5
@@ -38,14 +30,8 @@ def test_table2a(results, artifacts_dir, benchmark):
     assert 15_000 < by_name["x25519"].n_total < 32_000
 
 
-def test_table2b(results, artifacts_dir, benchmark):
-    rows = benchmark(lambda: evaluate.table2b(results, ALL_SIG_NAMES))
-    text = report.render_table2(rows, "Table 2b: SAs combined with X25519 as KA")
-    print("\n" + text)
-    write_artifact(artifacts_dir, "table2b.txt", text)
-    write_artifact(artifacts_dir, "latencies_sig.csv", report.latencies_csv(rows))
-
-    by_name = {row.algorithm: row for row in rows}
+def test_table2b(results):
+    by_name = {row.algorithm: row for row in evaluate.table2b(results, ALL_SIG_NAMES)}
     # Dilithium (any level) and Falcon-512 beat rsa:2048's handshake signature
     for winner in ("dilithium2", "dilithium3", "dilithium5", "falcon512"):
         assert by_name[winner].part_b_ms < by_name["rsa:2048"].part_b_ms, winner
@@ -55,9 +41,3 @@ def test_table2b(results, artifacts_dir, benchmark):
     # RSA's cubic signing growth
     assert (by_name["rsa:1024"].part_b_ms < by_name["rsa:2048"].part_b_ms
             < by_name["rsa:3072"].part_b_ms < by_name["rsa:4096"].part_b_ms)
-
-
-def test_benchmark_single_experiment_period(benchmark):
-    """Time one uncached 60 s measurement period (the pipeline's unit)."""
-    config = ExperimentConfig(kem="kyber512", sig="dilithium2")
-    benchmark(lambda: run_experiment(config, use_cache=False))

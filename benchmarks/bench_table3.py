@@ -1,27 +1,20 @@
 """Table 3: white-box (perf) measurements.
 
-Regenerates the CPU-cost / library-distribution table for the paper's
-eight (KA, SA) pairs and benchmarks one profiled experiment.
+Asserts the paper's shape of the CPU-cost / library-distribution table for
+its eight (KA, SA) pairs; ``pqtls-experiment --evaluate table3`` renders it.
 """
 
 import pytest
 
-from benchmarks.conftest import write_artifact
-from repro.core import campaign, evaluate, report
-from repro.core.experiment import ExperimentConfig, run_experiment
+from repro.core import campaign, evaluate
 
 
 @pytest.fixture(scope="module")
-def results():
-    return campaign.run_sets(["table3-perf"])
+def rows():
+    return evaluate.table3(campaign.run_sets(["table3-perf"]))
 
 
-def test_table3(results, artifacts_dir, benchmark):
-    rows = benchmark(lambda: evaluate.table3(results))
-    text = report.render_table3(rows)
-    print("\n" + text)
-    write_artifact(artifacts_dir, "table3.txt", text)
-
+def test_table3(rows):
     by_pair = {(row.kem, row.sig): row for row in rows}
     baseline = by_pair[("x25519", "rsa:2048")]
     # server-side computations dominate for the classical baseline (RSA sign)
@@ -44,8 +37,3 @@ def test_table3(results, artifacts_dir, benchmark):
         core_share = sum(row.server_library_share.get(lib, 0)
                          for lib in ("libcrypto", "kernel", "libssl"))
         assert core_share > 0.75, (row.kem, row.sig)
-
-
-def test_benchmark_profiled_experiment(benchmark):
-    config = ExperimentConfig(kem="bikel1", sig="dilithium2", profiling=True)
-    benchmark(lambda: run_experiment(config, use_cache=False))

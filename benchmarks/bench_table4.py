@@ -1,14 +1,12 @@
 """Table 4: constrained environments (netem scenarios).
 
-Regenerates both halves of the appendix table across the six scenarios
-and benchmarks one lossy (LTE-M) experiment with its stochastic sampling.
+Asserts the paper's shape for both halves of the appendix table across the
+six scenarios; ``pqtls-experiment --evaluate table4`` renders them.
 """
 
 import pytest
 
-from benchmarks.conftest import write_artifact
-from repro.core import campaign, evaluate, report
-from repro.core.experiment import ExperimentConfig, run_experiment
+from repro.core import campaign, evaluate
 from repro.pqc.registry import ALL_KEM_NAMES, ALL_SIG_NAMES
 
 
@@ -17,12 +15,8 @@ def results():
     return campaign.run_sets(["all-kem-scenarios", "all-sig-scenarios"])
 
 
-def test_table4a(results, artifacts_dir, benchmark):
-    rows = benchmark(lambda: evaluate.table4(results, ALL_KEM_NAMES, vary="kem"))
-    text = report.render_table4(rows, "Table 4a: KAs combined with rsa:2048 as SA")
-    print("\n" + text)
-    write_artifact(artifacts_dir, "table4a.txt", text)
-
+def test_table4a(results):
+    rows = evaluate.table4(results, ALL_KEM_NAMES, vary="kem")
     by_name = {row.algorithm: row for row in rows}
     for row in rows:
         # (i) loss is the mildest constraint
@@ -36,13 +30,9 @@ def test_table4a(results, artifacts_dir, benchmark):
             > 4 * by_name["kyber1024"].medians_ms["low-bandwidth"])
 
 
-def test_table4b(results, artifacts_dir, benchmark):
-    rows = benchmark(lambda: evaluate.table4(results, ALL_SIG_NAMES, vary="sig"))
-    text = report.render_table4(rows, "Table 4b: SAs combined with X25519 as KA")
-    print("\n" + text)
-    write_artifact(artifacts_dir, "table4b.txt", text)
-
-    by_name = {row.algorithm: row for row in rows}
+def test_table4b(results):
+    by_name = {row.algorithm: row
+               for row in evaluate.table4(results, ALL_SIG_NAMES, vary="sig")}
     # CWND overflow at 1 s RTT: the paper's multi-RTT handshakes
     assert 999 < by_name["falcon1024"].medians_ms["high-delay"] < 1300   # 1 RTT
     assert 1900 < by_name["dilithium5"].medians_ms["high-delay"] < 2300  # 2 RTT
@@ -54,9 +44,3 @@ def test_table4b(results, artifacts_dir, benchmark):
             < by_name["dilithium2"].medians_ms["low-bandwidth"])
     assert (by_name["sphincs128"].medians_ms["low-bandwidth"]
             > 3 * by_name["dilithium2"].medians_ms["low-bandwidth"])
-
-
-def test_benchmark_lossy_experiment(benchmark):
-    config = ExperimentConfig(kem="kyber512", sig="dilithium2", scenario="lte-m",
-                              max_samples=101)
-    benchmark(lambda: run_experiment(config, use_cache=False))

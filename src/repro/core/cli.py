@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from repro import cache
@@ -42,61 +43,83 @@ def _write(outdir: Path, name: str, content: str) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
-ARTIFACTS = ["table2", "table3", "table4", "figure3", "figure4", "section55"]
+# Each renderer takes a ``run_sets(names) -> results`` callable and returns
+# {file name: content} in the committed ``benchmarks/out/`` format.
+
+def _table2(run_sets) -> dict[str, str]:
+    results = run_sets(["all-kem", "all-sig"])
+    rows_a = evaluate.table2a(results, ALL_KEM_NAMES)
+    rows_b = evaluate.table2b(results, ALL_SIG_NAMES)
+    return {
+        "table2a.txt": report.render_table2(rows_a, "Table 2a: KAs combined with rsa:2048 as SA"),
+        "table2b.txt": report.render_table2(rows_b, "Table 2b: SAs combined with X25519 as KA"),
+        "latencies_kem.csv": report.latencies_csv(rows_a),
+        "latencies_sig.csv": report.latencies_csv(rows_b),
+    }
+
+
+def _table3(run_sets) -> dict[str, str]:
+    rows = evaluate.table3(run_sets(["table3-perf"]))
+    return {"table3.txt": report.render_table3(rows)}
+
+
+def _table4(run_sets) -> dict[str, str]:
+    results = run_sets(["all-kem-scenarios", "all-sig-scenarios"])
+    rows_a = evaluate.table4(results, ALL_KEM_NAMES, vary="kem")
+    rows_b = evaluate.table4(results, ALL_SIG_NAMES, vary="sig")
+    return {
+        "table4a.txt": report.render_table4(rows_a, "Table 4a: KAs combined with rsa:2048 as SA"),
+        "table4b.txt": report.render_table4(rows_b, "Table 4b: SAs combined with X25519 as KA"),
+    }
+
+
+def _figure3(run_sets) -> dict[str, str]:
+    push = run_sets(["level1", "level3", "level5"])
+    nopush = run_sets(["level1-nopush", "level3-nopush", "level5-nopush"])
+    dev_push = deviations_for_levels(push, "optimized", LEVEL_GROUPS)
+    dev_nopush = deviations_for_levels(nopush, "default", LEVEL_GROUPS)
+    return {
+        "figure3a.txt": report.render_deviations(
+            dev_nopush, "Figure 3a: deviation E-M, default OpenSSL (ms, + = faster)"),
+        "figure3b.txt": report.render_deviations(
+            dev_push, "Figure 3b: deviation E-M, optimized OpenSSL (ms, + = faster)"),
+        "figure3c.txt": report.render_improvements(dev_nopush, dev_push),
+        "deviations.csv": report.deviations_csv(dev_push),
+    }
+
+
+def _figure4(run_sets) -> dict[str, str]:
+    kem_ranks, sig_ranks = evaluate.figure4(run_sets(["all-kem", "all-sig"]),
+                                            ALL_KEM_NAMES, ALL_SIG_NAMES)
+    return {"figure4.txt": report.render_ranking(kem_ranks, sig_ranks)}
+
+
+def _section55(run_sets) -> dict[str, str]:
+    results = run_sets(["table3-perf", "all-sig"])
+    metrics = evaluate.attack_metrics(evaluate.table3(results),
+                                      evaluate.table2b(results, ALL_SIG_NAMES))
+    return {"section55.txt": report.render_attack_metrics(metrics)}
+
+
+RENDERERS = {"table2": _table2, "table3": _table3, "table4": _table4,
+             "figure3": _figure3, "figure4": _figure4, "section55": _section55}
+ARTIFACTS = list(RENDERERS)
+
+
+def _renderer(name: str):
+    try:
+        return RENDERERS[name]
+    except KeyError:
+        raise KeyError(f"unknown artifact {name!r}; known: {ARTIFACTS}") from None
 
 
 def evaluate_artifact(name: str, outdir: Path, jobs: int | None = 1,
                       progress=_progress, recorder=NULL_RECORDER) -> None:
-    def run_sets(names):
-        return campaign.run_sets(names, progress, jobs=jobs, recorder=recorder)
-
-    if name == "table2":
-        results = run_sets(["all-kem", "all-sig"])
-        rows_a = evaluate.table2a(results, ALL_KEM_NAMES)
-        rows_b = evaluate.table2b(results, ALL_SIG_NAMES)
-        _write(outdir, "table2a.txt", report.render_table2(rows_a, "Table 2a: KAs with rsa:2048"))
-        _write(outdir, "table2b.txt", report.render_table2(rows_b, "Table 2b: SAs with X25519"))
-        _write(outdir, "latencies_kem.csv", report.latencies_csv(rows_a))
-        _write(outdir, "latencies_sig.csv", report.latencies_csv(rows_b))
-    elif name == "table3":
-        results = run_sets(["table3-perf"])
-        rows = evaluate.table3(results)
-        _write(outdir, "table3.txt", report.render_table3(rows))
-    elif name == "table4":
-        results = run_sets(["all-kem-scenarios", "all-sig-scenarios"])
-        rows_a = evaluate.table4(results, ALL_KEM_NAMES, vary="kem")
-        rows_b = evaluate.table4(results, ALL_SIG_NAMES, vary="sig")
-        _write(outdir, "table4a.txt", report.render_table4(rows_a, "Table 4a: KAs per scenario"))
-        _write(outdir, "table4b.txt", report.render_table4(rows_b, "Table 4b: SAs per scenario"))
-    elif name == "figure3":
-        push = run_sets(["level1", "level3", "level5"])
-        nopush = run_sets(["level1-nopush", "level3-nopush", "level5-nopush"])
-        dev_push = deviations_for_levels(push, "optimized", LEVEL_GROUPS)
-        dev_nopush = deviations_for_levels(nopush, "default", LEVEL_GROUPS)
-        _write(outdir, "figure3a.txt",
-               report.render_deviations(dev_nopush, "Figure 3a: deviations, default OpenSSL"))
-        _write(outdir, "figure3b.txt",
-               report.render_deviations(dev_push, "Figure 3b: deviations, optimized OpenSSL"))
-        improvements = [
-            f"{n.kem:<14} {n.sig:<16} {1e3 * (n.measured - p.measured):+8.2f} ms"
-            for n, p in zip(dev_nopush, dev_push)
-        ]
-        _write(outdir, "figure3c.txt",
-               "Figure 3c: latency improvement of the optimized version\n"
-               + "\n".join(improvements))
-        _write(outdir, "deviations.csv", report.deviations_csv(dev_push))
-    elif name == "figure4":
-        results = run_sets(["all-kem", "all-sig"])
-        kem_ranks, sig_ranks = evaluate.figure4(results, ALL_KEM_NAMES, ALL_SIG_NAMES)
-        _write(outdir, "figure4.txt", report.render_ranking(kem_ranks, sig_ranks))
-    elif name == "section55":
-        results = run_sets(["table3-perf", "all-sig"])
-        whitebox = evaluate.table3(results)
-        t2b = evaluate.table2b(results, ALL_SIG_NAMES)
-        metrics = evaluate.attack_metrics(whitebox, t2b)
-        _write(outdir, "section55.txt", report.render_attack_metrics(metrics))
-    else:
-        raise KeyError(f"unknown artifact {name!r}; known: {ARTIFACTS}")
+    """Render one paper artifact and write its files under ``outdir``."""
+    render = _renderer(name)
+    run_sets = partial(campaign.run_sets, progress=progress, jobs=jobs, recorder=recorder)
+    for filename, content in render(run_sets).items():
+        _write(outdir, filename, content)
 
 
 def run_single(args, metrics) -> None:
@@ -219,6 +242,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.flight_record and single_mode and not args.names:
         parser.error("--flight-record logs campaign events; name experiment "
                      "sets or artifacts to run")
+
+    if args.evaluate:
+        for name in args.names:
+            _renderer(name)   # fail on a bad name before running anything
 
     outdir = Path(args.output)
     metrics = Metrics() if args.metrics else NULL_METRICS

@@ -86,6 +86,18 @@ def render_deviations(deviations: list[Deviation], title: str) -> str:
     return "\n".join(out)
 
 
+def render_improvements(default: list[Deviation], optimized: list[Deviation]) -> str:
+    """Figure 3c: how much faster each pair got under the optimized policy."""
+    out = ["Figure 3c: latency improvement of the optimized behaviour (ms)"]
+    for d_def, d_opt in zip(default, optimized, strict=True):
+        if (d_def.kem, d_def.sig) != (d_opt.kem, d_opt.sig):
+            raise ValueError(f"unpaired deviations: {d_def.kem} x {d_def.sig} "
+                             f"vs {d_opt.kem} x {d_opt.sig}")
+        gain_ms = (d_def.measured - d_opt.measured) * 1e3
+        out.append(f"{d_opt.kem:<14} {d_opt.sig:<16} {gain_ms:+8.2f}")
+    return "\n".join(out)
+
+
 def render_ranking(kem_ranks: list[tuple[str, int]],
                    sig_ranks: list[tuple[str, int]]) -> str:
     def fmt(ranks):

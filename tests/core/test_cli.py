@@ -26,6 +26,14 @@ def test_unknown_artifact_errors(tmp_path):
         main(["-o", str(tmp_path), "--evaluate", "table9"])
 
 
+def test_bad_artifact_fails_before_running_anything(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran experiments before validating artifact names")
+    monkeypatch.setattr(campaign, "run_sets", refuse)
+    with pytest.raises(KeyError, match="unknown artifact 'table9'"):
+        main(["-o", str(tmp_path), "--evaluate", "table2", "table9"])
+
+
 def test_requires_names():
     with pytest.raises(SystemExit):
         main([])

@@ -3,6 +3,8 @@
 import csv
 import io
 
+import pytest
+
 from repro.core.analysis import Deviation
 from repro.core.evaluate import AttackMetrics, Table2Row, Table3Row, Table4Row
 from repro.core.report import (
@@ -10,6 +12,7 @@ from repro.core.report import (
     latencies_csv,
     render_attack_metrics,
     render_deviations,
+    render_improvements,
     render_ranking,
     render_table2,
     render_table3,
@@ -68,6 +71,23 @@ def test_render_deviations_and_csv():
     parsed = list(csv.DictReader(io.StringIO(deviations_csv(deviations))))
     assert parsed[0]["kem"] == "bikel1"
     assert float(parsed[0]["deviationMs"]) == 4.5
+
+
+def test_render_improvements_pins_committed_line():
+    default = [Deviation(kem="x25519", sig="rsa:3072", level=1,
+                         expected=0.0, measured=0.0040446)]
+    optimized = [Deviation(kem="x25519", sig="rsa:3072", level=1,
+                           expected=0.0, measured=0.0036827)]
+    lines = render_improvements(default, optimized).splitlines()
+    assert lines == ["Figure 3c: latency improvement of the optimized behaviour (ms)",
+                     "x25519         rsa:3072            +0.36"]
+
+
+def test_render_improvements_rejects_unpaired_lists():
+    default = [Deviation(kem="x25519", sig="rsa:3072", level=1, expected=0.0, measured=0.004)]
+    optimized = [Deviation(kem="p256", sig="rsa:3072", level=1, expected=0.0, measured=0.004)]
+    with pytest.raises(ValueError, match="unpaired"):
+        render_improvements(default, optimized)
 
 
 def test_render_ranking():
