@@ -20,6 +20,12 @@ class Drbg:
     The stream is ``SHAKE128(seed || counter)`` blocks. ``fork(label)``
     derives an independent child stream, so subsystems (keygen, netem, ...)
     can draw without perturbing each other's sequences.
+
+    The bulk draws ``randoms(n)`` and ``randints_below(bound, n)`` return
+    exactly what *n* calls of ``random()`` / ``randint_below(bound)`` would
+    and consume exactly the same bytes, so bulk and scalar calls mix
+    freely on one stream. They import numpy on first use; importing this
+    module does not.
     """
 
     def __init__(self, seed: bytes | str | int):
@@ -30,6 +36,7 @@ class Drbg:
         self._seed = bytes(seed)
         self._counter = 0
         self._buffer = b""
+        self._offset = 0  # bytes of _buffer already handed out
 
     def fork(self, label: bytes | str) -> "Drbg":
         """Derive an independent generator bound to *label*."""
@@ -40,33 +47,59 @@ class Drbg:
         ).digest(32)
         return Drbg(child_seed)
 
-    def _refill(self) -> None:
-        block = hashlib.shake_128(
-            self._seed + self._counter.to_bytes(8, "big")
-        ).digest(_BLOCK)
-        self._counter += 1
-        self._buffer += block
+    def _refill(self, n: int) -> None:
+        """Rebuild the buffer as its unread tail plus enough blocks for *n*.
+
+        One ``join`` keeps a large request linear in its block count.
+        """
+        chunks = [self._buffer[self._offset:]]
+        have = len(chunks[0])
+        seed, counter = self._seed, self._counter
+        while have < n:
+            chunks.append(hashlib.shake_128(
+                seed + counter.to_bytes(8, "big")).digest(_BLOCK))
+            counter += 1
+            have += _BLOCK
+        self._buffer = b"".join(chunks)
+        self._counter = counter
+        self._offset = 0
 
     def random_bytes(self, n: int) -> bytes:
         """Return *n* pseudo-random bytes."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        while len(self._buffer) < n:
-            self._refill()
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
-        return out
+        start = self._offset
+        end = start + n
+        if end > len(self._buffer):
+            self._refill(n)
+            start, end = 0, n
+        self._offset = end
+        return self._buffer[start:end]
 
     def randint_below(self, bound: int) -> int:
         """Uniform integer in ``[0, bound)`` via rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        nbytes = (bound.bit_length() + 7) // 8
-        mask = (1 << (8 * nbytes)) - 1
-        limit = (mask + 1) - (mask + 1) % bound
+        nbytes, limit = _rejection(bound)
         while True:
             candidate = int.from_bytes(self.random_bytes(nbytes), "big")
             if candidate < limit:
                 return candidate % bound
+
+    def randints_below(self, bound: int, n: int) -> list[int]:
+        """The next *n* ``randint_below(bound)`` values, drawn in bulk.
+
+        Candidates come ``need`` at a time, where ``need`` is the number
+        of values still missing; a round ends the draw only when all of
+        its candidates pass, so no candidate past the last accepted one is
+        ever consumed.
+        """
+        nbytes, limit = _rejection(bound)
+        if nbytes > 7:  # the limit may reach 2**64, past uint64: stay scalar
+            return [self.randint_below(bound) for _ in range(n)]
+        out: list[int] = []
+        while len(out) < n:
+            words = _words(self.random_bytes(nbytes * (n - len(out))), nbytes)
+            out += (words[words < limit] % bound).tolist()
+        return out
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in the inclusive range ``[low, high]``."""
@@ -77,6 +110,15 @@ class Drbg:
     def random(self) -> float:
         """Uniform float in ``[0, 1)`` with 53 bits of precision."""
         return (int.from_bytes(self.random_bytes(7), "big") >> 3) / (1 << 53)
+
+    def randoms(self, n: int):
+        """The next *n* ``random()`` values as a float64 array.
+
+        Each 7-byte group is read as a big-endian integer, shifted right by
+        3 and divided by 2**53; every step is exact in uint64/float64.
+        """
+        words = _words(self.random_bytes(7 * n), 7)
+        return (words >> 3).astype("float64") / float(1 << 53)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher–Yates shuffle."""
@@ -102,3 +144,22 @@ class Drbg:
                 seen.add(value)
                 out.append(value)
         return out
+
+
+def _rejection(bound: int) -> tuple[int, int]:
+    """Candidate width in bytes and the rejection limit for *bound*."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    nbytes = (bound.bit_length() + 7) // 8
+    span = 1 << (8 * nbytes)
+    return nbytes, span - span % bound
+
+
+def _words(data: bytes, nbytes: int):
+    """*data* as consecutive big-endian *nbytes*-wide uint64 words."""
+    import numpy as np
+
+    raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, nbytes)
+    padded = np.zeros((raw.shape[0], 8), dtype=np.uint8)
+    padded[:, 8 - nbytes:] = raw
+    return padded.view(">u8").ravel().astype(np.uint64)

@@ -43,7 +43,8 @@ from repro.netsim.eventloop import EventLoop
 from repro.obs.hostmeta import rss_bytes
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.obs.recorder import NULL_RECORDER, walltime
-from repro.traffic.arrivals import Window, open_arrivals, parse_arrival
+from repro.traffic.arrivals import (DRAW_CHUNK, Window, open_arrivals,
+                                    parse_arrival)
 from repro.traffic.profile import handshake_profile
 from repro.traffic.server import ServerCores
 
@@ -211,6 +212,10 @@ class _ShardEngine:
                       if len(self.channels) > 1 else None)
         self._resume_pick = (self.drbg.fork("resume")
                              if any(fractions) else None)
+        # each pick stream is drawn DRAW_CHUNK at a time; the pending
+        # draws are kept latest first so the next one is a list pop
+        self._picks: list[int] = []
+        self._resume_draws: list[float] = []
         self.pool: list[_Conn] = []
         self.pool_peak = 0
         self.in_flight = 0
@@ -264,13 +269,23 @@ class _ShardEngine:
             self.dropped += 1
             return
         channels = self.channels
-        index = (0 if self._pick is None
-                 else self._pick.randint_below(len(channels)))
+        if self._pick is None:
+            index = 0
+        else:
+            picks = self._picks
+            if not picks:
+                picks = self._picks = self._pick.randints_below(
+                    len(channels), DRAW_CHUNK)[::-1]
+            index = picks.pop()
         channel = channels[index]
         resume_channel = self.resume_channels[index]
-        if resume_channel is not None and \
-                self._resume_pick.random() < self.fractions[index]:
-            channel = resume_channel
+        if resume_channel is not None:
+            draws = self._resume_draws
+            if not draws:
+                draws = self._resume_draws = self._resume_pick.randoms(
+                    DRAW_CHUNK)[::-1].tolist()
+            if draws.pop() < self.fractions[index]:
+                channel = resume_channel
         pool = self.pool
         conn = pool.pop() if pool else _Conn()
         conn.channel = channel

@@ -1,7 +1,10 @@
 """Deterministic RNG: reproducibility, stream independence, distribution."""
 
+import subprocess
+import sys
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.drbg import Drbg
 
@@ -111,3 +114,66 @@ def test_uniformity_of_randint_below():
     for _ in range(7000):
         counts[drbg.randint_below(7)] += 1
     assert min(counts) > 800 and max(counts) < 1200
+
+
+# -- bulk draws: the same values and the same bytes as scalar calls ---------
+
+_BOUNDS = st.sampled_from([2, 3, 37, 300, 2**16 + 1])
+_OPS = st.one_of(
+    st.tuples(st.just("random")),
+    st.tuples(st.just("randint_below"), _BOUNDS),
+    # sizes cross the 136-byte SHAKE block boundary, and include 0
+    st.tuples(st.just("random_bytes"), st.integers(0, 300)),
+    st.tuples(st.just("randoms"), st.integers(0, 60)),
+    st.tuples(st.just("randints_below"), _BOUNDS, st.integers(0, 150)),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_OPS, max_size=25), st.binary(max_size=8))
+def test_bulk_draws_interleave_exactly_with_scalar_draws(ops, seed):
+    bulk, scalar = Drbg(seed), Drbg(seed)
+    for op in ops:
+        name, args = op[0], op[1:]
+        if name == "randoms":
+            got = bulk.randoms(*args).tolist()
+            want = [scalar.random() for _ in range(*args)]
+        elif name == "randints_below":
+            bound, n = args
+            got = bulk.randints_below(bound, n)
+            want = [scalar.randint_below(bound) for _ in range(n)]
+        else:
+            got = getattr(bulk, name)(*args)
+            want = getattr(scalar, name)(*args)
+        assert got == want
+    assert bulk.random_bytes(64) == scalar.random_bytes(64)
+
+
+def test_bulk_randoms_is_a_float64_array_in_the_unit_interval():
+    values = Drbg("floats").randoms(500)
+    assert values.dtype.name == "float64" and values.shape == (500,)
+    assert 0.0 <= values.min() and values.max() < 1.0
+
+
+def test_randints_below_wider_than_seven_bytes_matches_scalar():
+    bound = 2**60 + 3
+    scalar = Drbg("w")
+    assert Drbg("w").randints_below(bound, 20) == [
+        scalar.randint_below(bound) for _ in range(20)]
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_randints_below_rejects_nonpositive_bound_like_scalar(bound):
+    with pytest.raises(ValueError, match="bound must be positive"):
+        Drbg("s").randint_below(bound)
+    with pytest.raises(ValueError, match="bound must be positive"):
+        Drbg("s").randints_below(bound, 4)
+
+
+def test_importing_drbg_loads_no_numpy():
+    # the bulk draws import numpy on first use; lint and campaign runs
+    # never call them and must not pay numpy's import and RSS
+    code = "import sys, repro.crypto.drbg; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "False"

@@ -1,9 +1,12 @@
 """Arrival models: spec parsing, thinning correctness, determinism."""
 
+import math
+
 import pytest
 
 from repro.crypto.drbg import Drbg
 from repro.traffic.arrivals import (
+    DRAW_CHUNK,
     ClosedSpec,
     DiurnalSpec,
     FlashSpec,
@@ -113,3 +116,52 @@ def test_thinning_skips_candidates_without_shifting_later_draws():
     nearly_flat = _drain(DiurnalSpec(rate=300.0, amplitude=0.0, period=1.0),
                          Window(0, 0.0, 2.0))
     assert flat == nearly_flat
+
+
+# -- chunked draws against the scalar thinning loop --------------------------
+
+def _scalar_timeline(spec, window, drbg):
+    """The thinning loop with one scalar draw per gap and per acceptance.
+
+    Returns the arrival times and the number of candidates drawn.
+    """
+    peak = spec.peak_rate
+    t, times, candidates = window.start, [], 0
+    while True:
+        t -= math.log1p(-drbg.random()) / peak
+        candidates += 1
+        if t >= window.end:
+            return times, candidates
+        if drbg.random() * peak <= spec.rate_at(t):
+            times.append(t)
+
+
+_SPECS = [
+    PoissonSpec(rate=1000.0),
+    DiurnalSpec(rate=800.0, amplitude=0.9, period=2.0),
+    FlashSpec(rate=200.0, peak=2000.0, at=1.0, width=0.5),
+]
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: type(spec).__name__)
+@pytest.mark.parametrize("chunks", [2.6, 1.5, 0.0])
+def test_chunked_timeline_equals_scalar_timeline(spec, chunks):
+    # a window sized in expected candidates: more than two chunks, one
+    # ending mid-chunk, and one too short to hold any arrival
+    length = chunks * DRAW_CHUNK / spec.peak_rate or 1e-9
+    window = Window(3, 0.9, 0.9 + length)
+    want, candidates = _scalar_timeline(spec, window, Drbg("oracle"))
+    if chunks == 2.6:
+        assert candidates > 2 * DRAW_CHUNK
+    elif chunks == 1.5:
+        assert DRAW_CHUNK < candidates < 2 * DRAW_CHUNK
+    else:
+        assert want == []
+
+    arrivals = open_arrivals(spec, window, Drbg("oracle"))
+    got = []
+    while (t := arrivals.next_time()) is not None:
+        got.append(t)
+    assert got == want
+    # the process stays exhausted once it has left the window
+    assert [arrivals.next_time() for _ in range(3)] == [None] * 3
