@@ -12,8 +12,9 @@ everywhere — randomness that bypasses the Drbg silently diverges reruns.
 Host parallelism is nondeterminism of a third kind: worker pools reorder
 events and fork-inherited state diverges reruns, so process-level
 primitives (`multiprocessing`, `concurrent.futures`, `os.cpu_count`,
-`os.fork`) are confined to `repro.core.executor`, the one module whose
-job is to fan experiments across cores — the sans-io simulation layers
+`os.fork`) are confined to `repro.core.fanout`, the one module that owns
+a worker pool — campaigns, sharded traffic runs and the lint runner all
+fan out through its `run_sharded`, and the sans-io simulation layers
 stay process-free by contract.
 """
 
@@ -27,10 +28,8 @@ from repro.analysis.finding import Finding
 from repro.analysis.registry import Checker, register
 
 _CLOCK_EXEMPT_PREFIX = "repro.obs"
-# repro.core.executor owns simulation-side process pools; the lint
-# runner's own worker pool (repro.analysis.parallel) tolls no simulation
-# clock and follows the same spawn + deterministic-merge conventions
-_PROCESS_EXEMPT_MODULES = ("repro.core.executor", "repro.analysis.parallel")
+# the one audited module that owns the worker pool
+_PROCESS_EXEMPT_MODULES = ("repro.core.fanout",)
 
 _TIME_FUNCS = {
     "time", "time_ns", "monotonic", "monotonic_ns",
@@ -46,14 +45,14 @@ class DeterminismChecker(Checker):
     name = "det"
     description = ("all time from the event loop, all randomness from Drbg: "
                    "no ambient clocks, entropy sources, or process-level "
-                   "parallelism (outside repro.core.executor) under repro")
+                   "parallelism (outside repro.core.fanout) under repro")
     codes = {
         "DET001": "wall-clock read outside repro.obs (time.time/monotonic/perf_counter/...)",
         "DET002": "stdlib `random` module used (randomness must flow through Drbg)",
         "DET003": "OS entropy used (`os.urandom` / `secrets`); keys would differ per run",
         "DET004": "ambient `datetime.now()`/`today()`/`utcnow()` read",
-        "DET005": "process-level parallelism outside the executor / lint "
-                  "worker pools (multiprocessing/concurrent.futures/os.cpu_count)",
+        "DET005": "process-level parallelism outside repro.core.fanout "
+                  "(multiprocessing/concurrent.futures/os.cpu_count)",
     }
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
@@ -82,7 +81,7 @@ class DeterminismChecker(Checker):
                     elif root in _PROCESS_MODULES and not process_exempt:
                         yield finding("DET005", node,
                                       f"`import {alias.name}`; worker pools live in "
-                                      "repro.core.executor only")
+                                      "repro.core.fanout only")
             elif isinstance(node, ast.ImportFrom) and node.module is not None:
                 root = node.module.split(".")[0]
                 if root == "random":
@@ -100,7 +99,7 @@ class DeterminismChecker(Checker):
                 elif root in _PROCESS_MODULES and not process_exempt:
                     yield finding("DET005", node,
                                   f"`from {node.module} import ...`; worker pools "
-                                  "live in repro.core.executor only")
+                                  "live in repro.core.fanout only")
                 elif root == "datetime":
                     # track `from datetime import datetime/date` for call checks
                     for alias in node.names:
@@ -124,7 +123,7 @@ class DeterminismChecker(Checker):
                     and not process_exempt:
                 yield finding("DET005", node,
                               f"`os.{func.attr}()`; host CPU topology and process "
-                              "control belong to repro.core.executor only")
+                              "control belong to repro.core.fanout only")
             elif base in ("datetime", "datetime.datetime", "datetime.date") \
                     and func.attr in _DATETIME_AMBIENT and not node.args:
                 yield finding("DET004", node,

@@ -37,7 +37,7 @@ ALLOWED_IMPORTS: dict[str, set[str]] = {
     "core": {"netsim", "faults", "tls", "pqc", "crypto", "obs", "cache"},
     # traffic (load engine) sits on top of core: it calibrates via the
     # netsim testbed, prices bursts with tls action costs, forks DRBGs,
-    # and fans shards out through core.executor.  Nothing below imports it.
+    # and fans shards out through core.fanout.  Nothing below imports it.
     "traffic": {"core", "netsim", "tls", "crypto", "obs"},
     "analysis": {"*"},
 }

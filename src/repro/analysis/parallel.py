@@ -1,50 +1,28 @@
-"""Per-file checking units and the lint runner's spawned worker pool.
+"""Per-file checking units for the lint runner.
 
-One *unit* of work is ``build_record``: hash a file, consult the lint
+One *unit* of work is :func:`build_record`: hash a file, consult the lint
 cache, and on a miss parse it and run every file-scope checker, giving a
-JSON-serializable record (findings + pragma tables). The runner executes
-units inline for ``--jobs 1`` and fans them over a spawned
-``ProcessPoolExecutor`` otherwise, mirroring ``repro.core.executor``'s
-conventions: workers are spawned (clean interpreters, no inherited
-state), requested jobs clamp to the host core count, and results merge
-in the input file order — so a parallel run is byte-identical to a
-serial one, whatever order workers finish in. Workers coordinate only
-through the content-addressed cache, whose writes are atomic.
+JSON-serializable record (findings + pragma tables) and the parsed
+context. The runner maps :func:`check_unit` over its files through
+:func:`repro.core.fanout.run_sharded`, the stack's one worker pool, at
+every ``--jobs``: ``--jobs 1`` runs the units inline, and otherwise
+workers are spawned (clean interpreters, no inherited state), requested
+jobs clamp to the host core count, and results merge in the input file
+order — so a parallel run is byte-identical to a serial one, whatever
+order workers finish in. A worker ships its parsed contexts back with
+the records, so the project-scope pass never re-parses a file a unit
+already parsed. Workers coordinate only through the content-addressed
+cache, whose writes are atomic.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro.analysis.context import FileContext
 from repro.analysis.finding import Finding
 from repro.analysis.lintcache import LintCache
-from repro.analysis.registry import Checker, all_checkers
-
-
-def resolve_jobs(jobs: int | None) -> int:
-    """Effective worker count: requested jobs, clamped to the core count.
-
-    Same policy as ``repro.core.executor.resolve_jobs`` (checking is
-    CPU-bound; oversubscription only adds spawn overhead), duplicated
-    here so the lint CLI does not import the simulation stack.
-    """
-    cpus = os.cpu_count() or 1
-    if jobs is None:
-        return cpus
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
-    return min(jobs, cpus)
-
-
-def file_checkers(names: list[str] | None) -> list[Checker]:
-    """File-scope checker instances, optionally restricted to *names*."""
-    return [checker for checker in all_checkers()
-            if checker.scope != "project"
-            and (names is None or checker.name in names)]
+from repro.analysis.registry import Checker
 
 
 def relpath_for(path: Path, project_root: Path) -> str:
@@ -59,8 +37,8 @@ def build_record(path: Path, project_root: Path, cache: LintCache | None,
     """One file's lint record, from the cache when its key matches.
 
     Returns ``(record, context)``; the context is only populated when the
-    file was actually parsed this call (cache miss), letting an inline
-    runner reuse it for the project-scope pass.
+    file was actually parsed this call (cache miss), letting the runner
+    reuse it for the project-scope pass.
     """
     relpath = relpath_for(path, project_root)
     record_key = ""
@@ -106,22 +84,12 @@ def build_record(path: Path, project_root: Path, cache: LintCache | None,
     return record, ctx
 
 
-def _check_one(task: tuple[str, str, bool, list[str] | None]) -> dict:
-    """Worker entry point: one file -> one serialized record."""
-    path, root, use_cache, names = task
-    cache = LintCache(Path(root)) if use_cache else None
-    record, _ = build_record(Path(path), Path(root), cache, file_checkers(names))
-    return record
+def check_unit(path: Path, *, project_root: Path, cache: LintCache | None,
+               checkers: list[Checker]) -> tuple[dict, FileContext | None]:
+    """Fan-out entry point: one file -> :func:`build_record`'s pair.
 
-
-def check_files(files: list[Path], project_root: Path, jobs: int,
-                use_cache: bool, names: list[str] | None) -> list[dict]:
-    """Fan per-file units over *jobs* spawned workers; records in file order."""
-    jobs = min(resolve_jobs(jobs), len(files))
-    tasks = [(str(f), str(project_root), use_cache, names) for f in files]
-    if jobs <= 1:
-        return [_check_one(task) for task in tasks]
-    context = multiprocessing.get_context("spawn")
-    chunk = max(1, len(tasks) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-        return list(pool.map(_check_one, tasks, chunksize=chunk))
+    Looks :func:`build_record` up as a module global at call time, so a
+    wrapper installed on this module (e.g. a tracing boundary) sees
+    every unit, inline or in a worker that imports it the same way.
+    """
+    return build_record(path, project_root, cache, checkers)

@@ -3,13 +3,16 @@
 The run is structured as per-file *units* plus one project-scope pass:
 
 1. every file maps to a record of raw file-scope findings and pragma
-   tables (:func:`repro.analysis.parallel.build_record`) — served from
-   the content-addressed cache under ``.cache/lint/`` when the file and
-   the analyzer are unchanged, and fanned over spawned workers for
-   ``jobs > 1``;
+   tables plus its parsed context
+   (:func:`repro.analysis.parallel.build_record`) — served from the
+   content-addressed cache under ``.cache/lint/`` when the file and the
+   analyzer are unchanged, and mapped through
+   :func:`repro.core.fanout.run_sharded` at every ``jobs`` (inline for
+   ``jobs=1``, spawned workers otherwise);
 2. the project-scope checkers (wire audit and the flow-engine clients)
-   run once in the parent over all parsed contexts, cached under a key
-   covering every file, so a warm run never builds the flow engine;
+   run once in the parent over all parsed contexts (the units' own,
+   re-parsing only cache hits), cached under a key covering every file,
+   so a warm run never builds the flow engine;
 3. *assembly* is deterministic and selection-aware: findings are
    filtered to the selected checkers, pragma suppression is applied
    (attributing each suppression to its declaring pragma line), the
@@ -26,6 +29,7 @@ ANA001, a baseline entry matching nothing as ANA002.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from repro.analysis import parallel
@@ -34,6 +38,7 @@ from repro.analysis.context import FileContext
 from repro.analysis.finding import Finding, Severity
 from repro.analysis.lintcache import LintCache
 from repro.analysis.registry import Checker, all_checkers
+from repro.core.fanout import run_sharded
 
 _SKIP_DIRS = {"__pycache__", ".git", ".cache", ".venv", "build", "dist"}
 
@@ -152,7 +157,8 @@ def analyze(paths: list[Path], project_root: Path | None = None,
     serves unchanged files from ``.cache/lint``; *check_pragmas* adds
     ANA001/ANA002 findings for pragmas and baseline entries that
     suppressed nothing. Passing explicit checker *instances* bypasses
-    both the cache and the pool (records would not be reusable).
+    both the cache and the pool (records would not be reusable, and the
+    instances need not pickle).
     """
     if project_root is None:
         anchor = paths[0] if paths else Path.cwd()
@@ -168,19 +174,12 @@ def analyze(paths: list[Path], project_root: Path | None = None,
 
     files = iter_python_files(paths)
     report = Report()
-    contexts: dict[str, FileContext] = {}
-    records: list[dict] = []
-    if jobs > 1 and not explicit and len(files) > 1:
-        names = None if cache is not None else [c.name for c in file_scope]
-        records = parallel.check_files(files, project_root, jobs,
-                                       cache is not None, names)
-    else:
-        for file in files:
-            record, ctx = parallel.build_record(file, project_root, cache,
-                                                file_scope)
-            records.append(record)
-            if ctx is not None:
-                contexts[record["relpath"]] = ctx
+    unit = partial(parallel.check_unit, project_root=project_root,
+                   cache=cache, checkers=file_scope)
+    pairs = run_sharded(unit, files, jobs=1 if explicit else jobs)
+    records = [record for record, _ in pairs]
+    contexts = {record["relpath"]: ctx for record, ctx in pairs
+                if ctx is not None}
     files_by_rel = {record["relpath"]: file
                     for record, file in zip(records, files)}
     report.files_checked = sum(1 for r in records if not r["syntax_error"])

@@ -110,21 +110,13 @@ def store(kind: str, key: str, value) -> None:
 def lock(kind: str, key: str):
     """Advisory per-key exclusive lock (single-flight for slow recordings).
 
-    Callers follow the double-checked pattern::
-
-        value = cache.load(kind, key)
-        if value is None:
-            with cache.lock(kind, key):
-                value = cache.load(kind, key)   # a peer may have finished
-                if value is None:
-                    value = expensive_compute()
-                    cache.store(kind, key, value)
-
-    On POSIX this is ``flock`` on a sibling ``.lock`` file (blocking, so
-    waiters sleep in the kernel until the recorder releases). The lock
-    file is left in place — unlinking under contention races a peer that
-    already opened it. Without ``fcntl`` (non-POSIX) the lock is a no-op:
-    peers may duplicate work, but unique temp names keep stores safe.
+    :func:`load_or_build` wraps it in the double-checked pattern (load,
+    lock, load again, build, store). On POSIX this is ``flock`` on a
+    sibling ``.lock`` file (blocking, so waiters sleep in the kernel
+    until the recorder releases). The lock file is left in place —
+    unlinking under contention races a peer that already opened it.
+    Without ``fcntl`` (non-POSIX) the lock is a no-op: peers may
+    duplicate work, but unique temp names keep stores safe.
     """
     if fcntl is None:
         yield
@@ -139,3 +131,23 @@ def lock(kind: str, key: str):
             fcntl.flock(fd, fcntl.LOCK_UN)
     finally:
         os.close(fd)
+
+
+def load_or_build(kind: str, key: str, build):
+    """The cached value for ``key``, built by ``build()`` on a miss.
+
+    Single-flighted across processes: a miss takes the per-key
+    :func:`lock` and loads again (a peer may have finished meanwhile)
+    before it calls ``build()`` and stores the result, so N workers
+    missing the same key do the expensive work once. ``load`` and
+    ``store`` are looked up as module globals at call time, so a wrapper
+    installed on this module (e.g. a tracing boundary) sees every call.
+    """
+    value = load(kind, key)
+    if value is None:
+        with lock(kind, key):
+            value = load(kind, key)
+            if value is None:
+                value = build()
+                store(kind, key, value)
+    return value

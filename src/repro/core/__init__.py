@@ -4,7 +4,3 @@ This is the "primary contribution" layer: it reproduces every table and
 figure of the paper (Tables 2-4, Figures 3-4, the §5.5 attack metrics)
 on top of the TLS + testbed substrates.
 """
-
-from repro.core.experiment import ExperimentConfig, ExperimentResult, run_experiment
-
-__all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment"]

@@ -1,8 +1,9 @@
 """Parallel campaign executor: fan an experiment set across CPU cores.
 
 Appendix B's campaigns are hundreds of independent (KA, SA, scenario,
-policy) experiments; this module is the only place in the stack allowed
-to touch host parallelism (enforced by ``pqtls-lint`` DET005 — the
+policy) experiments; this module fans them across cores through
+:func:`repro.core.fanout.run_sharded`, the stack's one worker pool
+(``pqtls-lint`` DET005 confines host parallelism to that module — the
 sans-io simulation below stays process-free). :func:`run_campaign`:
 
 1. **partitions** the set into cache hits, resolved inline in the parent
@@ -10,7 +11,7 @@ sans-io simulation below stays process-free). :func:`run_campaign`:
 2. **schedules** the misses longest-expected-first (LPT) using the
    static cost table below, so one straggling SPHINCS+ or Falcon-1024
    recording starts immediately instead of tailing the pool;
-3. relies on **single-flight recording** (`cache.lock` inside
+3. relies on **single-flight recording** (`cache.load_or_build` inside
    :func:`~repro.core.experiment.load_script` /
    :func:`~repro.netsim.scripted.load_credentials`): one worker records
    each distinct ``(kem, sig, policy, seed)`` script while peers block on
@@ -36,9 +37,7 @@ shared on-disk cache and their pickled return values.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from functools import partial
 
 from repro import cache
@@ -49,6 +48,7 @@ from repro.core.experiment import (
     run_experiment,
     script_key,
 )
+from repro.core.fanout import resolve_jobs, run_sharded
 from repro.netsim.netem import SCENARIOS
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.recorder import NULL_RECORDER, walltime
@@ -182,18 +182,6 @@ def _counter_delta(before: dict, after: dict) -> dict[str, float]:
             for name, value in after.items() if value > before.get(name, 0.0)}
 
 
-def _worker_warm() -> None:
-    """Pool initializer: build lazy kernel tables once per worker.
-
-    Spawned workers start from a clean interpreter, so without this every
-    worker would rebuild e.g. the 64 KiB GF(256) product table lazily,
-    mid-way through its first recorded experiment.
-    """
-    from repro.crypto import kernels
-
-    kernels.warm()
-
-
 def _worker_run(config: ExperimentConfig, trace: bool = False):
     """Run one experiment, in a worker process or inline in the parent.
 
@@ -237,69 +225,6 @@ def _retransmits(result: ExperimentResult) -> float:
 # ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
-
-def resolve_jobs(jobs: int | None) -> int:
-    """Effective worker count: requested jobs, clamped to the core count.
-
-    Campaign work is CPU-bound, so oversubscribing cores only adds spawn
-    and context-switch overhead; on a 1-core runner the clamp makes
-    ``jobs=2`` run every unit inline, with no pool (a pool there measured
-    speedup < 1).
-    """
-    cpus = os.cpu_count() or 1
-    if jobs is None:
-        return cpus
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
-    return min(jobs, cpus)
-
-
-def run_sharded(task, payloads: list, *, jobs: int | None = None,
-                on_complete=None) -> list:
-    """Map a picklable ``task`` over ``payloads`` across spawned workers.
-
-    The one fan-out primitive behind :func:`run_campaign` and
-    ``repro.traffic`` (DET005 confines host parallelism to this module):
-    results come back **in payload order**, whatever order workers finish
-    in, so callers can merge deterministically. ``jobs`` resolves through
-    :func:`resolve_jobs`; ``jobs=1`` or a single payload runs inline in
-    this process, with no pool. ``on_complete(index, result)`` fires per finished
-    payload in completion order — observation only (progress display),
-    never part of the result.
-
-    ``task`` must be a module-level callable computing a pure function
-    of its payload: workers are spawned, so the only state it sees is
-    what the payload carries (plus the shared on-disk cache).
-    """
-    jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(payloads) <= 1:
-        results = []
-        for index, payload in enumerate(payloads):
-            result = task(payload)
-            if on_complete is not None:
-                on_complete(index, result)
-            results.append(result)
-        return results
-    context = multiprocessing.get_context("spawn")
-    workers = min(jobs, len(payloads))
-    results: list = [None] * len(payloads)
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                             initializer=_worker_warm) as pool:
-        futures = {pool.submit(task, payload): index
-                   for index, payload in enumerate(payloads)}
-        try:
-            for future in as_completed(futures):
-                index = futures[future]
-                results[index] = future.result()
-                if on_complete is not None:
-                    on_complete(index, results[index])
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise
-    return results
-
 
 # expected cost below which a cache miss shares its dispatch unit
 BATCH_SECONDS = 0.25

@@ -122,8 +122,8 @@ def script_key(kem: str, sig: str, policy_value: str, seed: str = "paper",
                session: str = "full", chain: str = "direct") -> str:
     """The script-cache key; the executor groups experiments by this to
     single-flight recording (one script serves every scenario/duration).
-    Session/chain append only when non-default so pre-lifecycle cache
-    entries stay addressable."""
+    Session/chain append only when non-default, so a full handshake over
+    a direct chain keeps the plain four-field key."""
     key = f"{kem}|{sig}|{policy_value}|{seed}"
     if session != "full":
         key += f"|session={session}"
@@ -142,16 +142,10 @@ def load_script(kem: str, sig: str, policy: BufferPolicy,
     per-key file lock while its peers block on the lock and then load the
     stored script, instead of N workers redoing identical crypto.
     """
-    key = script_key(kem, sig, policy.value, seed, session, chain)
-    script = cache.load("script", key)
-    if script is None:
-        with cache.lock("script", key):
-            script = cache.load("script", key)
-            if script is None:
-                script = record_script(kem, sig, policy, seed=seed,
-                                       session=session, chain=chain)
-                cache.store("script", key, script)
-    return script
+    return cache.load_or_build(
+        "script", script_key(kem, sig, policy.value, seed, session, chain),
+        lambda: record_script(kem, sig, policy, seed=seed, session=session,
+                              chain=chain))
 
 
 def merge_result_metrics(result: ExperimentResult, metrics) -> None:

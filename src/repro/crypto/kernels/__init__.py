@@ -121,8 +121,9 @@ def warm() -> list[str]:
     Imports all kernel submodules (paying their import-time constant
     derivation) and invokes each module-level ``warm()`` hook where one
     exists, so first-use costs — e.g. the 64 KiB GF(256) product table
-    or the numpy gather tables — are paid once at executor worker
-    startup instead of in the middle of the first recorded experiment.
+    or the numpy gather tables — are paid up front (a benchmark's setup
+    phase) instead of in the middle of the first measured experiment.
+    Without it the lazy tables build the same values on first use.
     """
     import importlib
 

@@ -56,10 +56,8 @@ class HandshakeScript:
     server_milestones: tuple[Milestone, ...]
     client_total_in: int              # bytes the client must consume to finish
     server_total_in: int
-    # session shape and chain profile (defaults keep pre-lifecycle cache
-    # entries loadable; read with getattr for the same reason)
-    session: str = "full"
-    chain: str = "direct"
+    session: str                      # handshake shape: full/resume/mtls/hrr
+    chain: str                        # certificate chain profile
 
 
 def _record_side(actions) -> tuple:
@@ -91,16 +89,10 @@ def load_credentials(sig_name: str, seed: str = "paper"):
     """
     from repro import cache
 
-    key = f"{sig_name}|{seed}"
-    creds = cache.load("creds", key)
-    if creds is None:
-        with cache.lock("creds", key):
-            creds = cache.load("creds", key)
-            if creds is None:
-                creds = make_server_credentials(
-                    sig_name, Drbg(f"creds:{sig_name}:{seed}"))
-                cache.store("creds", key, creds)
-    return creds
+    return cache.load_or_build(
+        "creds", f"{sig_name}|{seed}",
+        lambda: make_server_credentials(sig_name,
+                                        Drbg(f"creds:{sig_name}:{seed}")))
 
 
 def load_chain_credentials(sig_name: str, chain: str = "direct",
@@ -110,33 +102,21 @@ def load_chain_credentials(sig_name: str, chain: str = "direct",
         return load_credentials(sig_name, seed)
     from repro import cache
 
-    key = f"{sig_name}|{seed}|chain={chain}"
-    creds = cache.load("creds", key)
-    if creds is None:
-        with cache.lock("creds", key):
-            creds = cache.load("creds", key)
-            if creds is None:
-                creds = make_chain_credentials(
-                    sig_name, Drbg(f"creds:{sig_name}:{seed}:chain={chain}"),
-                    chain=chain)
-                cache.store("creds", key, creds)
-    return creds
+    return cache.load_or_build(
+        "creds", f"{sig_name}|{seed}|chain={chain}",
+        lambda: make_chain_credentials(
+            sig_name, Drbg(f"creds:{sig_name}:{seed}:chain={chain}"),
+            chain=chain))
 
 
 def load_client_credentials(sig_name: str, seed: str = "paper"):
     """Client chain + key + server-side trust store for mutual TLS."""
     from repro import cache
 
-    key = f"{sig_name}|{seed}|client"
-    creds = cache.load("creds", key)
-    if creds is None:
-        with cache.lock("creds", key):
-            creds = cache.load("creds", key)
-            if creds is None:
-                creds = make_client_credentials(
-                    sig_name, Drbg(f"creds:{sig_name}:{seed}:client"))
-                cache.store("creds", key, creds)
-    return creds
+    return cache.load_or_build(
+        "creds", f"{sig_name}|{seed}|client",
+        lambda: make_client_credentials(
+            sig_name, Drbg(f"creds:{sig_name}:{seed}:client")))
 
 
 def record_script(kem_name: str, sig_name: str,

@@ -9,9 +9,9 @@ runners embed :func:`host_metadata` under a ``"host"`` key, and
 apples-to-oranges diffs before any tolerance band is consulted.
 
 This lives in ``repro.obs`` because describing the host is observation,
-not simulation: DET005 confines ``os.cpu_count`` to the executor, and
-the pragma below is the one sanctioned exception — the value is only
-ever *reported*, never fed into simulated results. The ``PQTLS_KERNELS``
+not simulation: DET005 confines ``os.cpu_count`` to ``repro.core.fanout``,
+and the pragma below is the one sanctioned exception — the value is
+only ever *reported*, never fed into simulated results. The ``PQTLS_KERNELS``
 mode is read straight from the environment (same default as
 ``repro.crypto.kernels``) because the layer DAG forbids ``repro.obs``
 from importing crypto.

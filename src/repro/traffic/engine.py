@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.core import executor
+from repro.core import fanout
 from repro.crypto.drbg import Drbg
 from repro.netsim.eventloop import EventLoop
 from repro.obs.hostmeta import rss_bytes
@@ -421,7 +421,7 @@ def run_traffic(config: TrafficConfig, *, jobs: int | None = 1,
                               policy=config.policy, seed=config.seed,
                               session="resume")
     windows = shard_windows(config)
-    jobs = executor.resolve_jobs(jobs)
+    jobs = fanout.resolve_jobs(jobs)
     flight = recorder.enabled
     started = walltime() if flight else 0.0
     if flight:
@@ -442,8 +442,8 @@ def run_traffic(config: TrafficConfig, *, jobs: int | None = 1,
     else:
         payloads = [(config, window.index) for window in windows]
         on_complete = _leader_progress(recorder, started) if flight else None
-        results = executor.run_sharded(_shard_task, payloads, jobs=jobs,
-                                       on_complete=on_complete)
+        results = fanout.run_sharded(_shard_task, payloads, jobs=jobs,
+                                     on_complete=on_complete)
 
     offered = completed = dropped = peak = pool_peak = 0
     busy = 0.0

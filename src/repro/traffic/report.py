@@ -32,7 +32,7 @@ def render_traffic(metrics, config: TrafficConfig,
         + " ".join(f"{label:>9}" for _, label in QUANTILES)
         + f" {'max':>9}   (ms)",
     ]
-    fractions = getattr(config, "resume", ()) or (0.0,) * len(config.pairs)
+    fractions = config.resume or (0.0,) * len(config.pairs)
     for (kem, sig), fraction in zip(config.pairs, fractions):
         prefix = f"traffic.{metric_key(kem)}.{metric_key(sig)}."
         # a resumption mix splits the pair into full and resumed blocks,

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 import textwrap
 
 from repro.analysis import cli
 from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.reporters import render_json, render_sarif
 from repro.analysis.runner import analyze
+from repro.core import fanout
 
 TREE = {
     "repro/pqc/kem.py": """
@@ -83,12 +86,42 @@ def test_no_cache_leaves_no_cache_directory(lint_tree, tmp_path):
 
 # -- parallel checking ------------------------------------------------------
 
-def test_parallel_report_matches_serial_byte_for_byte(lint_tree):
-    serial = lint_tree(TREE, jobs=1, use_cache=False)
-    fanned = lint_tree(TREE, jobs=4, use_cache=False)
+def test_parallel_report_matches_serial_byte_for_byte(lint_tree, monkeypatch):
+    # jobs clamp to the core count: pretend there are 4 so a 1-core host
+    # still fans out instead of comparing serial with serial
+    monkeypatch.setattr(fanout.os, "cpu_count", lambda: 4)
+    files = dict(TREE)
+    # a cross-call secret branch: only the project-scope flow checker sees
+    # it, over the contexts the workers parsed and shipped back
+    files["repro/pqc/helpers.py"] = """
+        def mix(flag):
+            if flag:
+                return 1
+            return 0
+
+        def derive(sk):
+            return mix(sk[0])
+    """
+    serial = lint_tree(files, jobs=1, use_cache=False)
+    fanned = lint_tree(files, jobs=4, use_cache=False)
     assert render_json(serial) == render_json(fanned)
-    assert codes(fanned) == ["CT001"]
+    assert codes(fanned) == ["CT101", "CT001"]   # sorted by path
     assert fanned.pragma_suppressed == 1
+
+    cold = lint_tree(files, jobs=2)
+    warm = lint_tree(files, jobs=2)
+    assert warm.from_cache == len(files) and cold.from_cache == 0
+    assert render_json(cold) == render_json(warm) == render_json(serial)
+
+
+def test_importing_lint_runner_loads_no_simulation_stack():
+    # the runner fans out through repro.core.fanout, which must stay lean:
+    # `pqtls-lint` pays for neither numpy nor the experiment stack
+    code = ("import sys, repro.analysis.runner; print(sorted("
+            "{'numpy', 'repro.core.experiment'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "[]"
 
 
 # -- pragma / baseline hygiene ----------------------------------------------

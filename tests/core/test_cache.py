@@ -57,3 +57,26 @@ def test_default_cache_dir_is_repo_local(monkeypatch):
     path = cache.cache_dir()
     assert path.name == ".cache"
     assert (path.parent / "pyproject.toml").exists()  # repo root
+
+
+def test_load_or_build_builds_once_and_rechecks_under_the_lock(tmp_path,
+                                                               monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    built = []
+
+    def build():
+        built.append(1)
+        return "fresh"
+
+    before = cache.metrics.snapshot()["counters"]
+    assert cache.load_or_build("unit", "key-f", build) == "fresh"
+    assert cache.load_or_build("unit", "key-f", build) == "fresh"
+    after = cache.metrics.snapshot()["counters"]
+    assert built == [1]
+
+    def delta(name):
+        return after.get(name, 0.0) - before.get(name, 0.0)
+
+    # cold: miss, miss again inside the lock, store; warm: one hit
+    assert (delta("cache.unit.miss"), delta("cache.unit.store"),
+            delta("cache.unit.hit")) == (2, 1, 1)

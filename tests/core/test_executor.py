@@ -9,16 +9,16 @@ time, never values.
 import pytest
 
 from repro import cache
-from repro.core import executor
+from repro.core import executor, fanout
 from repro.core.executor import (
     batch_units,
     estimated_cost,
     record_cost,
     replay_cost,
-    resolve_jobs,
     run_campaign,
     schedule,
 )
+from repro.core.fanout import resolve_jobs
 from repro.core.experiment import ExperimentConfig, run_experiment, script_key
 from repro.obs.metrics import Metrics
 from repro.obs.tracer import Tracer
@@ -46,7 +46,7 @@ def multicore(monkeypatch):
     runner every ``jobs > 1`` request would run inline and the
     pool tests would silently stop exercising the pool.
     """
-    monkeypatch.setattr(executor.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(fanout.os, "cpu_count", lambda: 4)
 
 
 # -- static cost table -------------------------------------------------------
@@ -96,6 +96,8 @@ def test_schedule_leader_is_costliest_replay_of_its_group():
 
 
 def test_resolve_jobs(multicore):
+    # perfbench and benchmarks/bench.py import it through the executor
+    assert executor.resolve_jobs is resolve_jobs
     assert resolve_jobs(1) == 1
     assert resolve_jobs(3) == 3
     assert resolve_jobs(7) == 4      # clamped to the (patched) core count
@@ -105,7 +107,7 @@ def test_resolve_jobs(multicore):
 
 
 def test_resolve_jobs_clamps_to_one_core(monkeypatch):
-    monkeypatch.setattr(executor.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(fanout.os, "cpu_count", lambda: 1)
     assert resolve_jobs(4) == 1
     assert resolve_jobs(None) == 1
 
@@ -144,14 +146,6 @@ def test_batch_units_keeps_traced_config_singleton():
     units = batch_units(configs, costs, batch_seconds=0.25,
                         traced_key=configs[1].key)
     assert [configs[1]] in units
-
-
-def test_worker_warm_builds_kernel_tables():
-    from repro.crypto import kernels
-
-    warmed = executor._worker_warm()
-    assert warmed is None                  # initializer returns nothing
-    assert set(kernels.warm()) >= {"gf256", "hqc", "dilithium", "kyber"}
 
 
 # -- serial/parallel equivalence ---------------------------------------------
@@ -225,7 +219,7 @@ def test_parallel_warm_cache_resolves_inline(cold_cache, monkeypatch, multicore)
         def __init__(self, *a, **k):
             raise AssertionError("a fully-cached campaign must not spawn workers")
 
-    monkeypatch.setattr(executor, "ProcessPoolExecutor", PoolBomb)
+    monkeypatch.setattr(fanout, "ProcessPoolExecutor", PoolBomb)
     stats = {}
     warm_metrics = Metrics()
     warm = run_campaign(SMALL_SET, jobs=4, metrics=warm_metrics, stats=stats)
@@ -242,7 +236,7 @@ def test_single_miss_runs_inline_without_pool(cold_cache, monkeypatch, multicore
         def __init__(self, *a, **k):
             raise AssertionError("a single miss must not spawn workers")
 
-    monkeypatch.setattr(executor, "ProcessPoolExecutor", PoolBomb)
+    monkeypatch.setattr(fanout, "ProcessPoolExecutor", PoolBomb)
     before = cache.metrics.snapshot()["counters"]
     stats = {}
     results = run_campaign(SMALL_SET, jobs=4, metrics=Metrics(), stats=stats)
@@ -255,13 +249,13 @@ def test_single_miss_runs_inline_without_pool(cold_cache, monkeypatch, multicore
 
 
 def test_one_core_host_runs_inline_without_pool(cold_cache, monkeypatch):
-    monkeypatch.setattr(executor.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(fanout.os, "cpu_count", lambda: 1)
 
     class PoolBomb:
         def __init__(self, *a, **k):
             raise AssertionError("jobs clamped to 1 core must not spawn workers")
 
-    monkeypatch.setattr(executor, "ProcessPoolExecutor", PoolBomb)
+    monkeypatch.setattr(fanout, "ProcessPoolExecutor", PoolBomb)
     stats = {}
     results = run_campaign(SMALL_SET, jobs=4, metrics=Metrics(), stats=stats)
     assert len(results) == len(SMALL_SET)
@@ -438,7 +432,7 @@ def _explode_on_two(payload):
 
 def test_run_sharded_serial_preserves_payload_order():
     seen = []
-    results = executor.run_sharded(
+    results = fanout.run_sharded(
         _triple, [5, 1, 4], jobs=1,
         on_complete=lambda index, result: seen.append((index, result)))
     assert results == [15, 3, 12]
@@ -447,9 +441,9 @@ def test_run_sharded_serial_preserves_payload_order():
 
 def test_run_sharded_parallel_equals_serial(multicore):
     payloads = list(range(6))
-    serial = executor.run_sharded(_triple, payloads, jobs=1)
+    serial = fanout.run_sharded(_triple, payloads, jobs=1)
     seen = []
-    parallel = executor.run_sharded(
+    parallel = fanout.run_sharded(
         _triple, payloads, jobs=3,
         on_complete=lambda index, result: seen.append((index, result)))
     # results come back in payload order whatever order workers finish in
@@ -462,10 +456,10 @@ def test_run_sharded_single_payload_skips_the_pool(multicore, monkeypatch):
         def __init__(self, *args, **kwargs):
             raise AssertionError("a single payload must run inline")
 
-    monkeypatch.setattr(executor, "ProcessPoolExecutor", PoolBomb)
-    assert executor.run_sharded(_triple, [7], jobs=4) == [21]
+    monkeypatch.setattr(fanout, "ProcessPoolExecutor", PoolBomb)
+    assert fanout.run_sharded(_triple, [7], jobs=4) == [21]
 
 
 def test_run_sharded_propagates_worker_exceptions(multicore):
     with pytest.raises(ValueError, match="shard 2 is cursed"):
-        executor.run_sharded(_explode_on_two, [0, 1, 2, 3], jobs=2)
+        fanout.run_sharded(_explode_on_two, [0, 1, 2, 3], jobs=2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import executor
+from repro.core import fanout
 from repro.core.executor import run_campaign
 from repro.core.experiment import ExperimentConfig
 from repro.obs.metrics import Metrics
@@ -22,7 +22,7 @@ def cold_cache(tmp_path, monkeypatch):
 
 @pytest.fixture
 def multicore(monkeypatch):
-    monkeypatch.setattr(executor.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(fanout.os, "cpu_count", lambda: 4)
 
 
 def events_of(recorder, kind):

@@ -39,6 +39,11 @@ def test_mode_env_default_and_override():
         assert kernels.mode() == "fast" and kernels.fast_enabled()
 
 
+def test_warm_builds_every_kernel_table():
+    # benchmark setup calls warm(); lazy tables build the same values later
+    assert set(kernels.warm()) >= {"gf256", "hqc", "dilithium", "kyber"}
+
+
 # -- AES / GCM ---------------------------------------------------------------
 
 def test_aes_block_ref_equals_fast():

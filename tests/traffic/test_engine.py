@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import executor
+from repro.core import fanout
 from repro.obs.metrics import DEFAULT_RETENTION, Metrics
 from repro.obs.recorder import FlightRecorder
 from repro.traffic import engine
@@ -23,7 +23,7 @@ PREFIX = "traffic.kyber512.dilithium2."
 @pytest.fixture
 def multicore(monkeypatch):
     """Pretend the host has 4 cores so jobs > 1 exercises the pool."""
-    monkeypatch.setattr(executor.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(fanout.os, "cpu_count", lambda: 4)
 
 
 def _run(metrics=None, **overrides):
