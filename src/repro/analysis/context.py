@@ -148,10 +148,6 @@ class FileContext:
     def is_allowed(self, line: int, code: str) -> bool:
         return code in self.pragmas.get(line, ())
 
-    def allowing_declarations(self, line: int, code: str) -> set[int]:
-        """Pragma-comment lines whose allowance covers (*line*, *code*)."""
-        return self.pragmas.get(line, {}).get(code, set())
-
     def pragma_declarations(self) -> dict[int, set[str]]:
         """Every pragma declaration in the file: comment line -> codes."""
         decls: dict[int, set[str]] = {}

@@ -5,47 +5,19 @@ mark by the cost model's price, and outgoing TLS flights reach TCP only
 once the CPU gets there. This is what makes the paper's §5.2 effect
 emerge: with the optimized flush policy the *client* burns its decaps /
 verification time while the *server* is still signing.
+
+Every charge lands in one running ledger, :attr:`Host.cpu_by_library`
+(library -> seconds, the white-box split of Table 3), and, while
+tracing, in one leaf span on the host's CPU track.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.netsim.costmodel import CostModel, op_label
+from repro.netsim.costmodel import Cost, CostModel, op_label
 from repro.netsim.eventloop import EventLoop
 from repro.obs.tracer import NULL_TRACER
-from repro.tls.actions import Compute, Send
+from repro.tls.actions import Compute, CryptoOp, Send
 from repro.tls.errors import TlsError
-
-
-@dataclass
-class CpuInterval:
-    start: float
-    end: float
-    library: str
-
-
-@dataclass
-class CpuLog:
-    intervals: list[CpuInterval] = field(default_factory=list)
-
-    def charge(self, start: float, duration: float, library: str) -> float:
-        end = start + duration
-        if duration > 0:
-            self.intervals.append(CpuInterval(start, end, library))
-        return end
-
-    def total_by_library(self) -> dict[str, float]:
-        totals: dict[str, float] = {}
-        for interval in self.intervals:
-            totals[interval.library] = totals.get(interval.library, 0.0) + (
-                interval.end - interval.start
-            )
-        return totals
-
-    @property
-    def total(self) -> float:
-        return sum(i.end - i.start for i in self.intervals)
 
 
 class Host:
@@ -59,7 +31,11 @@ class Host:
         self._cost = cost_model
         self._tracer = tracer
         self._track = f"{name}-cpu"
-        self.cpu_log = CpuLog()
+        # per-packet kernel + driver work is the same for every packet:
+        # priced once, with its span names
+        self._packet_costs = tuple((cost, f"packet:{cost.library}")
+                                   for cost in cost_model.packet_cost())
+        self.cpu_by_library: dict[str, float] = {}
         self._cpu_free = 0.0
         self.tcp = None   # attached later
         self._tls_receive = None
@@ -70,36 +46,42 @@ class Host:
         self._tls_receive = tls_receive
 
     # -- CPU accounting ------------------------------------------------------
-    def _run_ops(self, start: float, ops) -> float:
-        at = start
-        tracing = self._tracer.enabled
+    def _charge(self, at: float, cost: Cost, name: str | CryptoOp,
+                **args) -> float:
+        """Run *cost* on the CPU from *at*; return when it finishes.
+
+        The ledger adds ``end - at`` (not ``cost.seconds``) so each
+        library's sum is the one the trace's leaf spans add up to. *name*
+        is the span name, or the CryptoOp whose label it is (formatted
+        only while tracing).
+        """
+        seconds = cost.seconds
+        end = at + seconds
+        if seconds > 0:
+            ledger = self.cpu_by_library
+            ledger[cost.library] = ledger.get(cost.library, 0.0) + (end - at)
+            if self._tracer.enabled and end > at:
+                self._tracer.span(self._track,
+                                  name if isinstance(name, str) else op_label(name),
+                                  at, end, cat=cost.library, **args)
+        return end
+
+    def _run_ops(self, at: float, ops) -> float:
         for op in ops:
-            cost = self._cost.op_cost(op, self.role)
-            end = self.cpu_log.charge(at, cost.seconds, cost.library)
-            if tracing and end > at:
-                self._tracer.span(self._track, op_label(op), at, end,
-                                  cat=cost.library, size=op.size)
-            at = end
+            at = self._charge(at, self._cost.op_cost(op, self.role), op,
+                              size=op.size)
         return at
 
     def charge_packet(self) -> None:
         """Per-packet kernel + driver work (tally; negligible latency)."""
         at = max(self._loop.now, self._cpu_free)
-        for cost in self._cost.packet_cost():
-            end = self.cpu_log.charge(at, cost.seconds, cost.library)
-            if self._tracer.enabled and end > at:
-                self._tracer.span(self._track, f"packet:{cost.library}",
-                                  at, end, cat=cost.library)
-            at = end
+        for cost, name in self._packet_costs:
+            at = self._charge(at, cost, name)
         self._cpu_free = at
 
     def charge_tooling(self) -> None:
-        cost = self._cost.tooling_cost()
         at = max(self._loop.now, self._cpu_free)
-        end = self.cpu_log.charge(at, cost.seconds, cost.library)
-        if self._tracer.enabled and end > at:
-            self._tracer.span(self._track, "tooling", at, end, cat=cost.library)
-        self._cpu_free = end
+        self._cpu_free = self._charge(at, self._cost.tooling_cost(), "tooling")
 
     # -- TLS action processing ---------------------------------------------------
     def process_actions(self, actions) -> None:

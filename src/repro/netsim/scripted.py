@@ -211,17 +211,13 @@ class ScriptedApp:
     failed = False
     failure = None
 
-    def __init__(self, milestones: tuple[Milestone, ...], total_in: int,
-                 is_client: bool):
+    def __init__(self, milestones: tuple[Milestone, ...], total_in: int):
         self._milestones = list(milestones)
         self._total_in = total_in
-        self._is_client = is_client
         self._received = 0
         self._next = 0
 
     def start(self):
-        if not self._is_client:
-            return []
         return self._fire()
 
     def receive(self, data: bytes):
@@ -247,6 +243,6 @@ class ScriptedApp:
 
 def scripted_apps(script: HandshakeScript) -> tuple[ScriptedApp, ScriptedApp]:
     """Fresh (client, server) replay apps for one handshake."""
-    client = ScriptedApp(script.client_milestones, script.client_total_in, True)
-    server = ScriptedApp(script.server_milestones, script.server_total_in, False)
+    client = ScriptedApp(script.client_milestones, script.client_total_in)
+    server = ScriptedApp(script.server_milestones, script.server_total_in)
     return client, server

@@ -401,7 +401,3 @@ class TcpEndpoint:
         self._delack_token += 1  # cancel any pending delayed ACK
         self._transmit(Segment(self.name, self.peer, seq=self._snd_nxt, payload=b"",
                                ack=self._rcv_nxt, is_ack_only=True))
-
-    @property
-    def fully_acked(self) -> bool:
-        return not self._inflight and self._snd_base + len(self._snd_buffer) == self._snd_nxt

@@ -2,12 +2,15 @@
 
 ``Testbed.run_handshake`` executes one complete TLS 1.3 handshake over
 simulated TCP and returns a :class:`HandshakeTrace` with everything the
-paper measures: the two wire-visible phases, data volumes, packet counts,
-and per-library CPU time on both hosts.
+paper measures: the two wire-visible phases, data volumes and packet
+counts (tallied once from the tap), and per-library CPU time on both
+hosts (each host's ledger, :attr:`repro.netsim.hosts.Host.cpu_by_library`).
 
-The same wiring also runs *scripted* endpoints (recorded action scripts,
-see :mod:`repro.netsim.scripted`) so a 60-second measurement period does
-not have to re-run heavyweight crypto for every sequential handshake.
+Any :class:`App` can sit on a host: the real ``TlsClient``/``TlsServer``
+run as they are, and *scripted* endpoints (recorded action scripts, see
+:mod:`repro.netsim.scripted`) replay them, so a 60-second measurement
+period does not have to re-run heavyweight crypto for every sequential
+handshake.
 """
 
 from __future__ import annotations
@@ -27,15 +30,14 @@ from repro.netsim.timestamper import Timestamper
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.tls.certs import Certificate, TrustStore
-from repro.tls.client import TlsClient
 from repro.tls.errors import PeerAlert, TlsError
-from repro.tls.server import BufferPolicy, TlsServer
+from repro.tls.server import BufferPolicy
 
 
 class App(Protocol):
     """What a host runs: produce actions on connect / on received bytes."""
 
-    def start(self) -> list: ...          # client side, empty list for servers
+    def start(self) -> list: ...          # client only: its first flight
     def receive(self, data: bytes) -> list: ...
     @property
     def handshake_complete(self) -> bool: ...
@@ -65,7 +67,6 @@ class HandshakeTrace:
     t_fin: float = 0.0                   # client Finished on the wire
     # connect -> first application byte back at the client: the client
     # Finished timestamp plus one analytic MSS transit of the response
-    # (read with getattr for pre-lifecycle cached traces)
     ttfb: float = 0.0
 
 
@@ -225,28 +226,32 @@ def run_simulated_handshake(client_app: App, server_app: App, *,
         tracer.span("phases", "partB (SH..CliFin)", t_sh, t_fin, cat="phase")
         tracer.span("phases", "tail (trailing ACKs)", t_fin, wall_end, cat="phase")
         tracer.end("phases", wall_end)
+    client_wire_bytes = tap.bytes_in_direction("c2s")
+    server_wire_bytes = tap.bytes_in_direction("s2c")
+    client_packets = tap.packets_in_direction("c2s")
+    server_packets = tap.packets_in_direction("s2c")
     if metrics.enabled:
         if outcome.ok:
             metrics.observe("handshake.part_a", t_sh - t_ch)
             metrics.observe("handshake.part_b", t_fin - t_sh)
             metrics.observe("handshake.total", t_fin - t_ch)
             metrics.observe("handshake.ttfb", ttfb)
-        metrics.inc("wire.c2s.bytes", tap.bytes_in_direction("c2s"))
-        metrics.inc("wire.s2c.bytes", tap.bytes_in_direction("s2c"))
-        metrics.inc("wire.c2s.packets", tap.packets_in_direction("c2s"))
-        metrics.inc("wire.s2c.packets", tap.packets_in_direction("s2c"))
+        metrics.inc("wire.c2s.bytes", client_wire_bytes)
+        metrics.inc("wire.s2c.bytes", server_wire_bytes)
+        metrics.inc("wire.c2s.packets", client_packets)
+        metrics.inc("wire.s2c.packets", server_packets)
         metrics.inc("handshake.count")
     return HandshakeTrace(
         part_a=t_sh - t_ch,
         part_b=t_fin - t_sh,
         total=t_fin - t_ch,
         wall_end=wall_end,
-        client_wire_bytes=tap.bytes_in_direction("c2s"),
-        server_wire_bytes=tap.bytes_in_direction("s2c"),
-        client_packets=tap.packets_in_direction("c2s"),
-        server_packets=tap.packets_in_direction("s2c"),
-        client_cpu=client_host.cpu_log.total_by_library(),
-        server_cpu=server_host.cpu_log.total_by_library(),
+        client_wire_bytes=client_wire_bytes,
+        server_wire_bytes=server_wire_bytes,
+        client_packets=client_packets,
+        server_packets=server_packets,
+        client_cpu=client_host.cpu_by_library,
+        server_cpu=server_host.cpu_by_library,
         flight_labels=labels,
         outcome=outcome,
         t_ch=t_ch,
@@ -254,52 +259,6 @@ def run_simulated_handshake(client_app: App, server_app: App, *,
         t_fin=t_fin,
         ttfb=ttfb,
     )
-
-
-class _ClientApp:
-    def __init__(self, tls: TlsClient):
-        self._tls = tls
-
-    def start(self):
-        return self._tls.start()
-
-    def receive(self, data: bytes):
-        return self._tls.receive(data)
-
-    @property
-    def handshake_complete(self) -> bool:
-        return self._tls.handshake_complete
-
-    @property
-    def failed(self) -> bool:
-        return self._tls.failed
-
-    @property
-    def failure(self):
-        return self._tls.failure
-
-
-class _ServerApp:
-    def __init__(self, tls: TlsServer):
-        self._tls = tls
-
-    def start(self):
-        return []
-
-    def receive(self, data: bytes):
-        return self._tls.receive(data)
-
-    @property
-    def handshake_complete(self) -> bool:
-        return self._tls.handshake_complete
-
-    @property
-    def failed(self) -> bool:
-        return self._tls.failed
-
-    @property
-    def failure(self):
-        return self._tls.failure
 
 
 class Testbed:
@@ -345,7 +304,7 @@ class Testbed:
             self._server_secret, self._trust_store, tls_drbg,
             policy=self.policy, client_credentials=self._client_credentials)
         return run_simulated_handshake(  # pqtls: allow[LEAK001] — outcome labels are alert codes, not key material (object-granularity taint over the credential)
-            _ClientApp(tls_client), _ServerApp(tls_server),
+            tls_client, tls_server,
             scenario=self.scenario,
             netem_drbg=self._drbg.fork(f"netem:{index}"),
             cost_model=self._cost_model,

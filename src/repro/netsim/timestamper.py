@@ -67,25 +67,6 @@ class Timestamper:
                 + f" ({len(self.records)} frames tapped)")
         return ch.time, sh.time, fin.time
 
-    def phase_times_or_none(self) -> tuple[float, float, float] | None:
-        """Like :meth:`phase_times`, but ``None`` for failed handshakes."""
-        try:
-            return self.phase_times()
-        except MissingMarker:
-            return None
-
-    def part_a(self) -> float:
-        t_ch, t_sh, _ = self.phase_times()
-        return t_sh - t_ch
-
-    def part_b(self) -> float:
-        _, t_sh, t_fin = self.phase_times()
-        return t_fin - t_sh
-
-    def total(self) -> float:
-        t_ch, _, t_fin = self.phase_times()
-        return t_fin - t_ch
-
     # -- byte / packet accounting ----------------------------------------------
     def bytes_in_direction(self, direction: str) -> int:
         return sum(r.segment.wire_bytes for r in self.records if r.direction == direction)

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 from repro.obs.sketch import (
     DEFAULT_RELATIVE_ACCURACY,
-    DEFAULT_RESERVOIR_K,
     QuantileSketch,
     ReservoirSample,
 )
@@ -90,16 +89,12 @@ class Histogram:
     view, invalidated on observe). Once the count crosses ``retention``
     the histogram spills: ``samples`` empties, scalars (count/sum/min/
     max) stay exact, and quantiles come from the log-bucketed sketch
-    with relative error ≤ ``relative_accuracy``.
+    with relative error ≤ ``DEFAULT_RELATIVE_ACCURACY``.
     """
 
-    def __init__(self, name: str, retention: int = DEFAULT_RETENTION,
-                 relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-                 reservoir_k: int = DEFAULT_RESERVOIR_K):
+    def __init__(self, name: str, retention: int = DEFAULT_RETENTION):
         self.name = name
         self.retention = retention
-        self.relative_accuracy = relative_accuracy
-        self.reservoir_k = reservoir_k
         self.samples: list[float] = []
         self._sketch: QuantileSketch | None = None
         self._reservoir: ReservoirSample | None = None
@@ -186,8 +181,8 @@ class Histogram:
         whichever process, merge order, or snapshot round-trip produced
         it (the ``--jobs`` bit-identity contract).
         """
-        self._sketch = QuantileSketch(relative_accuracy=self.relative_accuracy)
-        self._reservoir = ReservoirSample(k=self.reservoir_k)
+        self._sketch = QuantileSketch()
+        self._reservoir = ReservoirSample()
         self._fold(self.samples, 0)
         self.samples.clear()
         self._sorted = None
@@ -300,7 +295,7 @@ class Histogram:
         if self.spilled:
             entry["streaming"] = {
                 "observed": self._count,
-                "relative_accuracy": self.relative_accuracy,
+                "relative_accuracy": DEFAULT_RELATIVE_ACCURACY,
                 "sketch": self.sketch.state(),
                 "reservoir": self.reservoir.state(),
             }
@@ -308,24 +303,20 @@ class Histogram:
 
     @classmethod
     def from_snapshot_entry(cls, name: str, entry: dict,
-                            retention: int = DEFAULT_RETENTION,
-                            relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-                            reservoir_k: int = DEFAULT_RESERVOIR_K) -> "Histogram":
+                            retention: int = DEFAULT_RETENTION) -> "Histogram":
         """Rebuild the histogram a snapshot came from.
 
         Unspilled snapshots carry the full ordered stream and replay
         exactly; spilled ones import their streaming state.
         """
-        histogram = cls(name, retention=retention,
-                        relative_accuracy=relative_accuracy,
-                        reservoir_k=reservoir_k)
+        histogram = cls(name, retention=retention)
         streaming = entry.get("streaming")
         if streaming is None:
             histogram.observe_many(entry["samples"])
             return histogram
         histogram._sketch = QuantileSketch.from_state(streaming["sketch"])
         histogram._reservoir = ReservoirSample.from_state(
-            streaming["reservoir"], k=reservoir_k)
+            streaming["reservoir"])
         histogram._count = int(entry["count"])
         histogram._sum = float(entry["sum"])
         if histogram._count:
@@ -340,12 +331,8 @@ class Metrics:
 
     enabled = True
 
-    def __init__(self, retention: int = DEFAULT_RETENTION,
-                 relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-                 reservoir_k: int = DEFAULT_RESERVOIR_K):
+    def __init__(self, retention: int = DEFAULT_RETENTION):
         self.retention = retention
-        self.relative_accuracy = relative_accuracy
-        self.reservoir_k = reservoir_k
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -366,9 +353,7 @@ class Metrics:
         instrument = self._histograms.get(name)
         if instrument is None:
             instrument = self._histograms[name] = Histogram(
-                name, retention=self.retention,
-                relative_accuracy=self.relative_accuracy,
-                reservoir_k=self.reservoir_k)
+                name, retention=self.retention)
         return instrument
 
     # -- convenience write paths (read like statsd calls) -------------------
@@ -424,9 +409,7 @@ class Metrics:
             self.set(name, value)
         for name, entry in snapshot.get("histograms", {}).items():
             self.histogram(name).merge(Histogram.from_snapshot_entry(
-                name, entry, retention=self.retention,
-                relative_accuracy=self.relative_accuracy,
-                reservoir_k=self.reservoir_k))
+                name, entry, retention=self.retention))
 
     def snapshot(self) -> dict:
         """Plain-dict dump, stable across runs, ready for ``json.dump``.

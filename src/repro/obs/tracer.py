@@ -139,32 +139,6 @@ class Tracer:
     def spans_on(self, track: str) -> list[SpanRecord]:
         return [s for s in self.spans if s.track == track]
 
-    def total_by_cat(self, track: str | None = None) -> dict[str, float]:
-        """Sum span durations by category (library), deepest spans only.
-
-        Only *leaf-depth* accounting would double-count here, so the sum is
-        restricted to spans that contain no other span on the same track —
-        the per-op spans the cost model priced — mirroring how ``perf``
-        attributes samples to the innermost frame.
-        """
-        totals: dict[str, float] = {}
-        for record in self.spans:
-            if track is not None and record.track != track:
-                continue
-            if self._has_child(record):
-                continue
-            totals[record.cat] = totals.get(record.cat, 0.0) + record.duration
-        return totals
-
-    def _has_child(self, parent: SpanRecord) -> bool:
-        for other in self.spans:
-            if other is parent or other.track != parent.track:
-                continue
-            if other.depth > parent.depth and (
-                    parent.start <= other.start and other.end <= parent.end):
-                return True
-        return False
-
     @property
     def empty(self) -> bool:
         return not (self.spans or self.instants or self.counters)
@@ -207,9 +181,6 @@ class NullTracer:
 
     def spans_on(self, track: str) -> list:
         return []
-
-    def total_by_cat(self, track: str | None = None) -> dict:
-        return {}
 
 
 NULL_TRACER = NullTracer()

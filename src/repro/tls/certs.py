@@ -10,8 +10,7 @@ out-of-band, so only the leaf travels on the wire.
 Real deployments rarely look like that, so :data:`CHAIN_PROFILES` also
 models leaf+intermediate chains and intermediate-CA suppression (the
 client pre-caches the intermediate, as in CDN/"abridged certificates"
-deployments), with :data:`CHAIN_DISTRIBUTIONS` giving weights over the
-profiles in the spirit of the post-quantum TTFB study (PAPERS.md).
+deployments), in the spirit of the post-quantum TTFB study (PAPERS.md).
 """
 
 from __future__ import annotations
@@ -207,26 +206,6 @@ CHAIN_PROFILES = {
     "long": ChainProfile(name="long", intermediates=2),
     "suppressed": ChainProfile(name="suppressed", intermediates=1, suppressed=True),
 }
-
-# Weights over chain profiles, roughly: most WebPKI chains carry one
-# intermediate, a tail carries two, suppression is an emerging deployment.
-CHAIN_DISTRIBUTIONS = {
-    "paper": (("direct", 1.0),),
-    "web": (("intermediate", 0.60), ("long", 0.20),
-            ("direct", 0.15), ("suppressed", 0.05)),
-}
-
-
-def pick_chain_profile(unit_draw: float, distribution: str = "web") -> str:
-    """Map a unit-interval draw to a chain profile name (deterministic)."""
-    weights = CHAIN_DISTRIBUTIONS[distribution]
-    acc = 0.0
-    for name, weight in weights:
-        acc += weight
-        if unit_draw < acc:
-            return name
-    return weights[-1][0]
-
 
 def make_chain_credentials(algorithm: str, drbg: Drbg, chain: str = "direct",
                            subject: str = "server.repro.test"):

@@ -183,8 +183,7 @@ class _ShardEngine:
     """One time-slice of the run: arrivals -> queueing -> streamed latencies."""
 
     def __init__(self, config: TrafficConfig, window: Window, metrics,
-                 recorder=NULL_RECORDER,
-                 heartbeat_seconds: float = HEARTBEAT_SECONDS):
+                 recorder=NULL_RECORDER):
         self.config = config
         self.window = window
         self.loop = EventLoop()
@@ -227,7 +226,6 @@ class _ShardEngine:
         # heartbeat bookkeeping (host clock; observation only)
         self._recorder = recorder
         self._beat = recorder.enabled
-        self._beat_seconds = heartbeat_seconds
         self._beat_t = walltime() if self._beat else 0.0
         self._beat_done = 0
 
@@ -335,7 +333,7 @@ class _ShardEngine:
     def _heartbeat(self) -> None:
         now = walltime()
         elapsed = now - self._beat_t
-        if elapsed < self._beat_seconds:
+        if elapsed < HEARTBEAT_SECONDS:
             return
         done = self.completed
         self._recorder.heartbeat(
@@ -372,12 +370,10 @@ class _ShardEngine:
 
 
 def _run_shard(config: TrafficConfig, index: int, metrics,
-               recorder=NULL_RECORDER,
-               heartbeat_seconds: float = HEARTBEAT_SECONDS) -> dict:
+               recorder=NULL_RECORDER) -> dict:
     """Run one shard into ``metrics`` (a fresh per-shard registry)."""
     window = shard_windows(config)[index]
-    engine = _ShardEngine(config, window, metrics, recorder=recorder,
-                          heartbeat_seconds=heartbeat_seconds)
+    engine = _ShardEngine(config, window, metrics, recorder=recorder)
     engine.run()
     return engine.finalize(metrics)
 
@@ -391,9 +387,7 @@ def _shard_task(payload: tuple[TrafficConfig, int]) -> tuple[dict, dict]:
 
 
 def run_traffic(config: TrafficConfig, *, jobs: int | None = 1,
-                metrics=NULL_METRICS, recorder=NULL_RECORDER,
-                heartbeat_seconds: float = HEARTBEAT_SECONDS
-                ) -> TrafficSummary:
+                metrics=NULL_METRICS, recorder=NULL_RECORDER) -> TrafficSummary:
     """Run the full arrival timeline, sharded over ``jobs`` workers.
 
     The merged content of ``metrics`` — and therefore any exported
@@ -433,8 +427,7 @@ def run_traffic(config: TrafficConfig, *, jobs: int | None = 1,
         for window in windows:
             shard_metrics = Metrics()
             shard = _run_shard(config, window.index, shard_metrics,
-                               recorder=recorder,
-                               heartbeat_seconds=heartbeat_seconds)
+                               recorder=recorder)
             results.append((shard_metrics.snapshot(), shard))
             if flight:
                 recorder.event("shard_finish", shard=window.index,

@@ -88,7 +88,7 @@ def test_default_policy_script_differs(script):
 def test_handshake_complete_semantics():
     milestones = (Milestone(0, (ScriptedSend(10, "x"),)),
                   Milestone(5, (Compute((CryptoOp("key_schedule"),)),)))
-    app = ScriptedApp(milestones, total_in=7, is_client=True)
+    app = ScriptedApp(milestones, total_in=7)
     app.start()
     assert not app.handshake_complete
     app.receive(b"12345")

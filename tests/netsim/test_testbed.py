@@ -7,6 +7,8 @@ from repro.netsim.costmodel import CostModel
 from repro.netsim.netem import SCENARIOS
 from repro.netsim.scripted import record_script, scripted_apps
 from repro.netsim.testbed import Testbed, run_simulated_handshake
+from repro.obs.flame import library_breakdown
+from repro.obs.tracer import Tracer
 from repro.tls.certs import make_server_credentials
 from repro.tls.server import BufferPolicy
 
@@ -103,6 +105,22 @@ def test_scripted_replay_under_loss_completes():
             client, server, scenario=SCENARIOS["high-loss"],
             netem_drbg=Drbg(f"loss{i}"), cost_model=CostModel())
         assert trace.total > 0
+
+
+@pytest.mark.parametrize("session", ["full", "resume"])
+def test_cpu_ledger_equals_leaf_spans_exactly(session):
+    """Each host's ledger is bit-for-bit the sum of its CPU leaf spans,
+    retransmitted packets' charges included."""
+    script = record_script("x25519", "rsa:1024", session=session)
+    client, server = scripted_apps(script)
+    tracer = Tracer()
+    trace = run_simulated_handshake(
+        client, server, scenario=SCENARIOS["high-loss"],
+        netem_drbg=Drbg("ledger:3"), cost_model=CostModel(), tracer=tracer)
+    assert trace.outcome.ok
+    assert any(i.name == "retransmit" for i in tracer.instants)
+    assert trace.client_cpu == library_breakdown(tracer, "client-cpu")
+    assert trace.server_cpu == library_breakdown(tracer, "server-cpu")
 
 
 def test_cwnd_overflow_dilithium5_two_rtt():

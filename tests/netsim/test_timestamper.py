@@ -19,9 +19,9 @@ def test_phase_extraction():
     tap.tap("c2s")(2.0, _seg(("CCS+Fin",)))
     t_ch, t_sh, t_fin = tap.phase_times()
     assert (t_ch, t_sh, t_fin) == (1.0, 1.4, 2.0)
-    assert tap.part_a() == pytest.approx(0.4)
-    assert tap.part_b() == pytest.approx(0.6)
-    assert tap.total() == pytest.approx(1.0)
+    assert t_sh - t_ch == pytest.approx(0.4)
+    assert t_fin - t_sh == pytest.approx(0.6)
+    assert t_fin - t_ch == pytest.approx(1.0)
 
 
 def test_first_occurrence_wins_on_retransmission():
@@ -41,8 +41,9 @@ def test_combined_flight_labels_match():
     tap.tap("c2s")(0.0, _seg(("ClientHello",)))
     tap.tap("s2c")(0.5, _seg(("SH+EE+Cert+CV+Fin",)))
     tap.tap("c2s")(1.0, _seg(("CCS+Fin",)))
-    assert tap.part_a() == pytest.approx(0.5)
-    assert tap.part_b() == pytest.approx(0.5)
+    t_ch, t_sh, t_fin = tap.phase_times()
+    assert t_sh - t_ch == pytest.approx(0.5)
+    assert t_fin - t_sh == pytest.approx(0.5)
 
 
 def test_multi_label_segments():
@@ -50,7 +51,8 @@ def test_multi_label_segments():
     tap.tap("c2s")(0.0, _seg(("ClientHello",)))
     tap.tap("s2c")(0.5, _seg(("SH", "EE+Cert")))
     tap.tap("c2s")(1.0, _seg(("CCS+Fin",)))
-    assert tap.part_a() == pytest.approx(0.5)
+    t_ch, t_sh, _ = tap.phase_times()
+    assert t_sh - t_ch == pytest.approx(0.5)
 
 
 def test_missing_markers_raise():

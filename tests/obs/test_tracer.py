@@ -49,18 +49,6 @@ def test_tracks_preserve_first_seen_order():
     assert [s.name for s in tracer.spans_on("beta")] == ["x"]
 
 
-def test_total_by_cat_counts_innermost_spans_only():
-    tracer = Tracer()
-    tracer.begin("cpu", "batch", 0.0, cat="batch")
-    tracer.span("cpu", "sign", 0.0, 0.4, cat="libcrypto")
-    tracer.span("cpu", "frame", 0.4, 0.5, cat="libssl")
-    tracer.end("cpu", 0.5)
-    totals = tracer.total_by_cat("cpu")
-    assert totals == {"libcrypto": pytest.approx(0.4),
-                      "libssl": pytest.approx(0.1)}
-    assert "batch" not in totals  # the wrapper's time belongs to its children
-
-
 def test_null_tracer_is_disabled_and_recordless():
     assert NULL_TRACER.enabled is False
     assert isinstance(NULL_TRACER, NullTracer)
@@ -71,7 +59,6 @@ def test_null_tracer_is_disabled_and_recordless():
     NULL_TRACER.counter("cpu", "c", 0.5, 1)
     assert NULL_TRACER.empty
     assert NULL_TRACER.tracks() == []
-    assert NULL_TRACER.total_by_cat() == {}
 
 
 def test_empty_property():

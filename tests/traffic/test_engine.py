@@ -272,18 +272,18 @@ def test_memory_is_flat_in_the_handshake_count():
 
 # -- observation -------------------------------------------------------------
 
-def test_flight_recorder_sees_heartbeats_and_shard_finishes():
+def test_flight_recorder_sees_heartbeats_and_shard_finishes(monkeypatch):
+    monkeypatch.setattr(engine, "HEARTBEAT_SECONDS", 0.0)
     recorder = FlightRecorder()
     config = TrafficConfig(arrival="poisson:3000/s", duration=1.0,
                            pairs=(PAIR,), shard_seconds=0.5)
-    run_traffic(config, metrics=Metrics(), recorder=recorder,
-                heartbeat_seconds=0.0)
+    run_traffic(config, metrics=Metrics(), recorder=recorder)
     kinds = [e["event"] for e in recorder.events]
     assert kinds[0] == "traffic_begin"
     assert kinds[-1] == "traffic_end"
     assert kinds.count("shard_finish") == 2
     beats = [e for e in recorder.events if e["event"] == "heartbeat"]
-    # heartbeat_seconds=0 emits on every 1024-completion check
+    # HEARTBEAT_SECONDS=0 emits on every 1024-completion check
     assert beats
     for beat in beats:
         assert beat["completed"] > 0
