@@ -14,7 +14,6 @@ import sys
 from repro.crypto.aes import AES
 
 _R = 0xE1000000000000000000000000000000
-_MASK128 = (1 << 128) - 1
 
 
 def gf_mul(x: int, y: int) -> int:

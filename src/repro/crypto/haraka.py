@@ -15,8 +15,6 @@ from __future__ import annotations
 import functools
 import sys
 
-from repro.crypto.aes import aes_round
-
 # The Haraka v2 reference derives its 40 sixteen-byte round constants from
 # the digits of pi. We generate ours from SHAKE-128 over a fixed label —
 # a documented substitution (DESIGN.md): the constants are arbitrary public
@@ -27,8 +25,6 @@ import hashlib as _hashlib
 
 _RC_STREAM = _hashlib.shake_128(b"repro Haraka v2 round constants").digest(40 * 16)
 RC = [_RC_STREAM[16 * i: 16 * (i + 1)] for i in range(40)]
-
-_ZERO16 = b"\x00" * 16
 
 # Word-level reference path: states are lists of big-endian 32-bit column
 # words (4 words per 16-byte AES block), permuted with the shared T-tables.
@@ -56,28 +52,6 @@ def _aes_round_words(s: list[int], off: int, rc: list[int], rc_off: int) -> None
                   ^ _T2[(s0 >> 8) & 0xFF] ^ _T3[s1 & 0xFF] ^ rc[rc_off + 2])
     s[off + 3] = (_T0[(s3 >> 24) & 0xFF] ^ _T1[(s0 >> 16) & 0xFF]
                   ^ _T2[(s1 >> 8) & 0xFF] ^ _T3[s2 & 0xFF] ^ rc[rc_off + 3])
-
-
-def _aes2(block: bytes, rc0: bytes, rc1: bytes) -> bytes:
-    """Two AES rounds with the given round constants as keys."""
-    return aes_round(aes_round(block, rc0), rc1)
-
-
-def _mix256(s0: bytes, s1: bytes) -> tuple[bytes, bytes]:
-    """Haraka-256 MIX: interleave 32-bit words of the two states."""
-    a = s0[0:4] + s1[0:4] + s0[4:8] + s1[4:8]
-    b = s0[8:12] + s1[8:12] + s0[12:16] + s1[12:16]
-    return a, b
-
-
-def _mix512(s: list[bytes]) -> list[bytes]:
-    """Haraka-512 MIX: the unpacklo/unpackhi word shuffle of the reference."""
-    w = []
-    for block in s:
-        w.extend(block[4 * i: 4 * i + 4] for i in range(4))
-    order = [3, 11, 7, 15, 8, 0, 12, 4, 9, 1, 13, 5, 2, 10, 6, 14]
-    shuffled = [w[i] for i in order]
-    return [b"".join(shuffled[4 * i: 4 * i + 4]) for i in range(4)]
 
 
 _MIX256_ORDER = [0, 4, 1, 5, 2, 6, 3, 7]

@@ -3,10 +3,12 @@
 A 60-second measurement period covers up to ~30 000 sequential handshakes
 (Table 2); re-running pure-Python SPHINCS+ for each would be absurd when
 the simulated clock is driven by the cost model anyway. Instead we run
-*one* real handshake per (KA, SA, policy) in lockstep, record each TLS
-endpoint's behaviour as byte-offset milestones — "after N cumulative
-in-order bytes, perform these Compute ops and Send these flight lengths" —
-and replay that script through TCP/netem with fresh loss randomness.
+*one* real handshake per (KA, SA, policy) through the record-by-record
+lockstep loop :func:`repro.tls.scenarios.run_lockstep`, keep each TLS
+endpoint's deliveries that made it act as byte-offset milestones — "after
+N cumulative in-order bytes, perform these Compute ops and Send these
+flight lengths" — and replay that script through TCP/netem with fresh
+loss randomness.
 
 Replay is exact because a sans-io TLS endpoint is a deterministic function
 of the in-order byte stream: message sizes, flush boundaries, and crypto
@@ -19,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.drbg import Drbg
-from repro.tls.actions import Compute, Send
+from repro.tls.actions import Send
 from repro.tls.certs import (
     make_chain_credentials,
     make_client_credentials,
     make_server_credentials,
 )
-from repro.tls.records import decode_records
-from repro.tls.scenarios import DEFAULT_SESSION, build_session_endpoints
+from repro.tls.scenarios import DEFAULT_SESSION, build_session_endpoints, run_lockstep
 from repro.tls.server import BufferPolicy
 
 
@@ -60,21 +61,14 @@ class HandshakeScript:
     chain: str                        # certificate chain profile
 
 
-def _record_side(actions) -> tuple:
-    recorded = []
-    for action in actions:
-        if isinstance(action, Compute):
-            recorded.append(action)
-        elif isinstance(action, Send):
-            recorded.append(ScriptedSend(len(action.data), action.label))
-    return tuple(recorded)
-
-
-def _split_record_boundaries(stream: bytes) -> list[bytes]:
-    records, rest = decode_records(stream)
-    if rest:
-        raise RecordingError("stream does not end on a record boundary")
-    return [r.encode() for r in records]
+def _milestones(deliveries) -> tuple[Milestone, ...]:
+    """The deliveries that made an endpoint act, with Sends cut to lengths."""
+    return tuple(
+        Milestone(offset, tuple(
+            ScriptedSend(len(action.data), action.label)
+            if isinstance(action, Send) else action
+            for action in actions))
+        for offset, actions in deliveries if actions)
 
 
 def load_credentials(sig_name: str, seed: str = "paper"):
@@ -144,44 +138,7 @@ def record_script(kem_name: str, sig_name: str,
         session, kem_name, sig_name, cert, sk, store, drbg,
         policy=policy, client_credentials=client_credentials)
 
-    client_milestones: list[Milestone] = []
-    server_milestones: list[Milestone] = []
-
-    start_actions = client.start()
-    client_milestones.append(Milestone(0, _record_side(start_actions)))
-    to_server = b"".join(a.data for a in start_actions if isinstance(a, Send))
-    to_client = b""
-
-    # feed each endpoint record-by-record (a sans-io endpoint can only act
-    # on complete records, so record boundaries are the exact trigger
-    # points), alternating directions until the link goes quiet — the
-    # HelloRetryRequest shape needs an extra round trip the fixed
-    # three-pass lockstep of earlier recordings could not express
-    client_in = server_in = 0
-    for _round in range(12):
-        if not to_server and not to_client:
-            break
-        out = b""
-        for record in _split_record_boundaries(to_server):
-            server_in += len(record)
-            actions = server.receive(record)
-            if actions:
-                server_milestones.append(
-                    Milestone(server_in, _record_side(actions)))
-                out += b"".join(a.data for a in actions if isinstance(a, Send))
-        to_server = b""
-        to_client += out
-        out = b""
-        for record in _split_record_boundaries(to_client):
-            client_in += len(record)
-            actions = client.receive(record)
-            if actions:
-                client_milestones.append(
-                    Milestone(client_in, _record_side(actions)))
-                out += b"".join(a.data for a in actions if isinstance(a, Send))
-        to_client = b""
-        to_server = out
-
+    client_log, server_log = run_lockstep(client, server)
     if not (client.handshake_complete and server.handshake_complete):
         for endpoint in (client, server):
             if endpoint.failed:
@@ -194,10 +151,10 @@ def record_script(kem_name: str, sig_name: str,
         kem_name=kem_name,
         sig_name=sig_name,
         policy=policy.value,
-        client_milestones=tuple(client_milestones),
-        server_milestones=tuple(server_milestones),
-        client_total_in=client_in,
-        server_total_in=server_in,
+        client_milestones=_milestones(client_log),
+        server_milestones=_milestones(server_log),
+        client_total_in=client_log[-1][0],
+        server_total_in=server_log[-1][0],
         session=session,
         chain=chain,
     )

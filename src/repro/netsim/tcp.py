@@ -48,7 +48,6 @@ class TcpEndpoint:
     def __init__(self, loop: EventLoop, name: str, peer: str, *,
                  on_deliver: Callable[[bytes], None],
                  on_established: Callable[[], None] | None = None,
-                 mss: int | None = None, initcwnd: int | None = None,
                  tracer=NULL_TRACER, metrics=NULL_METRICS):
         self._loop = loop
         self.name = name
@@ -58,9 +57,6 @@ class TcpEndpoint:
         self._tracer = tracer
         self._metrics = metrics
         self._track = f"tcp-{name}"
-        # module attributes read at call time so tests/ablations can patch
-        self._mss = mss if mss is not None else MSS
-        initcwnd = initcwnd if initcwnd is not None else INIT_CWND
         self._link = None
         self.state = "closed"
         # sender
@@ -71,7 +67,9 @@ class TcpEndpoint:
         self._push_points: set[int] = set()
         self._label_ranges: list[tuple[int, int, str]] = []
         self._inflight: dict[int, Segment] = {}
-        self._cwnd = float(initcwnd)
+        # MSS and INIT_CWND are module attributes read at call time, so
+        # tests and ablations can patch them
+        self._cwnd = float(INIT_CWND)
         self._ssthresh = float("inf")
         self._dup_acks = 0
         self._last_ack_seen = -1
@@ -150,7 +148,7 @@ class TcpEndpoint:
             available = len(self._snd_buffer) - offset
             if available <= 0:
                 break
-            length = min(self._mss, available)
+            length = min(MSS, available)
             seq = self._snd_nxt
             # segments never span a push boundary: each TLS flush goes out
             # as its own segment train (as a real socket write does), which

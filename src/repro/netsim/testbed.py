@@ -25,7 +25,8 @@ from repro.netsim.costmodel import CostModel
 from repro.netsim.eventloop import EventLoop
 from repro.netsim.hosts import Host
 from repro.netsim.netem import Link, NetemConfig, SCENARIOS
-from repro.netsim.tcp import TcpEndpoint
+from repro.netsim.packets import HEADER_OVERHEAD
+from repro.netsim.tcp import MSS, TcpEndpoint
 from repro.netsim.timestamper import Timestamper
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
@@ -70,15 +71,10 @@ class HandshakeTrace:
     ttfb: float = 0.0
 
 
-# analytic first-response transit: one full MSS segment with TCP/IP/
-# Ethernet framing (matches repro.traffic.profile's transit model)
-_TTFB_MSS = 1448
-_TTFB_HEADER_BYTES = 66
-
-
 def first_byte_transit(scenario: NetemConfig) -> float:
-    """One-way flight time of the first application-data segment."""
-    wire_bits = 8.0 * (_TTFB_MSS + _TTFB_HEADER_BYTES)
+    """One-way flight time of the first application-data segment: one
+    full MSS with TCP/IP/Ethernet framing."""
+    wire_bits = 8.0 * (MSS + HEADER_OVERHEAD)
     return scenario.one_way_delay + wire_bits / scenario.rate_bps
 
 

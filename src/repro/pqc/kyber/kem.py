@@ -37,7 +37,6 @@ _PARAM_SETS = {
 }
 
 _SS_LEN = 32
-_SYM_LEN = 32
 
 
 class _Symmetric:

@@ -19,55 +19,30 @@ from __future__ import annotations
 import hashlib
 
 from repro.crypto.drbg import Drbg
-from repro.pqc.registry import get_kem, get_sig
 from repro.tls import messages as msg
-from repro.tls.actions import Action, Compute, CryptoOp, Send
+from repro.tls.actions import Action, Compute, CryptoOp
 from repro.tls.certs import Certificate, TrustStore
-from repro.tls.abort import AbortMixin
-from repro.tls.errors import (
-    HandshakeFailure,
-    IllegalParameter,
-    PeerAlert,
-    TlsError,
-    UnexpectedMessage,
-)
-from repro.tls.groups import SIGSCHEME_NAMES, group_id, sigscheme_id
-from repro.tls.keyschedule import (
-    KeySchedule,
-    derive_secret,
-    hkdf_extract,
-    traffic_keys,
-)
-from repro.tls.records import (
-    CONTENT_ALERT,
-    CONTENT_CHANGE_CIPHER_SPEC,
-    CONTENT_HANDSHAKE,
-    Record,
-    RecordProtection,
-    content_type_name,
-    decode_alert,
-    encrypt_handshake_stream,
-)
+from repro.tls.endpoint import TlsEndpoint
+from repro.tls.errors import HandshakeFailure, IllegalParameter, UnexpectedMessage
+from repro.tls.groups import group_id, sigscheme_id
+from repro.tls.keyschedule import KeySchedule
+from repro.tls.records import CONTENT_CHANGE_CIPHER_SPEC, Record
 from repro.tls.ticket import SessionCache, SessionTicket
-from repro.tls.transcript import TranscriptHash
 
-# what an encrypted record holds, by receive state (tracing context only)
-_DECRYPT_DETAIL = {
-    "wait_ee": "EE", "wait_cert": "Cert", "wait_cv": "CV", "wait_fin": "Fin",
-    "connected": "NST",
-}
-
-HASH_LEN = 32
+_ENCRYPTED = "encrypted handshake"
 
 
-def _binder_key_for(psk: bytes) -> bytes:
-    """The binder key for an offered PSK, without touching a schedule."""
-    early = hkdf_extract(b"\x00" * HASH_LEN, psk)
-    return derive_secret(early, "res binder", hashlib.sha256(b"").digest())
-
-
-class TlsClient(AbortMixin):
+class TlsClient(TlsEndpoint):
     """One client-side handshake (fresh instance per connection)."""
+
+    _OWN = 0
+    # what a record holds, by receive state (decrypt tracing context)
+    _RECEIVING = {
+        "wait_sh": ("ServerHello", None),
+        "wait_ee": (_ENCRYPTED, "EE"), "wait_cert": (_ENCRYPTED, "Cert"),
+        "wait_cv": (_ENCRYPTED, "CV"), "wait_fin": (_ENCRYPTED, "Fin"),
+        "connected": ("post-handshake", "NST"),
+    }
 
     def __init__(self, kem_name: str, sig_name: str, trust_store: TrustStore,
                  drbg: Drbg, server_name: str = "server.repro.test", *,
@@ -75,22 +50,10 @@ class TlsClient(AbortMixin):
                  session_cache: SessionCache | None = None,
                  credentials: tuple[list[Certificate], bytes] | None = None,
                  offer_share: bool = True):
-        self.kem_name = kem_name
-        self.sig_name = sig_name
-        self._kem = get_kem(kem_name)
+        super().__init__(kem_name, sig_name, drbg)
         self._trust_store = trust_store
-        self._drbg = drbg
         self._server_name = server_name
-        self._transcript = TranscriptHash()
-        self._schedule = KeySchedule()
-        self._recv_buffer = b""
-        self._hs_plaintext = b""
         self._kem_secret: bytes | None = None
-        self._recv_protection: RecordProtection | None = None
-        self._send_protection: RecordProtection | None = None
-        self._app_send_protection: RecordProtection | None = None
-        self._app_recv_protection: RecordProtection | None = None
-        self._server_cert: Certificate | None = None
         self._ticket = ticket
         self._session_cache = session_cache
         self._credentials = credentials
@@ -98,14 +61,6 @@ class TlsClient(AbortMixin):
         self._cert_requested = False
         self._retried = False
         self._first_hello_raw: bytes | None = None
-        self.resumed = False
-        self._state = "start"
-        self.handshake_complete = False
-        self.bytes_out = 0
-        self.failed = False
-        self.failure: TlsError | None = None
-        self.alert_sent: int | None = None
-        self.alert_received: int | None = None
 
     def start(self) -> list[Action]:
         """Generate the key share and produce the ClientHello flight."""
@@ -135,7 +90,7 @@ class TlsClient(AbortMixin):
                     "ticket was minted for a different algorithm pair")
             hello.psk_identity = self._ticket.identity
             hello.psk_obfuscated_age = self._ticket.obfuscated_age
-            binder_key = _binder_key_for(self._ticket.psk)
+            binder_key = KeySchedule(psk=self._ticket.psk).psk_binder_key()
             truncated_hash = hashlib.sha256(hello.encode_truncated()).digest()
             hello.psk_binder = KeySchedule.psk_binder(binder_key, truncated_hash)
             actions.append(Compute((CryptoOp("psk_binder", detail="CH"),)))
@@ -143,61 +98,13 @@ class TlsClient(AbortMixin):
         self._hello = hello
         self._first_hello_raw = encoded
         self._transcript.update(encoded)
-        from repro.tls.records import fragment_handshake
-
-        wire = b"".join(r.encode() for r in fragment_handshake(encoded))
         actions.append(
             Compute((CryptoOp("tls_frame", size=len(encoded), detail="CH"),)))
-        actions.append(Send(wire, "ClientHello"))
-        self.bytes_out += len(wire)
+        actions.append(self._send(self._wire(encoded), "ClientHello"))
         self._state = "wait_sh"
         return actions
 
-    # -- receive path (the guarded loop itself lives in AbortMixin) --------------
-    def _handle_record(self, record: Record) -> list[Action]:
-        if record.content_type == CONTENT_CHANGE_CIPHER_SPEC:
-            return []
-        if record.content_type == CONTENT_ALERT:
-            _level, description = decode_alert(record.payload)
-            raise PeerAlert(description)
-        if self._state == "wait_sh":
-            if record.content_type != CONTENT_HANDSHAKE:
-                raise UnexpectedMessage(
-                    "expected ServerHello, got "
-                    f"{content_type_name(record.content_type)} record")
-            return self._consume_handshake_plaintext(record.payload)
-        if self._state in ("wait_ee", "wait_cert", "wait_cv", "wait_fin"):
-            content_type, plaintext = self._recv_protection.decrypt(record)
-            if content_type != CONTENT_HANDSHAKE:
-                raise UnexpectedMessage(
-                    "expected encrypted handshake record, got inner "
-                    f"{content_type_name(content_type)}")
-            decrypt_cost = Compute((CryptoOp(
-                "record_crypt", size=len(plaintext),
-                detail=_DECRYPT_DETAIL.get(self._state, "handshake"),
-            ),))
-            return [decrypt_cost] + self._consume_handshake_plaintext(plaintext)
-        if self._state == "connected":
-            # post-handshake messages (NewSessionTicket) on app traffic keys
-            send_prot, recv_prot = self.app_protections()
-            content_type, plaintext = recv_prot.decrypt(record)
-            if content_type != CONTENT_HANDSHAKE:
-                raise UnexpectedMessage(
-                    "expected post-handshake record, got inner "
-                    f"{content_type_name(content_type)}")
-            decrypt_cost = Compute((CryptoOp(
-                "record_crypt", size=len(plaintext), detail="NST"),))
-            return [decrypt_cost] + self._consume_handshake_plaintext(plaintext)
-        raise UnexpectedMessage(f"record in state {self._state}")
-
-    def _consume_handshake_plaintext(self, plaintext: bytes) -> list[Action]:
-        self._hs_plaintext += plaintext
-        msgs, self._hs_plaintext = msg.iter_handshake_messages(self._hs_plaintext)
-        actions: list[Action] = []
-        for msg_type, body, raw in msgs:
-            actions.extend(self._handle_message(msg_type, body, raw))
-        return actions
-
+    # -- receive path (record prelude and abort live in TlsEndpoint) ---------
     def _handle_message(self, msg_type: int, body: bytes, raw: bytes) -> list[Action]:
         if self._state == "wait_sh":
             if msg_type != msg.HT_SERVER_HELLO:
@@ -214,11 +121,14 @@ class TlsClient(AbortMixin):
                 return self._process_certificate_request(body, raw)
             if msg_type != msg.HT_CERTIFICATE:
                 raise UnexpectedMessage("expected Certificate")
-            return self._process_certificate(body, raw)
+            return self._verify_peer_chain(
+                msg.decode_certificate(body), raw, self._trust_store,
+                self._server_name, "Cert", "")
         if self._state == "wait_cv":
             if msg_type != msg.HT_CERTIFICATE_VERIFY:
                 raise UnexpectedMessage("expected CertificateVerify")
-            return self._process_certificate_verify(body, raw)
+            return self._verify_peer_signature(
+                body, raw, msg.CERTIFICATE_VERIFY_SERVER_CONTEXT, "CV", "")
         if self._state == "wait_fin":
             if msg_type != msg.HT_FINISHED:
                 raise UnexpectedMessage("expected Finished")
@@ -227,7 +137,7 @@ class TlsClient(AbortMixin):
             if msg_type != msg.HT_NEW_SESSION_TICKET:
                 raise UnexpectedMessage(
                     f"unexpected post-handshake message type {msg_type}")
-            return self._process_session_ticket(body, raw)
+            return self.accept_ticket(body, raw)
         raise UnexpectedMessage(f"message in state {self._state}")
 
     def _process_server_hello(self, body: bytes, raw: bytes) -> list[Action]:
@@ -249,15 +159,8 @@ class TlsClient(AbortMixin):
             CryptoOp("tls_frame", size=len(raw), detail="SH"),
             CryptoOp("kem_decaps", self.kem_name, detail="SH"),
         ))]
-        shared_secret = self._kem.decaps(self._kem_secret, hello.key_share)
-        self._schedule.set_shared_secret(shared_secret, self._transcript.digest())
+        self._set_handshake_keys(self._kem.decaps(self._kem_secret, hello.key_share))
         actions.append(Compute((CryptoOp("key_schedule", detail="SH"),)))
-        self._recv_protection = RecordProtection(
-            traffic_keys(self._schedule.server_hs_secret)
-        )
-        self._send_protection = RecordProtection(
-            traffic_keys(self._schedule.client_hs_secret)
-        )
         self._state = "wait_ee"
         return actions
 
@@ -282,13 +185,9 @@ class TlsClient(AbortMixin):
         self._hello.group_name_to_share = {self.kem_name: public_key}
         retry_hello = self._hello.encode()
         self._transcript.update(retry_hello)
-        from repro.tls.records import fragment_handshake
-
-        wire = b"".join(r.encode() for r in fragment_handshake(retry_hello))
         actions.append(
             Compute((CryptoOp("tls_frame", size=len(retry_hello), detail="CH2"),)))
-        actions.append(Send(wire, "ClientHello2"))
-        self.bytes_out += len(wire)
+        actions.append(self._send(self._wire(retry_hello), "ClientHello2"))
         return actions
 
     def _process_certificate_request(self, body: bytes, raw: bytes) -> list[Action]:
@@ -304,41 +203,8 @@ class TlsClient(AbortMixin):
         self._transcript.update(raw)
         return [Compute((CryptoOp("tls_frame", size=len(raw), detail="CR"),))]
 
-    def _process_certificate(self, body: bytes, raw: bytes) -> list[Action]:
-        cert_blobs = msg.decode_certificate(body)
-        chain = [Certificate.decode(blob) for blob in cert_blobs]
-        leaf = self._trust_store.verify_chain(chain, expected_subject=self._server_name)
-        if leaf.algorithm != self.sig_name:
-            raise HandshakeFailure(
-                f"certificate uses {leaf.algorithm}, expected {self.sig_name}")
-        self._server_cert = leaf
-        self._transcript.update(raw)
-        self._state = "wait_cv"
-        return [Compute((
-            CryptoOp("tls_frame", size=len(raw), detail="Cert"),
-            CryptoOp("cert_verify", self.sig_name, detail="Cert"),
-        ))]
-
-    def _process_certificate_verify(self, body: bytes, raw: bytes) -> list[Action]:
-        scheme_id, signature = msg.decode_certificate_verify(body)
-        scheme_name = SIGSCHEME_NAMES.get(scheme_id)
-        if scheme_name != self.sig_name:
-            raise HandshakeFailure(f"unexpected CertificateVerify scheme {scheme_name}")
-        payload = msg.CERTIFICATE_VERIFY_SERVER_CONTEXT + self._transcript.digest()
-        scheme = get_sig(self.sig_name)
-        if not scheme.verify(self._server_cert.public_key, payload, signature):
-            raise HandshakeFailure("CertificateVerify signature invalid")
-        self._transcript.update(raw)
-        self._state = "wait_fin"
-        return [Compute((CryptoOp("sig_verify", self.sig_name, detail="CV"),))]
-
     def _process_finished(self, body: bytes, raw: bytes) -> list[Action]:
-        expected = self._schedule.finished_verify_data(
-            self._schedule.server_hs_secret, self._transcript.digest()
-        )
-        if body != expected:
-            raise HandshakeFailure("server Finished verification failed")
-        self._transcript.update(raw)
+        self._check_peer_finished(body, raw, self._schedule.server_hs_secret, "server ")
         # application secrets derive from the transcript up to server Finished
         self._schedule.derive_master(self._transcript.digest())
         actions: list[Action] = [Compute((CryptoOp("finished_mac", detail="Fin"),))]
@@ -355,41 +221,28 @@ class TlsClient(AbortMixin):
             actions.append(Compute((
                 CryptoOp("tls_frame", size=len(cert_msg), detail="CliCert"),)))
             if self._credentials:
-                payload = (msg.CERTIFICATE_VERIFY_CLIENT_CONTEXT
-                           + self._transcript.digest())
-                actions.append(Compute((
-                    CryptoOp("sig_sign", self.sig_name, detail="CliCV"),)))
-                scheme = get_sig(self.sig_name)
-                signature = scheme.sign(self._credentials[1], payload, self._drbg)
-                cert_verify = msg.encode_certificate_verify(
-                    sigscheme_id(self.sig_name), signature
-                )
-                self._transcript.update(cert_verify)
+                sign_cost, cert_verify = self._sign_transcript(
+                    self._credentials[1], msg.CERTIFICATE_VERIFY_CLIENT_CONTEXT,
+                    "CliCV")
+                actions.append(sign_cost)
                 flight += cert_verify
-        verify_data = self._schedule.finished_verify_data(
-            self._schedule.client_hs_secret, self._transcript.digest()
-        )
-        finished = msg.encode_finished(verify_data)
-        self._transcript.update(finished)
-        flight += finished
-        flight_records = b"".join(
-            r.encode() for r in encrypt_handshake_stream(self._send_protection, flight)
-        )
+        flight += self._finished(self._schedule.client_hs_secret)
         ccs = Record(CONTENT_CHANGE_CIPHER_SPEC, b"\x01").encode()
-        wire = ccs + flight_records
         actions.append(Compute((
             CryptoOp("finished_mac", detail=label),
             CryptoOp("record_crypt", size=len(flight), detail=label),
         )))
-        actions.append(Send(wire, label))
-        self.bytes_out += len(wire)
+        actions.append(self._send(ccs + self._wire(flight, self._send_protection), label))
         # the resumption master closes over the full transcript (§7.1)
         self._schedule.derive_resumption(self._transcript.digest())
         self.handshake_complete = True
         self._state = "connected"
+        # post-handshake messages (NewSessionTicket) ride the app traffic keys
+        self._recv_protection = self.app_protections()[1]
         return actions
 
-    def _process_session_ticket(self, body: bytes, raw: bytes) -> list[Action]:
+    def accept_ticket(self, body: bytes, raw: bytes) -> list[Action]:
+        """Store a NewSessionTicket in the session cache, if there is one."""
         ticket = msg.NewSessionTicket.decode(body)
         psk = KeySchedule.ticket_psk(
             self._schedule.resumption_master_secret, ticket.nonce
@@ -407,23 +260,3 @@ class TlsClient(AbortMixin):
             CryptoOp("tls_frame", size=len(raw), detail="NST"),
             CryptoOp("session_ticket", detail="NST"),
         ))]
-
-    def app_protections(self) -> tuple[RecordProtection, RecordProtection]:
-        """(send, receive) protections over the application secrets.
-
-        Shared with post-handshake traffic (NewSessionTicket receipt) so a
-        :class:`~repro.tls.session.SecureChannel` adopting them continues
-        the same record sequence instead of reusing nonces.
-        """
-        client_secret, server_secret = self.application_secrets
-        if self._app_send_protection is None:
-            self._app_send_protection = RecordProtection(traffic_keys(client_secret))
-        if self._app_recv_protection is None:
-            self._app_recv_protection = RecordProtection(traffic_keys(server_secret))
-        return self._app_send_protection, self._app_recv_protection
-
-    @property
-    def application_secrets(self) -> tuple[bytes, bytes]:
-        if not self.handshake_complete:
-            raise HandshakeFailure("handshake not complete")
-        return self._schedule.client_app_secret, self._schedule.server_app_secret

@@ -25,7 +25,6 @@ EXT_PRE_SHARED_KEY = 0x0029
 EXT_SUPPORTED_VERSIONS = 0x002B
 EXT_PSK_KEY_EXCHANGE_MODES = 0x002D
 EXT_KEY_SHARE = 0x0033
-EXT_PADDING = 0x0015
 
 TLS13 = 0x0304
 CIPHER_TLS_AES_128_GCM_SHA256 = 0x1301

@@ -16,6 +16,11 @@ many bytes each shape adds to the ClientHello/ServerHello relative to
 ``pqtls-lint``'s WIRE005 audit recomputes the deltas and flags drift, so
 a change to the PSK extension layout cannot silently skew the
 per-scenario byte accounting.
+
+:func:`run_lockstep` is the one loop that runs a client/server pair on
+a perfect link, record by record. The ``resume`` shape mints its ticket
+through it, and :func:`repro.netsim.scripted.record_script` turns the
+(bytes received, actions) pairs it returns into replayable milestones.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ from dataclasses import dataclass
 
 from repro.crypto.drbg import Drbg
 from repro.tls import messages as msg
-from repro.tls.actions import Send
+from repro.tls.actions import Action, Send
 from repro.tls.errors import HandshakeFailure
+from repro.tls.records import decode_records
 from repro.tls.server import BufferPolicy, TlsServer
 from repro.tls.client import TlsClient
 from repro.tls.ticket import ServerSessionStore, SessionCache
@@ -87,30 +93,48 @@ def session_scenario(name: str) -> SessionScenario:
                        f"known: {sorted(SESSION_SCENARIOS)}") from None
 
 
+Delivery = tuple[int, list[Action]]   # (cumulative bytes received, actions)
+
+
 def _collect(actions) -> bytes:
     return b"".join(a.data for a in actions if isinstance(a, Send))
 
 
-def _pump(client: TlsClient, server: TlsServer, rounds: int = 8) -> None:
-    """Lockstep both endpoints on a perfect link until quiescent."""
-    to_server = _collect(client.start())
-    to_client = b""
-    for _ in range(rounds):
-        if to_server:
-            to_client = _collect(server.receive(to_server))
-            to_server = b""
-        if to_client:
-            to_server = _collect(client.receive(to_client))
-            to_client = b""
-        if not to_server and not to_client:
+def _deliver(endpoint, stream: bytes, log: list[Delivery]) -> bytes:
+    """Feed *stream* record by record; log each delivery, return the replies."""
+    received = log[-1][0] if log else 0
+    out = b""
+    records, _rest = decode_records(stream)  # endpoints send whole records
+    for record in records:
+        wire = record.encode()
+        received += len(wire)
+        actions = endpoint.receive(wire)
+        log.append((received, actions))
+        out += _collect(actions)
+    return out
+
+
+def run_lockstep(client: TlsClient,
+                 server: TlsServer) -> tuple[list[Delivery], list[Delivery]]:
+    """Run one handshake on a perfect link, record by record, until quiet.
+
+    A sans-io endpoint acts only on complete records, so record boundaries
+    are the exact points where it can act. Directions alternate until the
+    client has nothing to send (the HelloRetryRequest shape needs an extra
+    round trip). Returns each endpoint's deliveries as (cumulative bytes
+    received, actions) pairs, in order; the client's ``start()`` is its
+    first delivery, at offset 0. Callers check the endpoints' outcome.
+    """
+    start = client.start()
+    client_log: list[Delivery] = [(0, start)]
+    server_log: list[Delivery] = []
+    to_server = _collect(start)
+    for _round in range(12):  # a bound, far above any shape's round trips
+        if not to_server:
             break
-    for endpoint in (client, server):
-        if endpoint.failed:
-            raise HandshakeFailure(
-                f"session-scenario pump aborted: {endpoint.failure}"
-            ) from endpoint.failure
-    if not (client.handshake_complete and server.handshake_complete):
-        raise HandshakeFailure("session-scenario pump did not complete")
+        to_client = _deliver(server, to_server, server_log)
+        to_server = _deliver(client, to_client, client_log)
+    return client_log, server_log
 
 
 def build_session_endpoints(
@@ -142,10 +166,11 @@ def build_session_endpoints(
         mint_server = TlsServer(kem_name, sig_name, certificate, server_secret,
                                 drbg.fork("mint:server"), policy=policy,
                                 session_store=store, issue_tickets=1)
-        _pump(mint_client, mint_server)  # pqtls: allow[LEAK004] — the failure message carries alert names, not the secret key (object-granularity taint over the endpoint)
+        run_lockstep(mint_client, mint_server)
         ticket = cache.take(server_name)
         if ticket is None:
-            raise HandshakeFailure("mint handshake issued no ticket")
+            raise HandshakeFailure("mint handshake issued no ticket") from (
+                mint_client.failure or mint_server.failure)
         client_kwargs["ticket"] = ticket
         server_kwargs["session_store"] = store
     if scenario.client_auth:

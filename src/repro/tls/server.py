@@ -17,33 +17,15 @@ import enum
 import hashlib
 
 from repro.crypto.drbg import Drbg
-from repro.pqc.registry import get_kem, get_sig
 from repro.tls import messages as msg
 from repro.tls.actions import Action, Compute, CryptoOp, Send
 from repro.tls.certs import Certificate, TrustStore
-from repro.tls.abort import AbortMixin
-from repro.tls.errors import (
-    CertificateRequired,
-    HandshakeFailure,
-    PeerAlert,
-    TlsError,
-    UnexpectedMessage,
-)
-from repro.tls.groups import GROUP_NAMES, SIGSCHEME_NAMES, group_id, sigscheme_id
-from repro.tls.keyschedule import KeySchedule, traffic_keys
+from repro.tls.endpoint import TlsEndpoint
+from repro.tls.errors import CertificateRequired, HandshakeFailure, UnexpectedMessage
+from repro.tls.groups import GROUP_NAMES, group_id, sigscheme_id
+from repro.tls.keyschedule import KeySchedule
+from repro.tls.records import CONTENT_CHANGE_CIPHER_SPEC, Record
 from repro.tls.ticket import ResumptionState, ServerSessionStore
-from repro.tls.records import (
-    CONTENT_ALERT,
-    CONTENT_CHANGE_CIPHER_SPEC,
-    CONTENT_HANDSHAKE,
-    Record,
-    RecordProtection,
-    content_type_name,
-    decode_alert,
-    encrypt_handshake_stream,
-    fragment_handshake,
-)
-from repro.tls.transcript import TranscriptHash
 
 _BUFFER_LIMIT = 4096
 
@@ -93,8 +75,16 @@ class _FlightBuffer:
         return []
 
 
-class TlsServer(AbortMixin):
+class TlsServer(TlsEndpoint):
     """One server-side handshake (fresh instance per connection)."""
+
+    _OWN = 1
+    _RECEIVING = {
+        "start": ("ClientHello", None),
+        "wait_cert": ("encrypted handshake", None),
+        "wait_cv": ("encrypted handshake", None),
+        "wait_fin": ("encrypted handshake", None),
+    }
 
     def __init__(self, kem_name: str, sig_name: str,
                  certificate: Certificate | list[Certificate] | tuple,
@@ -103,66 +93,43 @@ class TlsServer(AbortMixin):
                  client_auth: TrustStore | None = None,
                  session_store: ServerSessionStore | None = None,
                  issue_tickets: int = 0):
-        self.kem_name = kem_name
-        self.sig_name = sig_name
-        self._kem = get_kem(kem_name)
-        self._sig = get_sig(sig_name)
+        super().__init__(kem_name, sig_name, drbg)
         if isinstance(certificate, Certificate):
             self._chain = [certificate]
         else:
             self._chain = list(certificate)
-        self._certificate = self._chain[0]
         self._secret_key = secret_key
-        self._drbg = drbg
         self._policy = policy
         self._client_auth = client_auth
         self._session_store = session_store
         self._issue_tickets = issue_tickets
         if issue_tickets and session_store is None:
             raise HandshakeFailure("ticket issuance requires a session store")
-        self._transcript = TranscriptHash()
-        self._schedule = KeySchedule()
-        self._recv_buffer = b""
-        self._hs_stream = b""
-        self._fin_stream = b""  # reassembles a client Finished split across records
-        self._client_fin_protection: RecordProtection | None = None
-        self._app_send_protection: RecordProtection | None = None
-        self._app_recv_protection: RecordProtection | None = None
-        self._client_cert: Certificate | None = None
         self._retry_sent = False
-        self._auth_state = "fin"  # or "cert"/"cv" while client auth is pending
-        self.resumed = False
-        self._state = "start"
-        self.handshake_complete = False
-        self.bytes_out = 0
-        self.failed = False
-        self.failure: TlsError | None = None
-        self.alert_sent: int | None = None
-        self.alert_received: int | None = None
 
-    # -- main entry point (the guarded receive loop lives in AbortMixin) -----
-    def _handle_record(self, record: Record) -> list[Action]:
-        if record.content_type == CONTENT_CHANGE_CIPHER_SPEC:
-            return []
-        if record.content_type == CONTENT_ALERT:
-            _level, description = decode_alert(record.payload)
-            raise PeerAlert(description)
+    # -- receive path (record prelude and abort live in TlsEndpoint) ---------
+    def _handle_message(self, msg_type: int, body: bytes, raw: bytes) -> list[Action]:
         if self._state == "start":
-            if record.content_type != CONTENT_HANDSHAKE:
-                raise UnexpectedMessage(
-                    "expected ClientHello, got "
-                    f"{content_type_name(record.content_type)} record")
-            self._hs_stream += record.payload
-            msgs, self._hs_stream = msg.iter_handshake_messages(self._hs_stream)
-            actions: list[Action] = []
-            for msg_type, body, raw in msgs:
-                if msg_type != msg.HT_CLIENT_HELLO:
-                    raise UnexpectedMessage(f"unexpected handshake type {msg_type}")
-                actions.extend(self._process_client_hello(body, raw))
-            return actions
-        if self._state == "wait_finished":
-            return self._process_client_finished(record)
-        raise UnexpectedMessage(f"record in state {self._state}")
+            if msg_type != msg.HT_CLIENT_HELLO:
+                raise UnexpectedMessage(f"unexpected handshake type {msg_type}")
+            return self._process_client_hello(body, raw)
+        # client flight: [Certificate + CertificateVerify +] Finished
+        if self._state == "wait_cert":
+            if msg_type != msg.HT_CERTIFICATE:
+                raise UnexpectedMessage("expected client Certificate")
+            cert_blobs = msg.decode_certificate(body)
+            if not cert_blobs:
+                raise CertificateRequired("client declined to authenticate")
+            return self._verify_peer_chain(cert_blobs, raw, self._client_auth,
+                                           None, "CliCert", "client ")
+        if self._state == "wait_cv":
+            if msg_type != msg.HT_CERTIFICATE_VERIFY:
+                raise UnexpectedMessage("expected client CertificateVerify")
+            return self._verify_peer_signature(
+                body, raw, msg.CERTIFICATE_VERIFY_CLIENT_CONTEXT, "CliCV", "client ")
+        if msg_type != msg.HT_FINISHED:
+            raise UnexpectedMessage(f"unexpected handshake type {msg_type}")
+        return self._process_finished(body, raw)
 
     # -- ClientHello -> full server flight ------------------------------------
     def _process_client_hello(self, body: bytes, raw: bytes) -> list[Action]:
@@ -201,24 +168,20 @@ class TlsServer(AbortMixin):
             psk_selected=self.resumed,
         ).encode()
         self._transcript.update(server_hello)
-        sh_records = b"".join(r.encode() for r in fragment_handshake(server_hello))
         ccs = Record(CONTENT_CHANGE_CIPHER_SPEC, b"\x01").encode()
-        actions.extend(buffer.add(sh_records + ccs, "SH", push_now=True))
+        actions.extend(buffer.add(self._wire(server_hello) + ccs, "SH", push_now=True))
 
-        self._schedule.set_shared_secret(shared_secret, self._transcript.digest())
+        self._set_handshake_keys(shared_secret)
         actions.append(Compute((
             CryptoOp("key_schedule", detail="SH"),
             CryptoOp("tls_frame", size=len(server_hello), detail="SH"),
         )))
-        send_protection = RecordProtection(traffic_keys(self._schedule.server_hs_secret))
-        self._client_fin_protection = RecordProtection(
-            traffic_keys(self._schedule.client_hs_secret)
-        )
 
         encrypted_ext = msg.encode_encrypted_extensions()
         self._transcript.update(encrypted_ext)
         flight = encrypted_ext
         flight_label = "EE"
+        next_state = "wait_fin"
         if not self.resumed:
             if self._client_auth is not None:
                 cert_request = msg.encode_certificate_request(
@@ -227,60 +190,42 @@ class TlsServer(AbortMixin):
                 self._transcript.update(cert_request)
                 flight += cert_request
                 flight_label += "+CR"
-                self._auth_state = "cert"
+                next_state = "wait_cert"
             cert_msg = msg.encode_certificate(
                 [cert.encode() for cert in self._chain]
             )
             self._transcript.update(cert_msg)
             flight += cert_msg
             flight_label += "+Cert"
-        records = b"".join(
-            r.encode() for r in encrypt_handshake_stream(send_protection, flight)
-        )
         actions.append(Compute((
             CryptoOp("record_crypt", size=len(flight), detail=flight_label),
             CryptoOp("tls_frame", size=len(flight), detail=flight_label),
         )))
-        actions.extend(buffer.add(records, flight_label, push_now=True))
+        actions.extend(buffer.add(self._wire(flight, self._send_protection),
+                                  flight_label, push_now=True))
 
         if not self.resumed:
-            cv_payload = (
-                msg.CERTIFICATE_VERIFY_SERVER_CONTEXT + self._transcript.digest()
-            )
-            actions.append(
-                Compute((CryptoOp("sig_sign", self.sig_name, detail="CV"),)))
-            signature = self._sig.sign(self._secret_key, cv_payload, self._drbg)
-            cert_verify = msg.encode_certificate_verify(
-                sigscheme_id(self.sig_name), signature
-            )
-            self._transcript.update(cert_verify)
-            cv_records = b"".join(
-                r.encode()
-                for r in encrypt_handshake_stream(send_protection, cert_verify)
-            )
+            sign_cost, cert_verify = self._sign_transcript(
+                self._secret_key, msg.CERTIFICATE_VERIFY_SERVER_CONTEXT, "CV")
+            actions.append(sign_cost)
             actions.append(Compute((
                 CryptoOp("record_crypt", size=len(cert_verify), detail="CV"),
                 CryptoOp("tls_frame", size=len(cert_verify), detail="CV"),
             )))
-            actions.extend(buffer.add(cv_records, "CV", push_now=False))
+            actions.extend(buffer.add(self._wire(cert_verify, self._send_protection),
+                                      "CV", push_now=False))
 
-        verify_data = self._schedule.finished_verify_data(
-            self._schedule.server_hs_secret, self._transcript.digest()
-        )
-        finished = msg.encode_finished(verify_data)
-        self._transcript.update(finished)
-        fin_records = b"".join(
-            r.encode() for r in encrypt_handshake_stream(send_protection, finished)
-        )
+        finished = self._finished(self._schedule.server_hs_secret)
         actions.append(Compute((
             CryptoOp("finished_mac", detail="Fin"),
             CryptoOp("record_crypt", size=len(finished), detail="Fin"),
         )))
-        actions.extend(buffer.add(fin_records, "Fin", push_now=False))
+        actions.extend(buffer.add(self._wire(finished, self._send_protection),
+                                  "Fin", push_now=False))
         actions.extend(buffer.finish())
 
         self._schedule.derive_master(self._transcript.digest())
-        self._state = "wait_finished"
+        self._state = next_state
         for action in actions:
             if isinstance(action, Send):
                 self.bytes_out += len(action.data)
@@ -297,14 +242,12 @@ class TlsServer(AbortMixin):
             key_share=b"",
         ).encode()
         self._transcript.update(retry)
-        wire = b"".join(r.encode() for r in fragment_handshake(retry))
-        self.bytes_out += len(wire)
         return [
             Compute((
                 CryptoOp("tls_frame", size=len(raw), detail="CH1"),
                 CryptoOp("tls_frame", size=len(retry), detail="HRR"),
             )),
-            Send(wire, "HRR"),
+            self._send(self._wire(retry), "HRR"),
         ]
 
     def _redeem_psk(self, hello: msg.ClientHello, raw: bytes) -> bytes | None:
@@ -326,75 +269,8 @@ class TlsServer(AbortMixin):
             raise HandshakeFailure("PSK binder verification failed")
         return state.psk
 
-    # -- client flight: [Certificate + CertificateVerify +] Finished ----------
-    def _process_client_finished(self, record: Record) -> list[Action]:
-        content_type, plaintext = self._client_fin_protection.decrypt(record)
-        if content_type != CONTENT_HANDSHAKE:
-            raise UnexpectedMessage(
-                "expected encrypted handshake record, got inner "
-                f"{content_type_name(content_type)}")
-        # a flight split across record boundaries (RFC 8446 §5.1 allows any
-        # fragmentation) reassembles here; incomplete tails wait for more bytes
-        self._fin_stream += plaintext
-        msgs, self._fin_stream = msg.iter_handshake_messages(self._fin_stream)
-        actions: list[Action] = []
-        for msg_type, body, raw in msgs:
-            if self._auth_state == "cert":
-                actions.extend(self._process_client_certificate(msg_type, body, raw))
-            elif self._auth_state == "cv":
-                actions.extend(
-                    self._process_client_certificate_verify(msg_type, body, raw))
-            else:
-                actions.extend(self._process_finished_message(msg_type, body, raw))
-        return actions
-
-    def _process_client_certificate(self, msg_type: int, body: bytes,
-                                    raw: bytes) -> list[Action]:
-        if msg_type != msg.HT_CERTIFICATE:
-            raise UnexpectedMessage("expected client Certificate")
-        cert_blobs = msg.decode_certificate(body)
-        if not cert_blobs:
-            raise CertificateRequired("client declined to authenticate")
-        chain = [Certificate.decode(blob) for blob in cert_blobs]
-        leaf = self._client_auth.verify_chain(chain)
-        if leaf.algorithm != self.sig_name:
-            raise HandshakeFailure(
-                f"client certificate uses {leaf.algorithm}, expected {self.sig_name}")
-        self._client_cert = leaf
-        self._transcript.update(raw)
-        self._auth_state = "cv"
-        return [Compute((
-            CryptoOp("tls_frame", size=len(raw), detail="CliCert"),
-            CryptoOp("cert_verify", self.sig_name, detail="CliCert"),
-        ))]
-
-    def _process_client_certificate_verify(self, msg_type: int, body: bytes,
-                                           raw: bytes) -> list[Action]:
-        if msg_type != msg.HT_CERTIFICATE_VERIFY:
-            raise UnexpectedMessage("expected client CertificateVerify")
-        scheme_id, signature = msg.decode_certificate_verify(body)
-        scheme_name = SIGSCHEME_NAMES.get(scheme_id)
-        if scheme_name != self.sig_name:
-            raise HandshakeFailure(
-                f"unexpected client CertificateVerify scheme {scheme_name}")
-        payload = msg.CERTIFICATE_VERIFY_CLIENT_CONTEXT + self._transcript.digest()
-        scheme = get_sig(self.sig_name)
-        if not scheme.verify(self._client_cert.public_key, payload, signature):
-            raise HandshakeFailure("client CertificateVerify signature invalid")
-        self._transcript.update(raw)
-        self._auth_state = "fin"
-        return [Compute((CryptoOp("sig_verify", self.sig_name, detail="CliCV"),))]
-
-    def _process_finished_message(self, msg_type: int, body: bytes,
-                                  raw: bytes) -> list[Action]:
-        if msg_type != msg.HT_FINISHED:
-            raise UnexpectedMessage(f"unexpected handshake type {msg_type}")
-        expected = self._schedule.finished_verify_data(
-            self._schedule.client_hs_secret, self._transcript.digest()
-        )
-        if body != expected:
-            raise HandshakeFailure("client Finished verification failed")
-        self._transcript.update(raw)
+    def _process_finished(self, body: bytes, raw: bytes) -> list[Action]:
+        self._check_peer_finished(body, raw, self._schedule.client_hs_secret, "client ")
         self.handshake_complete = True
         self._state = "connected"
         actions: list[Action] = [Compute((
@@ -423,34 +299,9 @@ class TlsServer(AbortMixin):
             ticket = msg.NewSessionTicket(
                 lifetime=7200, age_add=age_add, nonce=nonce, ticket=identity
             ).encode()
-            records = b"".join(
-                r.encode()
-                for r in encrypt_handshake_stream(send_protection, ticket)
-            )
             actions.append(Compute((
                 CryptoOp("session_ticket", detail="NST"),
                 CryptoOp("record_crypt", size=len(ticket), detail="NST"),
             )))
-            actions.append(Send(records, "NST"))
-            self.bytes_out += len(records)
+            actions.append(self._send(self._wire(ticket, send_protection), "NST"))
         return actions
-
-    def app_protections(self) -> tuple[RecordProtection, RecordProtection]:
-        """(send, receive) protections over the application secrets.
-
-        Shared with post-handshake traffic (NewSessionTicket issuance) so a
-        :class:`~repro.tls.session.SecureChannel` adopting them continues
-        the same record sequence instead of reusing nonces.
-        """
-        client_secret, server_secret = self.application_secrets
-        if self._app_send_protection is None:
-            self._app_send_protection = RecordProtection(traffic_keys(server_secret))
-        if self._app_recv_protection is None:
-            self._app_recv_protection = RecordProtection(traffic_keys(client_secret))
-        return self._app_send_protection, self._app_recv_protection
-
-    @property
-    def application_secrets(self) -> tuple[bytes, bytes]:
-        if not self.handshake_complete:
-            raise HandshakeFailure("handshake not complete")
-        return self._schedule.client_app_secret, self._schedule.server_app_secret

@@ -11,7 +11,7 @@ protected records in one direction and opens them in the other. The
 channel also speaks the two post-handshake messages that ride on the
 application keys: KeyUpdate (§4.6.3) rotates its traffic secrets in
 either direction, and NewSessionTicket messages are handed to the
-owning client's session cache.
+owning endpoint (a client stores them in its session cache).
 """
 
 from __future__ import annotations
@@ -34,49 +34,24 @@ _MAX_CHUNK = 2 ** 14 - 256
 class SecureChannel:
     """One endpoint's view of the established application-data channel."""
 
-    def __init__(self, send_secret: bytes, receive_secret: bytes, *,
-                 send_protection: RecordProtection | None = None,
-                 receive_protection: RecordProtection | None = None,
-                 ticket_sink=None):
-        self._send_secret = send_secret
-        self._receive_secret = receive_secret
-        self._send = send_protection or RecordProtection(traffic_keys(send_secret))
-        self._receive = (receive_protection
-                         or RecordProtection(traffic_keys(receive_secret)))
-        self._ticket_sink = ticket_sink
+    def __init__(self, endpoint):
+        """Adopt a completed endpoint's application keys.
+
+        The record protections come from ``endpoint.app_protections()``:
+        when the endpoint already exchanged post-handshake messages
+        (NewSessionTicket) their sequence numbers have advanced, and the
+        channel must continue them rather than restart at zero (nonce
+        reuse). NewSessionTickets go to ``endpoint.accept_ticket``.
+        """
+        self._send_secret, self._receive_secret = endpoint.app_traffic_secrets
+        self._send, self._receive = endpoint.app_protections()
+        self._accept_ticket = endpoint.accept_ticket
         self._buffer = b""
         self._hs_stream = b""
         self.pending_out = b""       # auto-responses (KeyUpdate replies)
         self.send_generation = 0     # KeyUpdate epochs on each direction
         self.receive_generation = 0
         self.closed = False
-
-    # -- constructors ------------------------------------------------------
-    #
-    # When the endpoint already exchanged post-handshake messages
-    # (NewSessionTicket) its application-key record protections exist with
-    # advanced sequence numbers; the channel must adopt them rather than
-    # restart at zero (nonce reuse). Otherwise fresh protections are built.
-    @classmethod
-    def for_client(cls, tls_client) -> "SecureChannel":
-        client_secret, server_secret = tls_client.application_secrets
-        return cls(
-            send_secret=client_secret,
-            receive_secret=server_secret,
-            send_protection=tls_client._app_send_protection,
-            receive_protection=tls_client._app_recv_protection,
-            ticket_sink=tls_client._process_session_ticket,
-        )
-
-    @classmethod
-    def for_server(cls, tls_server) -> "SecureChannel":
-        client_secret, server_secret = tls_server.application_secrets
-        return cls(
-            send_secret=server_secret,
-            receive_secret=client_secret,
-            send_protection=tls_server._app_send_protection,
-            receive_protection=tls_server._app_recv_protection,
-        )
 
     # -- sending -----------------------------------------------------------
     def send(self, data: bytes) -> bytes:
@@ -149,7 +124,7 @@ class SecureChannel:
     def _handle_post_handshake(self, data: bytes) -> None:
         self._hs_stream += data
         msgs, self._hs_stream = msg.iter_handshake_messages(self._hs_stream)
-        for msg_type, body, _raw in msgs:
+        for msg_type, body, raw in msgs:
             if msg_type == msg.HT_KEY_UPDATE:
                 requested = msg.decode_key_update(body)
                 self._receive_secret = KeySchedule.next_traffic_secret(
@@ -158,11 +133,8 @@ class SecureChannel:
                 self.receive_generation += 1
                 if requested:
                     self.pending_out += self.initiate_key_update(False)
-            elif msg_type == msg.HT_NEW_SESSION_TICKET and self._ticket_sink:
-                self._ticket_sink(body, _raw)
             elif msg_type == msg.HT_NEW_SESSION_TICKET:
-                # a client with no session cache ignores tickets (§4.6.1)
-                continue
+                self._accept_ticket(body, raw)
             else:
                 raise DecodeError(
                     f"unexpected post-handshake message type {msg_type}")
@@ -175,4 +147,4 @@ class SecureChannel:
 
 def establish_channels(tls_client, tls_server) -> tuple[SecureChannel, SecureChannel]:
     """Channels for both ends of a completed handshake (testing helper)."""
-    return SecureChannel.for_client(tls_client), SecureChannel.for_server(tls_server)
+    return SecureChannel(tls_client), SecureChannel(tls_server)

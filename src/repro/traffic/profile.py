@@ -41,14 +41,11 @@ from repro.crypto.drbg import Drbg
 from repro.netsim.costmodel import CostModel
 from repro.netsim.netem import SCENARIOS, NetemConfig
 from repro.netsim.scripted import HandshakeScript, ScriptedSend, scripted_apps
-from repro.netsim.testbed import run_simulated_handshake
+from repro.netsim.packets import HEADER_OVERHEAD
+from repro.netsim.tcp import MSS
+from repro.netsim.testbed import first_byte_transit, run_simulated_handshake
 from repro.tls.actions import Compute
 from repro.tls.server import BufferPolicy
-
-# Wire framing used for the analytic transit legs: TCP/IPv4/Ethernet
-# header bytes per segment on top of the TLS stream bytes.
-_MSS = 1448
-_HEADER_BYTES = 66
 
 
 class CalibrationError(RuntimeError):
@@ -83,11 +80,12 @@ class HandshakeProfile:
 
 
 def _transit(stream_bytes: int, scenario: NetemConfig) -> float:
-    """One-way flight time of a TLS stream chunk: propagation + wire."""
+    """One-way flight time of a TLS stream chunk: propagation + wire, with
+    the simulator's TCP/IPv4/Ethernet framing on every MSS segment."""
     if stream_bytes <= 0:
         return scenario.one_way_delay
-    segments = (stream_bytes + _MSS - 1) // _MSS
-    wire_bits = 8.0 * (stream_bytes + _HEADER_BYTES * segments)
+    segments = (stream_bytes + MSS - 1) // MSS
+    wire_bits = 8.0 * (stream_bytes + HEADER_OVERHEAD * segments)
     return scenario.one_way_delay + wire_bits / scenario.rate_bps
 
 
@@ -154,7 +152,7 @@ def build_profile(kem: str, sig: str, scenario: str = "none",
     # burst A overruns the calibrated SH timing (tooling is charged at
     # accept time, before the CH fully arrived) the gap clamps to zero
     b_gap = max(0.0, b_enqueue - (a_enqueue + burst_a))
-    resp_transit = _transit(_MSS, netem)
+    resp_transit = first_byte_transit(netem)
     ttfb = (a_enqueue + burst_a + b_gap) + burst_b + resp_transit
 
     return HandshakeProfile(

@@ -1,5 +1,7 @@
 """Handshake script recording and replay mechanics."""
 
+import hashlib
+
 import pytest
 
 from repro.netsim.scripted import (
@@ -95,3 +97,102 @@ def test_handshake_complete_semantics():
     assert not app.handshake_complete  # milestones done but bytes short
     app.receive(b"67")
     assert app.handshake_complete
+
+
+# -- pinned recordings: the byte-identical spec for the TLS endpoints ---------
+
+def _script_digest(script) -> str:
+    """sha256 over a canonical encoding of both sides' milestones."""
+    def side(milestones, total_in):
+        encoded = []
+        for milestone in milestones:
+            actions = []
+            for action in milestone.actions:
+                if isinstance(action, ScriptedSend):
+                    actions.append(("send", action.length, action.label))
+                else:
+                    actions.append(tuple(("op", op.op, op.algorithm, op.size,
+                                          op.detail) for op in action.ops))
+            encoded.append((milestone.after_bytes, tuple(actions)))
+        return tuple(encoded), total_in
+
+    canonical = (side(script.client_milestones, script.client_total_in),
+                 side(script.server_milestones, script.server_total_in))
+    return hashlib.sha256(repr(canonical).encode()).hexdigest()
+
+
+def _wire_digest(kem, sig, policy, session) -> str:
+    """sha256 of the bytes each side sends in one whole-buffer lockstep run
+    of the endpoints ``record_script`` builds (lengths alone would miss a
+    reordered DRBG draw)."""
+    from repro.crypto.drbg import Drbg
+    from repro.netsim.scripted import (
+        load_chain_credentials,
+        load_client_credentials,
+    )
+    from repro.tls.scenarios import build_session_endpoints
+
+    label = f"script:{kem}:{sig}:{policy.value}:paper"
+    if session != "full":
+        label += f":{session}"
+    cert, sk, store = load_chain_credentials(sig)
+    client_credentials = (load_client_credentials(sig)
+                          if session == "mtls" else None)
+    client, server = build_session_endpoints(
+        session, kem, sig, cert, sk, store, Drbg(label), policy=policy,
+        client_credentials=client_credentials)
+
+    def sends(actions):
+        return b"".join(a.data for a in actions if isinstance(a, Send))
+
+    client_wire = to_server = sends(client.start())
+    server_wire = b""
+    while to_server:
+        to_client = sends(server.receive(to_server))
+        server_wire += to_client
+        to_server = sends(client.receive(to_client)) if to_client else b""
+        client_wire += to_server
+    assert client.handshake_complete and server.handshake_complete
+    return hashlib.sha256(client_wire + b"|" + server_wire).hexdigest()
+
+
+PINNED_RECORDINGS = {
+    ('full', 'default'): (
+        'be16dc9d74d41f359655fdb326359f681b82935871f4df593ed37e3529ad5862',
+        'e9d8c5a667888adc676580cf98a7f4370527ad579249e5f047dcb0ce653d5819'),
+    ('full', 'optimized'): (
+        '7b24bcfb2e9a366923dcb057d73d6f707291243eecbf7d5431c2032525c81caf',
+        '0695e5432f54e0a13b6a5d850e7a753abf0d5b773b3a2d4b206a4c63e6f7e349'),
+    ('resume', 'default'): (
+        '5f173a19027c86758791b858480a0a981d15e6e2008326e9ce5dd97aa78c2894',
+        'b147e941d8968440c690d96f258d457b90c35808a5e430d7b07d688592468426'),
+    ('resume', 'optimized'): (
+        'cc4b70d71112939c728aa9cd13b59a73d698382f39e7b114ee922320a0dfa756',
+        '4295662680ce61aa4916eb0c9aebfa32aedee11d4c56d835d488ff8db5627654'),
+    ('mtls', 'default'): (
+        '7aa691510c7c422073cc80bbed59ed185c6777e512d347305392c750790e3c43',
+        '60b8400537e51a46d961b92333dbfbc554d9ef8d306fd70bc87e2a04b72a5354'),
+    ('mtls', 'optimized'): (
+        '05480611a721b4438e11495757b3ac9c48451b06a28fb72e803621af83b45387',
+        'f920960c50690c0d39a625ead019c25452761d0be62b5f68da2632ccd06365e8'),
+    ('hrr', 'default'): (
+        '050250812ff79ae07c0ff862403d230751ff867b6528227637b288ef2c1d3c40',
+        '1243d385c2936da7c332eccc97762aa61c8a72bc073355a8e252633312aa351d'),
+    ('hrr', 'optimized'): (
+        'c6327db0aa887401e798bb91419a2ccbd6039913c135554a2bec7648f7921e28',
+        '39e4bf49c2ef7feceed382e02c17f964b498fa2543c6f9a3a6093b5886f49b82'),
+}
+
+
+@pytest.mark.kernels
+@pytest.mark.parametrize("policy", list(BufferPolicy), ids=lambda p: p.value)
+@pytest.mark.parametrize("session", ["full", "resume", "mtls", "hrr"])
+def test_recorded_scripts_and_wire_are_pinned(session, policy, tmp_path,
+                                              monkeypatch):
+    """Scripts and wire bytes of kyber512/dilithium2 recordings never move:
+    every simulated table replays these ops and flight lengths."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    script = record_script("kyber512", "dilithium2", policy, session=session)
+    digests = (_script_digest(script),
+               _wire_digest("kyber512", "dilithium2", policy, session))
+    assert digests == PINNED_RECORDINGS[session, policy.value]

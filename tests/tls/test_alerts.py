@@ -118,14 +118,13 @@ def test_malformed_garbage_aborts_with_decode_error():
 def test_client_finished_split_across_records(monkeypatch):
     """RFC 8446 §5.1: a handshake message may span records. The server must
     reassemble a client Finished whose bytes arrive in two TLS records."""
-    from repro.tls import client as client_module
+    from repro.tls import endpoint as endpoint_module
 
     def split_in_two(protection, payload):
         mid = len(payload) // 2
         return [protection.encrypt(CONTENT_HANDSHAKE, payload[:mid]),
                 protection.encrypt(CONTENT_HANDSHAKE, payload[mid:])]
 
-    monkeypatch.setattr(client_module, "encrypt_handshake_stream", split_in_two)
     drbg = Drbg("split-fin")
     cert, sk, store = make_server_credentials("rsa:1024", drbg.fork("ca"))
     client = TlsClient("x25519", "rsa:1024", store, drbg.fork("c"))
@@ -133,6 +132,9 @@ def test_client_finished_split_across_records(monkeypatch):
     hello = b"".join(a.data for a in client.start() if isinstance(a, Send))
     flight = b"".join(a.data for a in server.receive(hello)
                       if isinstance(a, Send))
+    # both roles protect through the shared endpoint core: split from here
+    # on, so only the client's Finished flight is fragmented
+    monkeypatch.setattr(endpoint_module, "encrypt_handshake_stream", split_in_two)
     fin = b"".join(a.data for a in client.receive(flight)
                    if isinstance(a, Send))
     # deliver the two Finished records one at a time, as TCP might

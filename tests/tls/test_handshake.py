@@ -12,6 +12,7 @@ from repro.tls.errors import (
     BadRecordMac,
     HandshakeFailure,
 )
+from repro.tls.scenarios import run_lockstep
 from repro.tls.server import BufferPolicy, TlsServer
 
 
@@ -23,14 +24,9 @@ def lockstep(kem, sig, policy=BufferPolicy.OPTIMIZED, seed="hs-test",
     cert, sk, store = creds
     client = TlsClient(kem, sig, store, drbg.fork("client"), **(client_kwargs or {}))
     server = TlsServer(kem, sig, cert, sk, drbg.fork("server"), policy=policy)
-    actions = client.start()
-    client_out = b"".join(a.data for a in actions if isinstance(a, Send))
-    server_actions = server.receive(client_out)
-    server_out = b"".join(a.data for a in server_actions if isinstance(a, Send))
-    client_actions = client.receive(server_out)
-    fin = b"".join(a.data for a in client_actions if isinstance(a, Send))
-    server.receive(fin)
-    return client, server, [a for a in server_actions if isinstance(a, Send)]
+    _client_log, server_log = run_lockstep(client, server)
+    return client, server, [a for _offset, actions in server_log
+                            for a in actions if isinstance(a, Send)]
 
 
 FAST_COMBOS = [

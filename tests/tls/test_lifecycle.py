@@ -18,6 +18,7 @@ from repro.tls.certs import (
 )
 from repro.tls.client import TlsClient
 from repro.tls.errors import CertificateRequired, HandshakeFailure
+from repro.tls.scenarios import run_lockstep
 from repro.tls.server import TlsServer
 from repro.tls.session import establish_channels
 from repro.tls.ticket import ServerSessionStore, SessionCache
@@ -30,28 +31,18 @@ def _sends(actions) -> bytes:
     return b"".join(a.data for a in actions if isinstance(a, Send))
 
 
-def pump(client, server, rounds: int = 6):
+def pump(client, server, check: bool = True):
     """Lockstep a sans-io client/server pair until quiescent.
 
-    Returns the concatenated (client wire, server wire) byte streams.
+    Returns the concatenated (client wire, server wire) byte streams;
+    ``check`` asserts neither endpoint failed.
     """
-    to_server = _sends(client.start())
-    to_client = b""
-    client_wire, server_wire = to_server, b""
-    for _ in range(rounds):
-        if to_server:
-            to_client = _sends(server.receive(to_server))
-            server_wire += to_client
-            to_server = b""
-        if to_client:
-            to_server = _sends(client.receive(to_client))
-            client_wire += to_server
-            to_client = b""
-        if not to_server and not to_client:
-            break
-    assert not client.failed, client.failure
-    assert not server.failed, server.failure
-    return client_wire, server_wire
+    client_log, server_log = run_lockstep(client, server)
+    if check:
+        assert not client.failed, client.failure
+        assert not server.failed, server.failure
+    return tuple(b"".join(_sends(actions) for _offset, actions in log)
+                 for log in (client_log, server_log))
 
 
 @pytest.fixture(scope="module")
@@ -202,8 +193,8 @@ def test_mutual_tls(credentials):
                        client_auth=client_trust)
     pump(client, server)
     assert client.handshake_complete and server.handshake_complete
-    assert server._client_cert is not None
-    assert server._client_cert.subject == "client.repro.test"
+    assert server._peer_cert is not None
+    assert server._peer_cert.subject == "client.repro.test"
 
     # client bytes grow by at least its certificate chain vs a plain run
     drbg = Drbg("lifecycle-mtls-twin")
@@ -231,6 +222,53 @@ def test_mtls_without_client_credentials_fails(credentials):
     server.receive(to_server)
     assert server.failed
     assert isinstance(server.failure, CertificateRequired)
+
+
+# Both roles authenticate their peer: each row breaks one side's proof and
+# names the endpoint that must reject it with handshake_failure (40).
+AUTH_FAILURES = {
+    "server-cv-key": ("client", "CertificateVerify signature invalid"),
+    "client-cv-key": ("server", "client CertificateVerify signature invalid"),
+    "client-chain-untrusted": (
+        "server", "bad issuer signature on 'client.repro.test'"),
+    "server-chain-untrusted": (
+        "client", "bad issuer signature on 'server.repro.test'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AUTH_FAILURES))
+def test_peer_authentication_failures(case):
+    auth_kem, auth_sig = "x25519", "dilithium2"
+    drbg = Drbg(f"lifecycle-auth-{case}")
+    cert, sk, trust = make_server_credentials(auth_sig, drbg.fork("ca"))
+    _rogue_cert, rogue_sk, rogue_trust = make_server_credentials(
+        auth_sig, drbg.fork("rogue-ca"))
+    client_chain, client_sk, client_trust = make_client_credentials(
+        auth_sig, drbg.fork("client-ca"))
+    _rogue_chain, rogue_client_sk, rogue_client_trust = make_client_credentials(
+        auth_sig, drbg.fork("rogue-client-ca"))
+    if case == "server-cv-key":
+        sk = rogue_sk
+    elif case == "client-cv-key":
+        client_sk = rogue_client_sk
+    elif case == "client-chain-untrusted":
+        client_trust = rogue_client_trust
+    else:
+        trust = rogue_trust
+    client = TlsClient(auth_kem, auth_sig, trust, drbg.fork("c"),
+                       credentials=(client_chain, client_sk))
+    server = TlsServer(auth_kem, auth_sig, cert, sk, drbg.fork("s"),
+                       client_auth=client_trust)
+    pump(client, server, check=False)
+
+    side, message = AUTH_FAILURES[case]
+    failing, peer = (client, server) if side == "client" else (server, client)
+    assert failing.failed and not failing.handshake_complete
+    assert type(failing.failure) is HandshakeFailure
+    assert str(failing.failure) == message
+    assert failing.alert_sent == 40 and failing.alert_received is None
+    assert peer.failed and peer.alert_received == 40
+    assert peer.alert_sent is None
 
 
 def test_intermediate_chain_verifies():

@@ -12,8 +12,10 @@ from repro.tls.server import TlsServer
 from repro.tls.session import SecureChannel, establish_channels
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def completed_handshake():
+    # one handshake per test: channels adopt the endpoints' application
+    # record protections, so their sequence numbers are per-session state
     drbg = Drbg("session-test")
     cert, sk, store = make_server_credentials("dilithium2", drbg.fork("ca"))
     client = TlsClient("kyber512", "dilithium2", store, drbg.fork("c"))
@@ -80,7 +82,7 @@ def test_close_notify_flow(completed_handshake):
         client_chan.send(b"after close")
     with pytest.raises(TlsError):
         server_chan.receive(
-            SecureChannel.for_client(completed_handshake[0]).send(b"x"))
+            SecureChannel(completed_handshake[0]).send(b"x"))
 
 
 def test_malformed_alert_is_decode_error(completed_handshake):
@@ -144,4 +146,4 @@ def test_channels_require_completed_handshake():
     client = TlsClient("x25519", "rsa:1024",
                        make_server_credentials("rsa:1024", Drbg("q"))[2], Drbg("c"))
     with pytest.raises(Exception):
-        SecureChannel.for_client(client)
+        SecureChannel(client)
