@@ -158,10 +158,7 @@ def aes_ctr_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
 def _aes_ctr_keystream_fast(key: bytes, nonce: bytes, length: int) -> bytes:
     if len(nonce) != 12:
         raise ValueError("CTR nonce must be 12 bytes")
-    encrypt = cached_cipher(key).encrypt_block
-    return b"".join(
-        encrypt(nonce + counter.to_bytes(4, "big"))
-        for counter in range((length + 15) // 16))[:length]
+    return _fast.ctr_keystream(cached_cipher(key), nonce, 0, (length + 15) // 16)[:length]
 
 
 class CtrBlockSource:
@@ -176,7 +173,7 @@ class CtrBlockSource:
     def __init__(self, key: bytes, nonce: bytes, chunk: int = 168):
         if len(nonce) != 12:
             raise ValueError("CTR nonce must be 12 bytes")
-        self._encrypt = cached_cipher(key).encrypt_block
+        self._cipher = cached_cipher(key)
         self._nonce = nonce
         self._chunk = chunk
 
@@ -184,9 +181,7 @@ class CtrBlockSource:
         start = self._chunk * ctr
         first = start // 16
         last = -(-(start + self._chunk) // 16)
-        nonce = self._nonce
-        stream = b"".join(self._encrypt(nonce + i.to_bytes(4, "big"))
-                          for i in range(first, last))
+        stream = _fast.ctr_keystream(self._cipher, self._nonce, first, last - first)
         offset = start - 16 * first
         return stream[offset:offset + self._chunk]
 

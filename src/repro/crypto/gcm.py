@@ -71,17 +71,13 @@ class AesGcm:
         return bytes(out)
 
     def _ctr_fast(self, initial: bytes, data: bytes) -> bytes:
-        # Same keystream, but XORed in one bigint operation instead of a
-        # per-byte generator.
+        # Same keystream, generated in one kernel pass from inc32(initial)
+        # and XORed in one bigint operation instead of a per-byte generator.
         if not data:
             return b""
-        encrypt = self._aes.encrypt_block
-        counter_block = initial
-        blocks = []
-        for _ in range((len(data) + 15) // 16):
-            counter_block = _inc32(counter_block)
-            blocks.append(encrypt(counter_block))
-        stream = b"".join(blocks)[:len(data)]
+        first = int.from_bytes(initial[12:], "big") + 1
+        stream = _fast_aes.ctr_keystream(
+            self._aes, initial[:12], first, (len(data) + 15) // 16)[:len(data)]
         xored = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
         return xored.to_bytes(len(data), "big")
 
@@ -122,6 +118,7 @@ class AesGcm:
 
 
 from repro.crypto import kernels as _kernels  # noqa: E402
+from repro.crypto.kernels import aes as _fast_aes  # noqa: E402
 from repro.crypto.kernels import gcm as _fast  # noqa: E402
 
 _kernels.bind(sys.modules[__name__], "_Ghash", ref=_Ghash, fast=_fast.Ghash)

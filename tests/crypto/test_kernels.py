@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto import kernels
 from repro.crypto.drbg import Drbg
@@ -59,12 +60,72 @@ def test_aes_block_ref_equals_fast():
 
 def test_aes_ctr_keystream_ref_equals_fast():
     from repro.crypto import aes
+    from repro.crypto.kernels.aes import _NUMPY_MIN_BLOCKS
 
     drbg = Drbg(b"kernels-ctr")
     key, nonce = drbg.random_bytes(16), drbg.random_bytes(12)
-    for length in (0, 1, 15, 16, 17, 500, 4096):
+    # the last two straddle the scalar/numpy switch of ctr_keystream
+    for length in (0, 1, 15, 16, 17, 500, 4096,
+                   16 * (_NUMPY_MIN_BLOCKS - 1), 16 * _NUMPY_MIN_BLOCKS):
         got = both_modes(lambda: aes.aes_ctr_keystream(key, nonce, length))
         assert got["ref"] == got["fast"], length
+
+
+@settings(max_examples=30, deadline=None)
+@given(key_len=st.sampled_from([16, 24, 32]),
+       prefix=st.binary(min_size=12, max_size=12),
+       first=st.one_of(st.sampled_from([0, 2**32 - 2, 2**32 - 1]),
+                       st.integers(0, 2**32 - 1)),
+       nblocks=st.integers(0, 300), data=st.data())
+def test_ctr_keystream_equals_reference_blocks(key_len, prefix, first, nblocks, data):
+    # one vectorised pass across the threshold and the 32-bit counter wrap
+    from repro.crypto.aes import AES
+    from repro.crypto.kernels.aes import ctr_keystream
+
+    cipher = AES(data.draw(st.binary(min_size=key_len, max_size=key_len)))
+    expected = b"".join(
+        cipher._encrypt_block_ref(prefix + ((first + i) % 2**32).to_bytes(4, "big"))
+        for i in range(nblocks))
+    assert ctr_keystream(cipher, prefix, first, nblocks) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(key=st.binary(min_size=16, max_size=16),
+       nonce=st.binary(min_size=12, max_size=12),
+       ctr=st.integers(0, 30), chunk=st.integers(1, 200))
+def test_ctr_block_source_equals_keystream_slice(key, nonce, ctr, chunk):
+    from repro.crypto import aes
+
+    with kernels.override("ref"):
+        expected = aes.aes_ctr_keystream(key, nonce, chunk * (ctr + 1))[chunk * ctr:]
+    assert aes.CtrBlockSource(key, nonce, chunk)(ctr) == expected
+
+
+def test_gcm_ctr_wraps_like_inc32():
+    from repro.crypto import gcm
+
+    drbg = Drbg(b"kernels-gcm-wrap")
+    key, nonce = drbg.random_bytes(16), drbg.random_bytes(12)
+    initial = nonce + b"\xff\xff\xff\xfe"
+    data = drbg.random_bytes(16 * 40 + 5)
+    cipher = gcm.AesGcm(key)
+    counter_block, stream = initial, b""
+    while len(stream) < len(data):
+        counter_block = gcm._inc32(counter_block)
+        stream += cipher._aes._encrypt_block_ref(counter_block)
+    expected = bytes(a ^ b for a, b in zip(data, stream))
+    got = both_modes(lambda: cipher._ctr(initial, data))
+    assert got["ref"] == got["fast"] == expected
+
+
+def test_importing_aes_and_gcm_loads_no_numpy():
+    # ctr_keystream imports numpy on its first vectorised call; code that
+    # only imports the record layer must not pay numpy's import and RSS
+    code = ("import sys, repro.crypto.aes, repro.crypto.gcm; "
+            "print('numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_aes_gcm_ref_equals_fast_and_tamper_detected():
