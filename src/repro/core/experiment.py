@@ -244,10 +244,6 @@ def run_experiment(config: ExperimentConfig, use_cache: bool = True,
         ttfbs.append(trace.ttfb)
         period = trace.wall_end + INTER_HANDSHAKE_GAP
         periods.append(period)
-        for lib, seconds in trace.client_cpu.items():
-            run_metrics.inc(f"cpu.client.{lib}", seconds)
-        for lib, seconds in trace.server_cpu.items():
-            run_metrics.inc(f"cpu.server.{lib}", seconds)
         elapsed += period
 
     if not totals:

@@ -26,6 +26,7 @@ reordering — come from an optional :class:`repro.faults.FaultPlan`:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,7 +34,6 @@ from repro.crypto.drbg import Drbg
 from repro.faults.plan import CORRUPT_DELIVER, FaultPlan
 from repro.netsim.eventloop import EventLoop
 from repro.netsim.packets import Segment
-from repro.obs.metrics import NULL_METRICS
 
 
 @dataclass(frozen=True)
@@ -97,22 +97,19 @@ class Link:
     def __init__(self, loop: EventLoop, config: NetemConfig, drbg: Drbg,
                  deliver: Callable[[Segment], None],
                  tap: Callable[[float, Segment], None] | None = None,
-                 plan: FaultPlan | None = None,
-                 metrics=NULL_METRICS, name: str = ""):
+                 plan: FaultPlan | None = None, name: str = ""):
         self._loop = loop
         self._config = config
         self._drbg = drbg
         self._deliver = deliver
         self._tap = tap
         self._plan = plan if plan is not None and plan.active else None
-        self._metrics = metrics
-        self._name = name or "link"
+        self.name = name or "link"
+        # fault events (dropped, duplicated, reordered, corrupted); the
+        # caller names and records them
+        self.tally: Counter = Counter()
         self._busy_until = 0.0
         self._data_frames = 0  # corrupt_nth counts payload-bearing frames
-
-    def _count(self, event: str) -> None:
-        if self._metrics.enabled:
-            self._metrics.inc(f"netem.{self._name}.{event}")
 
     def _flip_bit(self, segment: Segment) -> Segment:
         """A copy of *segment* with one DRBG-chosen payload bit flipped."""
@@ -121,7 +118,7 @@ class Link:
         payload[index] ^= 1 << self._drbg.randint_below(8)
         return Segment(segment.src, segment.dst, seq=segment.seq,
                        payload=bytes(payload), ack=segment.ack,
-                       syn=segment.syn, fin=segment.fin, push=segment.push,
+                       syn=segment.syn, push=segment.push,
                        is_ack_only=segment.is_ack_only, labels=segment.labels)
 
     def transmit(self, segment: Segment, _is_dup: bool = False) -> None:
@@ -147,20 +144,20 @@ class Link:
                 duplicate = True
             if plan.reorder and self._drbg.random() < plan.reorder:
                 extra_delay = plan.reorder_delay
-                self._count("reordered")
+                self.tally["reordered"] += 1
         # netem drops in the qdisc, before the rate stage: a dropped frame
         # never occupies the serializer. The tap still records it (taps sit
         # on the fiber before the receiver-side emulation) at the moment it
         # would have reached the wire.
         if self._drbg.random() < self._config.loss:
-            self._count("dropped")
+            self.tally["dropped"] += 1
             if self._tap is not None:
                 tap_time = max(self._loop.now, self._busy_until)
                 tap = self._tap
                 self._loop.schedule(max(0.0, tap_time - self._loop.now),
                                     lambda: tap(tap_time, segment))
             if duplicate:
-                self._count("duplicated")
+                self.tally["duplicated"] += 1
                 self.transmit(segment, _is_dup=True)
             return
         serialization = 8.0 * segment.wire_bytes / self._config.rate_bps
@@ -177,7 +174,7 @@ class Link:
                                 lambda: tap(tap_time, segment))
         deliverable = segment
         if corrupted:
-            self._count("corrupted")
+            self.tally["corrupted"] += 1
             if plan.corrupt_mode == CORRUPT_DELIVER:
                 deliverable = self._flip_bit(segment)
             else:
@@ -190,5 +187,5 @@ class Link:
             self._loop.schedule(max(0.0, arrival - self._loop.now),
                                 lambda: deliver(deliverable))
         if duplicate:
-            self._count("duplicated")
+            self.tally["duplicated"] += 1
             self.transmit(segment, _is_dup=True)

@@ -7,13 +7,10 @@ TCP with timestamps (32 B) = 66 B of headers per segment; SYN frames carry
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 HEADER_OVERHEAD = 66
 SYN_EXTRA_OPTIONS = 8
-
-_frame_counter = itertools.count()
 
 
 @dataclass
@@ -24,11 +21,9 @@ class Segment:
     payload: bytes
     ack: int                 # cumulative ack number
     syn: bool = False
-    fin: bool = False
     push: bool = False
     is_ack_only: bool = False
     labels: tuple[str, ...] = ()   # TLS flight labels carried (ground truth)
-    frame_id: int = field(default_factory=lambda: next(_frame_counter))
 
     @property
     def wire_bytes(self) -> int:
@@ -38,7 +33,7 @@ class Segment:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(
             flag for flag, on in
-            (("S", self.syn), ("F", self.fin), ("P", self.push), ("A", True)) if on
+            (("S", self.syn), ("P", self.push), ("A", True)) if on
         )
         return (f"<Seg {self.src}->{self.dst} seq={self.seq} len={len(self.payload)} "
                 f"{flags} {'/'.join(self.labels)}>")

@@ -24,12 +24,12 @@ flows never fill buffers).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable
 
 from repro.faults.errors import TransportError
 from repro.netsim.eventloop import EventLoop
 from repro.netsim.packets import Segment
-from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
 MSS = 1448
@@ -48,14 +48,13 @@ class TcpEndpoint:
     def __init__(self, loop: EventLoop, name: str, peer: str, *,
                  on_deliver: Callable[[bytes], None],
                  on_established: Callable[[], None] | None = None,
-                 tracer=NULL_TRACER, metrics=NULL_METRICS):
+                 tracer=NULL_TRACER):
         self._loop = loop
         self.name = name
         self.peer = peer
         self._on_deliver = on_deliver
         self._on_established = on_established
         self._tracer = tracer
-        self._metrics = metrics
         self._track = f"tcp-{name}"
         self._link = None
         self.state = "closed"
@@ -87,9 +86,11 @@ class TcpEndpoint:
         self._ooo: dict[int, Segment] = {}
         self._segs_since_ack = 0
         self._delack_token = 0
-        # stats (wire bytes including headers, as the paper reports)
-        self.bytes_sent = 0
-        self.packets_sent = 0
+        # the connection's facts, keyed by event (segments_sent, wire_bytes
+        # including headers, retransmits, ...), and the length of each
+        # send(); the caller names and records them
+        self.tally: Counter = Counter()
+        self.flights: list[int] = []
         # terminal failure (retransmission exhaustion): recorded, not raised
         self.failure: TransportError | None = None
 
@@ -116,8 +117,7 @@ class TcpEndpoint:
         """Queue application bytes ending in a PSH boundary."""
         if not data:
             return
-        if self._metrics.enabled:
-            self._metrics.observe(f"tcp.{self.name}.flight_bytes", len(data))
+        self.flights.append(len(data))
         start = self._snd_base + len(self._snd_buffer)
         self._snd_buffer.extend(data)
         end = start + len(data)
@@ -129,11 +129,8 @@ class TcpEndpoint:
 
     # -- internals --------------------------------------------------------------
     def _transmit(self, segment: Segment) -> None:
-        self.bytes_sent += segment.wire_bytes
-        self.packets_sent += 1
-        if self._metrics.enabled:
-            self._metrics.inc(f"tcp.{self.name}.segments_sent")
-            self._metrics.inc(f"tcp.{self.name}.wire_bytes", segment.wire_bytes)
+        self.tally["segments_sent"] += 1
+        self.tally["wire_bytes"] += segment.wire_bytes
         self._link.transmit(segment)
 
     def _labels_for(self, start: int, end: int) -> tuple[str, ...]:
@@ -197,7 +194,7 @@ class TcpEndpoint:
         self.state = "failed"
         self._pto_token += 1     # cancel the retransmission timer
         self._delack_token += 1  # and any pending delayed ACK
-        self._metrics.inc(f"tcp.{self.name}.failed")
+        self.tally["failed"] += 1
         if self._tracer.enabled:
             self._tracer.instant(self._track, "transport-failed", self._loop.now,
                                  reason=reason, retries=self._retries)
@@ -213,7 +210,7 @@ class TcpEndpoint:
             if self._tracer.enabled:
                 self._tracer.instant(self._track, "syn-retransmit",
                                      self._loop.now, retries=self._retries)
-            self._metrics.inc(f"tcp.{self.name}.syn_retransmits")
+            self.tally["syn_retransmits"] += 1
             self._transmit(Segment(self.name, self.peer, seq=0, payload=b"",
                                    ack=0, syn=True))
             self._arm_pto(INITIAL_RTO)
@@ -241,7 +238,7 @@ class TcpEndpoint:
             self._tracer.instant(self._track, "enter-recovery", self._loop.now,
                                  cwnd=self._cwnd, ssthresh=self._ssthresh)
             self._tracer.counter(self._track, "cwnd", self._loop.now, self._cwnd)
-        self._metrics.inc(f"tcp.{self.name}.recovery_episodes")
+        self.tally["recovery_episodes"] += 1
 
     def _retransmit(self, seq: int) -> None:
         segment = self._inflight[seq]
@@ -250,7 +247,7 @@ class TcpEndpoint:
         if self._tracer.enabled:
             self._tracer.instant(self._track, "retransmit", self._loop.now,
                                  seq=seq, bytes=segment.wire_bytes)
-        self._metrics.inc(f"tcp.{self.name}.retransmits")
+        self.tally["retransmits"] += 1
         self._transmit(segment)
 
     # -- segment reception ---------------------------------------------------------

@@ -141,6 +141,8 @@ def run_simulated_handshake(client_app: App, server_app: App, *,
     link directions. *tracer* / *metrics* default to the null
     implementations: an un-observed run takes exactly the
     pre-observability code paths and produces bit-identical traces.
+    This is the one writer of per-handshake instruments: TCP and netem
+    keep per-connection tallies, named here after the event loop settles.
     """
     loop = EventLoop()
     tap = Timestamper()
@@ -153,10 +155,10 @@ def run_simulated_handshake(client_app: App, server_app: App, *,
     client_tcp = TcpEndpoint(loop, "client", "server",
                              on_deliver=client_host.on_tcp_deliver,
                              on_established=client_established,
-                             tracer=tracer, metrics=metrics)
+                             tracer=tracer)
     server_tcp = TcpEndpoint(loop, "server", "client",
                              on_deliver=server_host.on_tcp_deliver,
-                             tracer=tracer, metrics=metrics)
+                             tracer=tracer)
 
     def deliver_to_server(segment):
         server_host.charge_packet()
@@ -172,10 +174,10 @@ def run_simulated_handshake(client_app: App, server_app: App, *,
         tap_s2c = _tapped(tap_s2c, tracer, "s2c")
     c2s = Link(loop, scenario, netem_drbg.fork("c2s"),
                deliver=deliver_to_server, tap=tap_c2s,
-               plan=plan, metrics=metrics, name="c2s")
+               plan=plan, name="c2s")
     s2c = Link(loop, scenario, netem_drbg.fork("s2c"),
                deliver=deliver_to_client, tap=tap_s2c,
-               plan=plan, metrics=metrics, name="s2c")
+               plan=plan, name="s2c")
     client_tcp.attach_link(c2s)
     server_tcp.attach_link(s2c)
     client_host.attach(client_tcp, client_app.receive)
@@ -210,8 +212,6 @@ def run_simulated_handshake(client_app: App, server_app: App, *,
         if tracer.enabled:
             tracer.instant("phases", f"failed:{outcome.key}", wall_end,
                            cat="phase", detail=outcome.detail)
-        if metrics.enabled:
-            metrics.inc(f"handshake.failures.{outcome.key}")
     if tracer.enabled and outcome.ok:
         # the phase lane Figure 1 defines, nested under one root span that
         # covers the entire simulated run (SYN to last trailing ACK)
@@ -227,11 +227,25 @@ def run_simulated_handshake(client_app: App, server_app: App, *,
     client_packets = tap.packets_in_direction("c2s")
     server_packets = tap.packets_in_direction("s2c")
     if metrics.enabled:
+        for tcp in (client_tcp, server_tcp):
+            for event, count in tcp.tally.items():
+                metrics.inc(f"tcp.{tcp.name}.{event}", count)
+            if tcp.flights:
+                metrics.histogram(f"tcp.{tcp.name}.flight_bytes").observe_many(
+                    tcp.flights)
+        for link in (c2s, s2c):
+            for event, count in link.tally.items():
+                metrics.inc(f"netem.{link.name}.{event}", count)
         if outcome.ok:
             metrics.observe("handshake.part_a", t_sh - t_ch)
             metrics.observe("handshake.part_b", t_fin - t_sh)
             metrics.observe("handshake.total", t_fin - t_ch)
             metrics.observe("handshake.ttfb", ttfb)
+            for host in (client_host, server_host):
+                for lib, seconds in host.cpu_by_library.items():
+                    metrics.inc(f"cpu.{host.role}.{lib}", seconds)
+        else:
+            metrics.inc(f"handshake.failures.{outcome.key}")
         metrics.inc("wire.c2s.bytes", client_wire_bytes)
         metrics.inc("wire.s2c.bytes", server_wire_bytes)
         metrics.inc("wire.c2s.packets", client_packets)

@@ -21,32 +21,10 @@ from repro.crypto.drbg import Drbg
 from repro.pqc.registry import get_sig
 from repro.pqc.sig import SignatureScheme
 from repro.tls.errors import DecodeError, HandshakeFailure
+from repro.tls.messages import _Reader, _vec
 
 # Typical X.509 envelope overhead (names, validity, SANs, key usage, OIDs)
 _METADATA_PAD = 120
-
-
-def _vec(data: bytes, length_bytes: int = 2) -> bytes:
-    return len(data).to_bytes(length_bytes, "big") + data
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def bytes(self, count: int) -> bytes:
-        if len(self._data) - self._pos < count:
-            raise DecodeError("certificate truncated")
-        out = self._data[self._pos: self._pos + count]
-        self._pos += count
-        return out
-
-    def vector(self, length_bytes: int = 2) -> bytes:
-        return self.bytes(int.from_bytes(self.bytes(length_bytes), "big"))
-
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
 
 
 @dataclass(frozen=True)
@@ -61,8 +39,8 @@ class Certificate:
     def tbs(self) -> bytes:
         """The to-be-signed portion."""
         return (
-            _vec(self.subject.encode())
-            + _vec(self.issuer.encode())
+            _vec(self.subject.encode(), 2)
+            + _vec(self.issuer.encode(), 2)
             + _vec(self.algorithm.encode(), 1)
             + _vec(self.public_key, 3)
             + _vec(self.issuer_algorithm.encode(), 1)
@@ -75,8 +53,8 @@ class Certificate:
     @classmethod
     def decode(cls, data: bytes) -> "Certificate":
         reader = _Reader(data)
-        subject = reader.vector().decode()
-        issuer = reader.vector().decode()
+        subject = reader.vector(2).decode()
+        issuer = reader.vector(2).decode()
         algorithm = reader.vector(1).decode()
         public_key = reader.vector(3)
         issuer_algorithm = reader.vector(1).decode()

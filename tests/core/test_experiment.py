@@ -1,5 +1,8 @@
 """Experiment runner: sampling, extrapolation, caching, failure handling."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.experiment import (
@@ -240,3 +243,31 @@ def test_scenario_latency_ordering():
     bandwidth = run_experiment(ExperimentConfig(
         kem="x25519", sig="rsa:1024", scenario="low-bandwidth"))
     assert none.total_median < bandwidth.total_median < delay.total_median
+
+
+# sha256 of json.dumps(result.metrics, sort_keys=True) for kyber512/
+# dilithium2 over lte-m at 20 samples. Between them the three runs touch
+# every tcp.* and netem.* counter except tcp.*.failed, plus the wire.*,
+# handshake.*, handshake.failures.* and cpu.* instruments.
+PINNED_METRICS = {
+    "plain": ({}, "48d5261b21f73ed7133b8eace30f61335f4a2d2d6a0719b05b19699c98aec920"),
+    "chaos": ({"faults": "chaos"},
+              "f1525342c3c6279e960857876661c755f9210f46c8cb6fca136f64dd48e9d5fb"),
+    "timeouts": ({"handshake_timeout": 1.6, "failure_quota": 100000},
+                 "03cbd6dbb97893e21a8351e4115a94e85a9eb7050c1cd72c5a9e9a368d8311fb"),
+}
+
+
+@pytest.mark.kernels
+@pytest.mark.parametrize("case", sorted(PINNED_METRICS))
+def test_metrics_snapshot_is_pinned(case):
+    """The per-handshake instruments (names, values, sample order) never
+    move: a run's metrics snapshot hashes to the same bytes."""
+    extra, digest = PINNED_METRICS[case]
+    result = run_experiment(ExperimentConfig(
+        kem="kyber512", sig="dilithium2", scenario="lte-m", max_samples=20,
+        **extra), use_cache=False)
+    if case == "timeouts":
+        assert result.outcomes == {"success": 20, "timeout": 7}
+    encoded = json.dumps(result.metrics, sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest() == digest

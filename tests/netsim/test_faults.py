@@ -26,16 +26,20 @@ def _ack():
     return Segment("a", "b", seq=0, payload=b"", ack=0, is_ack_only=True)
 
 
-def _run(config, plan=None, segments=None, seed="faults", metrics=None):
+def _run_link(config, plan=None, segments=None, seed="faults"):
     loop = EventLoop()
     arrivals = []
     link = Link(loop, config, Drbg(seed),
                 deliver=lambda seg: arrivals.append((loop.now, seg)),
-                plan=plan, metrics=metrics or Metrics(), name="test")
+                plan=plan, name="test")
     for seg in segments or [_segment()]:
         link.transmit(seg)
     loop.run()
-    return arrivals
+    return arrivals, link
+
+
+def _run(config, plan=None, segments=None, seed="faults"):
+    return _run_link(config, plan, segments, seed)[0]
 
 
 # -- stage ordering: loss before rate (the seed-code regression) -------------
@@ -159,14 +163,12 @@ def test_reorder_holds_selected_frame_past_its_successor():
 def test_fault_metrics_counters():
     config = NetemConfig("m", loss=0.0, rate_bps=1e9)
     plan = FaultPlan(corrupt_nth=1, dup=1.0, reorder=1.0)
-    metrics = Metrics()
-    arrivals = _run(config, plan=plan, metrics=metrics)
-    counters = metrics.snapshot()["counters"]
-    assert counters["netem.test.corrupted"] == 1
-    assert counters["netem.test.duplicated"] == 1
+    arrivals, link = _run_link(config, plan=plan)
+    assert link.tally["corrupted"] == 1
+    assert link.tally["duplicated"] == 1
     # the original and its duplicate each take the reorder draw
-    assert counters["netem.test.reordered"] == 2
-    assert "netem.test.dropped" not in counters
+    assert link.tally["reordered"] == 2
+    assert "dropped" not in link.tally
     assert len(arrivals) == 1  # original corrupted (checksum), dup survives
 
 

@@ -82,11 +82,11 @@ def test_bidirectional_transfer():
 def test_mss_segmentation():
     loop, client, server, received, _ = make_pair()
     loop.run(until=0.1)
-    before = client.packets_sent
+    before = client.tally["segments_sent"]
     client.send(b"x" * (3 * MSS))
     loop.run(until=1.0)
     # 3 full segments (plus ACK-only frames don't count as data)
-    data_packets = client.packets_sent - before
+    data_packets = client.tally["segments_sent"] - before
     assert data_packets == 3
     assert received["server"] == b"x" * (3 * MSS)
 
@@ -94,11 +94,11 @@ def test_mss_segmentation():
 def test_no_coalescing_across_push_boundaries():
     loop, client, server, received, _ = make_pair()
     loop.run(until=0.1)
-    before = client.packets_sent
+    before = client.tally["segments_sent"]
     client.send(b"a" * 100, label="one")
     client.send(b"b" * 100, label="two")
     loop.run(until=1.0)
-    assert client.packets_sent - before == 2  # two pushes -> two segments
+    assert client.tally["segments_sent"] - before == 2  # two pushes -> two segments
     assert received["server"] == b"a" * 100 + b"b" * 100
 
 
@@ -106,10 +106,10 @@ def test_initcwnd_limits_first_flight():
     """With a long RTT, only INIT_CWND segments leave before any ACK."""
     loop, client, server, received, _ = make_pair(rtt=2.0)
     loop.run(until=3.0)  # handshake done (1 RTT)
-    before = client.packets_sent
+    before = client.tally["segments_sent"]
     client.send(b"y" * (MSS * 30))
     loop.run(until=3.9)  # less than half an RTT: no ACKs yet
-    assert client.packets_sent - before == INIT_CWND
+    assert client.tally["segments_sent"] - before == INIT_CWND
     loop.run(until=60.0)
     assert received["server"] == b"y" * (MSS * 30)
 
@@ -120,9 +120,9 @@ def test_slow_start_doubles_window():
     client.send(b"z" * (MSS * 35))
     # window 1: 10 segments; after ~1 RTT of ACKs cwnd reaches 20
     loop.run(until=2.9)
-    first_window = client.packets_sent
+    first_window = client.tally["segments_sent"]
     loop.run(until=3.9)
-    second_window = client.packets_sent - first_window
+    second_window = client.tally["segments_sent"] - first_window
     assert second_window >= 18  # ~20 data segments (ACK pacing may vary)
     loop.run(until=30.0)
     assert received["server"] == b"z" * (MSS * 35)
@@ -169,11 +169,11 @@ def test_out_of_order_segments_reassembled():
 def test_wire_byte_accounting():
     loop, client, server, received, _ = make_pair()
     loop.run(until=0.1)
-    sent_before = client.bytes_sent
+    sent_before = client.tally["wire_bytes"]
     client.send(b"w" * 100)
     loop.run(until=1.0)
     # 100 payload + 66 header on the data segment
-    assert client.bytes_sent - sent_before == 166
+    assert client.tally["wire_bytes"] - sent_before == 166
 
 
 def test_labels_attached_to_segments():
