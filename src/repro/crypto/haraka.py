@@ -1,8 +1,11 @@
-"""Haraka v2 short-input hash functions (Haraka-256 and Haraka-512).
+"""Haraka v2 short-input hashing: Haraka-512 and the HarakaS sponge.
 
 The paper's fastest SPHINCS+ variant is ``sphincs-haraka-128f-simple``;
 Haraka v2 is a 5-round AES-based permutation designed for exactly this
-short-input use. Round constants are generated from the digits of pi as in
+short-input use. Every SPHINCS+ construction here runs on the 512-bit
+permutation (Haraka-512 for the tweakable hashes, the HarakaS sponge for
+H_msg, PRF_msg and the seed-keyed constants), so Haraka-256 is not
+implemented. Round constants are generated from the digits of pi as in
 the Haraka v2 reference implementation (the "RC_i" constants are the first
 40×16 bytes of pi's fractional part in hex).
 
@@ -54,7 +57,6 @@ def _aes_round_words(s: list[int], off: int, rc: list[int], rc_off: int) -> None
                   ^ _T2[(s1 >> 8) & 0xFF] ^ _T3[s2 & 0xFF] ^ rc[rc_off + 3])
 
 
-_MIX256_ORDER = [0, 4, 1, 5, 2, 6, 3, 7]
 _MIX512_ORDER = [3, 11, 7, 15, 8, 0, 12, 4, 9, 1, 13, 5, 2, 10, 6, 14]
 
 
@@ -65,26 +67,10 @@ class Haraka:
         self._rc = round_constants if round_constants is not None else RC
         if len(self._rc) < 40:
             raise ValueError("Haraka needs 40 round constants")
-        # Flattened word-form round constants for the fast path.
+        # Flattened word-form round constants for the reference permutation.
         self._rcw = _words(b"".join(self._rc[:40]))
 
-    def _haraka256_ref(self, data: bytes) -> bytes:
-        """32-byte → 32-byte Haraka-256 (permutation + feed-forward)."""
-        if len(data) != 32:
-            raise ValueError("Haraka-256 input must be 32 bytes")
-        s = _words(data)
-        rcw = self._rcw
-        for r in range(5):
-            base = 16 * r
-            _aes_round_words(s, 0, rcw, base)
-            _aes_round_words(s, 0, rcw, base + 4)
-            _aes_round_words(s, 4, rcw, base + 8)
-            _aes_round_words(s, 4, rcw, base + 12)
-            s = [s[i] for i in _MIX256_ORDER]
-        out = _bytes_from_words(s)
-        return bytes(a ^ b for a, b in zip(out, data))
-
-    def _haraka512_perm_ref(self, data: bytes) -> bytes:
+    def haraka512_perm(self, data: bytes) -> bytes:
         """The raw 64-byte Haraka-512 permutation (no feed-forward)."""
         if len(data) != 64:
             raise ValueError("Haraka-512 input must be 64 bytes")
@@ -113,29 +99,17 @@ class Haraka:
         keep = [2, 3, 6, 7, 8, 9, 12, 13]
         return b"".join(words[i] for i in keep)
 
-    def _haraka256_fast(self, data: bytes) -> bytes:
-        if len(data) != 32:
-            raise ValueError("Haraka-256 input must be 32 bytes")
-        perm256, _ = _fast.perms_for(self)
-        mixed = int.from_bytes(perm256(data), "big") ^ int.from_bytes(data, "big")
-        return mixed.to_bytes(32, "big")
-
-    def _haraka512_perm_fast(self, data: bytes) -> bytes:
-        if len(data) != 64:
-            raise ValueError("Haraka-512 input must be 64 bytes")
-        return _fast.perms_for(self)[1](data)
-
     def _haraka512_fast(self, data: bytes) -> bytes:
         if len(data) != 64:
             raise ValueError("Haraka-512 input must be 64 bytes")
-        permuted = _fast.perms_for(self)[1](data)
+        permuted = _fast.perm512_for(self)(data)
         mixed = int.from_bytes(permuted, "big") ^ int.from_bytes(data, "big")
         out = mixed.to_bytes(64, "big")
         # words 2,3 | 6,7,8,9 | 12,13 of the feed-forward result
         return out[8:16] + out[24:40] + out[48:56]
 
     def _haraka_sponge_fast(self, data: bytes, outlen: int) -> bytes:
-        perm512 = _fast.perms_for(self)[1]
+        perm512 = _fast.perm512_for(self)
         rate = 32
         padded = data + b"\x1f"
         padded += b"\x00" * ((-len(padded)) % rate)
@@ -177,10 +151,6 @@ class Haraka:
 _DEFAULT = Haraka()
 
 
-def haraka256(data: bytes) -> bytes:
-    return _DEFAULT.haraka256(data)
-
-
 def haraka512(data: bytes) -> bytes:
     return _DEFAULT.haraka512(data)
 
@@ -197,17 +167,13 @@ def _haraka_keyed_ref(pub_seed: bytes) -> Haraka:
 
 # The fast path memoizes the keyed instance per public seed: a SPHINCS+
 # signature makes thousands of backend calls against the same pub_seed,
-# and each Haraka instance also carries its compiled permutations.
+# and each Haraka instance also carries its compiled permutation.
 _haraka_keyed_fast = functools.lru_cache(maxsize=128)(_haraka_keyed_ref)
 
 
 from repro.crypto import kernels as _kernels  # noqa: E402
 from repro.crypto.kernels import haraka as _fast  # noqa: E402
 
-_kernels.bind(Haraka, "haraka256",
-              ref=Haraka._haraka256_ref, fast=Haraka._haraka256_fast)
-_kernels.bind(Haraka, "haraka512_perm",
-              ref=Haraka._haraka512_perm_ref, fast=Haraka._haraka512_perm_fast)
 _kernels.bind(Haraka, "haraka512",
               ref=Haraka._haraka512_ref, fast=Haraka._haraka512_fast)
 _kernels.bind(Haraka, "haraka_sponge",

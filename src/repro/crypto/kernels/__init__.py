@@ -2,12 +2,19 @@
 
 The reference implementations under ``repro.crypto`` / ``repro.pqc`` are
 written to read like the specs; this package holds their performance
-twins: lane-packed bigint polynomial arithmetic for Kyber/Dilithium,
-codegen-unrolled Haraka permutations, table-driven GHASH and GF(256),
-windowed EC scalar multiplication, and CRT RSA. Every kernel is
-byte-for-byte equivalent to its reference twin (property-tested in
-``tests/crypto/test_kernels.py``), so which side runs never changes
+twins: lane-packed bigint arithmetic and bit packing for Kyber (the
+packers shared with Dilithium), batched numpy polynomial vectors for
+Dilithium, the codegen-unrolled Haraka-512 permutation, table-driven
+GHASH and GF(256), windowed EC scalar multiplication, and CRT RSA. Every
+kernel is byte-for-byte equivalent to its reference twin (property-tested
+in ``tests/crypto/test_kernels.py``), so which side runs never changes
 wire artefacts, cache keys, or recorded handshakes — only wall clock.
+
+The simulated clock comes from a cost model, so a twin buys host time
+and nothing else: one is bound only where a production path calls it
+and it beats its reference by more than run-to-run noise. A reference
+entry point that nothing calls, or that its twin does not clearly beat,
+stays a plain function with no binding.
 
 Selection
 ---------
@@ -104,11 +111,6 @@ def override(value: str):
         yield
     finally:
         set_mode(previous)
-
-
-def bindings() -> list[tuple[object, str]]:
-    """The registered switch points, as (owner, attribute) pairs."""
-    return [(owner, name) for owner, name, _, _ in _BINDINGS]
 
 
 _KERNEL_MODULES = ("aes", "dilithium", "ec", "gcm", "gf256", "haraka",

@@ -1,30 +1,24 @@
-"""Fast Dilithium polynomial kernels (lane-packed add/sub, batched numpy).
-
-Byte-for-byte twins of ``repro.pqc.dilithium.poly``: ``add``/``sub``
-pack the 256 coefficients into 32-bit lanes of one bigint and reduce all
-lanes with a single conditional-subtract sequence; ``ntt``/``intt`` keep
-the reference butterfly order but defer reduction of sums/differences to
-one final pass (growth stays far below machine-int range: at most 8q
-forward, 256q inverse); ``pointwise`` and the bit packers use the same
-comprehension/bigint shapes as the Kyber kernels.
+"""Fast Dilithium polynomial-vector kernels (batched numpy).
 
 The ``*_vec`` family batches whole polynomial vectors — the unit of work
-in Dilithium's sign rejection loop — as (rows, 256) int64 numpy arrays:
-layer-parallel NTT/INTT butterflies (zeta slice ``ZETAS[m : 2m]`` for the
-layer with m blocks, reversed on the inverse), one broadcast
-matrix–vector pointwise accumulate, and Decompose/hint/norm arithmetic
-as elementwise array ops. All arithmetic is exact mod-q integer math
-(products bounded by q^2 < 2^63), so outputs equal the scalar reference
-loops coefficient for coefficient.
+in Dilithium's keygen, sign rejection loop and verify — as (rows, 256)
+int64 numpy arrays: layer-parallel NTT/INTT butterflies (zeta slice
+``ZETAS[m : 2m]`` for the layer with m blocks, reversed on the inverse),
+one broadcast matrix–vector pointwise accumulate, and Decompose/hint/norm
+arithmetic as elementwise array ops. All arithmetic is exact mod-q
+integer math (products bounded by q^2 < 2^63), so outputs equal the
+scalar reference loops in ``repro.pqc.dilithium.poly`` coefficient for
+coefficient. A single polynomial (the challenge ``c``) goes through the
+same kernels as a one-row vector; there are no scalar twins.
 
-Constants are re-derived here from the round-3 spec formulas — this
-module must not import ``repro.pqc.dilithium.poly``, which imports it to
-register the ref/fast bindings.
+The bit packers Dilithium binds are the shared Kyber ones
+(``repro.crypto.kernels.kyber``). Constants are re-derived here from the
+round-3 spec formulas — this module must not import
+``repro.pqc.dilithium.poly``, which imports it to register the ref/fast
+bindings.
 """
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
@@ -41,127 +35,8 @@ def _bitrev8(value: int) -> int:
     return result
 
 
-ZETAS = [pow(1753, _bitrev8(i), Q) for i in range(256)]
-
-_PACK = struct.Struct("<256I")
-_ONES = sum(1 << (32 * i) for i in range(N))
-_HIGH = _ONES << 31
-_QLANES = Q * _ONES
-
-
-def _swar_mod_q(sums: int) -> list[int]:
-    """Per-lane conditional subtract-q for lane values in [0, 2q)."""
-    selector = (((sums | _HIGH) - _QLANES) >> 31) & _ONES
-    reduced = sums - Q * selector
-    return list(_PACK.unpack(reduced.to_bytes(1024, "little")))
-
-
-def add(a: list[int], b: list[int]) -> list[int]:
-    try:
-        ia = int.from_bytes(_PACK.pack(*a), "little")
-        ib = int.from_bytes(_PACK.pack(*b), "little")
-    except struct.error:
-        return [(x + y) % Q for x, y in zip(a, b)]
-    return _swar_mod_q(ia + ib)
-
-
-def sub(a: list[int], b: list[int]) -> list[int]:
-    try:
-        ia = int.from_bytes(_PACK.pack(*a), "little")
-        ib = int.from_bytes(_PACK.pack(*b), "little")
-    except struct.error:
-        return [(x - y) % Q for x, y in zip(a, b)]
-    return _swar_mod_q(ia + (_QLANES - ib))
-
-
-def ntt(coeffs: list[int]) -> list[int]:
-    f = list(coeffs)
-    zetas = ZETAS
-    k = 0
-    length = 128
-    while length >= 64:
-        for start in range(0, N, 2 * length):
-            k += 1
-            zeta = zetas[k]
-            mid = start + length
-            lo = f[start:mid]
-            products = [zeta * x % Q for x in f[mid:mid + length]]
-            f[start:mid] = [x + t for x, t in zip(lo, products)]
-            f[mid:mid + length] = [x - t for x, t in zip(lo, products)]
-        length //= 2
-    while length >= 1:
-        for start in range(0, N, 2 * length):
-            k += 1
-            zeta = zetas[k]
-            for j in range(start, start + length):
-                jl = j + length
-                t = zeta * f[jl] % Q
-                fj = f[j]
-                f[j] = fj + t
-                f[jl] = fj - t
-        length //= 2
-    return [x % Q for x in f]
-
-
-def intt(coeffs: list[int]) -> list[int]:
-    f = list(coeffs)
-    zetas = ZETAS
-    k = 256
-    length = 1
-    while length <= 32:
-        for start in range(0, N, 2 * length):
-            k -= 1
-            zeta = zetas[k]
-            for j in range(start, start + length):
-                jl = j + length
-                lo = f[j]
-                hi = f[jl]
-                f[j] = lo + hi
-                f[jl] = zeta * (hi - lo) % Q
-        length *= 2
-    while length < N:
-        for start in range(0, N, 2 * length):
-            k -= 1
-            zeta = zetas[k]
-            mid = start + length
-            lo = f[start:mid]
-            hi = f[mid:mid + length]
-            f[start:mid] = [x + y for x, y in zip(lo, hi)]
-            f[mid:mid + length] = [zeta * (y - x) % Q for x, y in zip(lo, hi)]
-        length *= 2
-    return [x * _N_INV % Q for x in f]
-
-
-def pointwise(a: list[int], b: list[int]) -> list[int]:
-    return [x * y % Q for x, y in zip(a, b)]
-
-
-def pack_bits(values: list[int], bits: int) -> bytes:
-    """Bigint bit-packing (merge tree), identical output to the reference."""
-    mask = (1 << bits) - 1
-    vals = [v & mask for v in values]
-    width = bits
-    while len(vals) > 1:
-        if len(vals) & 1:
-            vals.append(0)
-        vals = [vals[i] | (vals[i + 1] << width) for i in range(0, len(vals), 2)]
-        width *= 2
-    # pqtls: allow[CT001] — emptiness guard on list length, not coefficients
-    acc = vals[0] if vals else 0
-    return acc.to_bytes((bits * len(values) + 7) // 8, "little")
-
-
-def unpack_bits(data: bytes, bits: int, count: int = N) -> list[int]:
-    if 8 * len(data) < bits * count:  # pqtls: allow[CT001] — public shape check
-        raise ValueError("unpack_bits: not enough data")
-    mask = (1 << bits) - 1
-    acc = int.from_bytes(data, "little")
-    return [(acc >> (bits * i)) & mask for i in range(count)]
-
-
-# -- batched polynomial-vector kernels (numpy int64) -------------------------
-
-_ZETAS_NP = np.array(ZETAS, dtype=np.int64)
+_ZETAS_NP = np.array([pow(1753, _bitrev8(i), Q) for i in range(N)],
+                     dtype=np.int64)
 
 
 def _as_rows(rows) -> np.ndarray:

@@ -1,13 +1,15 @@
-"""Codegen-unrolled Haraka v2 permutations.
+"""Codegen-unrolled Haraka-512 v2 permutation.
 
 SPHINCS+-Haraka is the repository's hash storm: one 128f signature runs
 ~100k Haraka-512 permutations, and the reference implementation pays for
 list indexing, a Python-level MIX shuffle, round-constant table walks,
 and a function call per AES round. This kernel instead *generates
 straight-line Python source* for the whole 5-round permutation, once per
-round-constant set, and ``exec``-compiles it:
+round-constant set, and ``exec``-compiles it. Only the 512-bit
+permutation is generated: every SPHINCS+ construction here (the
+tweakable hashes and the HarakaS sponge) runs on it.
 
-- the 16 (or 8) state words live in local variables, not a list;
+- the 16 state words live in local variables, not a list;
 - the MIX word shuffle is performed at codegen time by renaming which
   local feeds which expression — it costs zero instructions at runtime;
 - round constants are embedded as integer literals;
@@ -33,39 +35,29 @@ import struct
 
 from repro.crypto._aestables import TE0, TE1, TE2, TE3
 
-_MIX256_ORDER = [0, 4, 1, 5, 2, 6, 3, 7]
 _MIX512_ORDER = [3, 11, 7, 15, 8, 0, 12, 4, 9, 1, 13, 5, 2, 10, 6, 14]
 
-_UNPACK8 = struct.Struct(">8I").unpack
-_PACK8 = struct.Struct(">8I").pack
-_UNPACK16 = struct.Struct(">16I").unpack
-_PACK16 = struct.Struct(">16I").pack
 
-
-def _perm_source(name: str, nwords: int, mix_order: list[int],
-                 rc_words: list[int]) -> str:
-    """Straight-line source for a 5-round Haraka permutation.
+def _perm512_source(rc_words: list[int]) -> str:
+    """Straight-line source for the 5-round Haraka-512 permutation.
 
     Mirrors the reference loop exactly: per round, each 4-word AES block
     gets two AES rounds (consuming round-constant words block-major, as
     the reference does), then the MIX word shuffle — applied here by
     permuting the *names* of the locals that carry the state.
     """
-    # nwords is the codegen-time state shape (8 or 16), never message data
-    unpack = "_unpack8" if nwords == 8 else "_unpack16"  # pqtls: allow[CT001]
-    pack = "_pack8" if nwords == 8 else "_pack16"  # pqtls: allow[CT001]
-    names = [f"w{i}" for i in range(nwords)]
+    names = [f"w{i}" for i in range(16)]
     # Tables and struct codecs ride in as default arguments so every
     # lookup in the generated body is a LOAD_FAST, not a global lookup.
-    lines = [f"def {name}(data, T0=T0, T1=T1, T2=T2, T3=T3, "
-             f"{unpack}={unpack}, {pack}={pack}):",
-             f"    {', '.join(names)} = {unpack}(data)"]
+    lines = ["def perm512(data, T0=T0, T1=T1, T2=T2, T3=T3, "
+             "unpack=unpack, pack=pack):",
+             f"    {', '.join(names)} = unpack(data)"]
     temp = 0
     rc_index = 0
     for _round in range(5):
-        for block in range(nwords // 4):  # pqtls: allow[CT002]
+        for block in range(4):
             for _aes in range(2):
-                s0, s1, s2, s3 = names[4 * block: 4 * block + 4]  # pqtls: allow[CT003]
+                s0, s1, s2, s3 = names[4 * block: 4 * block + 4]
                 new = [f"t{temp + i}" for i in range(4)]
                 temp += 4
                 k = rc_words[rc_index: rc_index + 4]
@@ -81,37 +73,31 @@ def _perm_source(name: str, nwords: int, mix_order: list[int],
                     f"    {new[3]} = T0[{s3} >> 24] ^ T1[{s0} >> 16 & 255]"
                     f" ^ T2[{s1} >> 8 & 255] ^ T3[{s2} & 255] ^ {k[3]}",
                 ]
-                names[4 * block: 4 * block + 4] = new  # pqtls: allow[CT003]
-        # pqtls: allow[CT003] — mix_order is the codegen-time MIX word
-        # shuffle (a public permutation constant), never message data
-        names = [names[i] for i in mix_order]
-    lines.append(f"    return {pack}({', '.join(names)})")
+                names[4 * block: 4 * block + 4] = new
+        names = [names[i] for i in _MIX512_ORDER]
+    lines.append(f"    return pack({', '.join(names)})")
     return "\n".join(lines)
 
 
 @functools.lru_cache(maxsize=64)
-def compiled_perms(rc_stream: bytes):
-    """(perm256, perm512) compiled for a 640-byte round-constant stream."""
+def compiled_perm512(rc_stream: bytes):
+    """perm512 compiled for a 640-byte round-constant stream."""
     if len(rc_stream) != 640:
         raise ValueError("Haraka needs 40 x 16 bytes of round constants")
+    # the permutation strides the constant stream 32 words per round
     rc_words = [int.from_bytes(rc_stream[4 * i: 4 * i + 4], "big")
                 for i in range(160)]
-    namespace = {
-        "T0": TE0, "T1": TE1, "T2": TE2, "T3": TE3,
-        "_unpack8": _UNPACK8, "_pack8": _PACK8,
-        "_unpack16": _UNPACK16, "_pack16": _PACK16,
-    }
-    # Haraka-256 strides the same constant stream 16 words per round,
-    # Haraka-512 strides it 32 words per round — both from offset 0.
-    exec(_perm_source("perm256", 8, _MIX256_ORDER, rc_words[:80]), namespace)
-    exec(_perm_source("perm512", 16, _MIX512_ORDER, rc_words), namespace)
-    return namespace["perm256"], namespace["perm512"]
+    codec = struct.Struct(">16I")
+    namespace = {"T0": TE0, "T1": TE1, "T2": TE2, "T3": TE3,
+                 "unpack": codec.unpack, "pack": codec.pack}
+    exec(_perm512_source(rc_words), namespace)
+    return namespace["perm512"]
 
 
-def perms_for(haraka) -> tuple:
-    """The compiled (perm256, perm512) pair for a ``Haraka`` instance."""
-    cached = haraka.__dict__.get("_kernel_perms")
+def perm512_for(haraka):
+    """The compiled Haraka-512 permutation of a ``Haraka`` instance."""
+    cached = haraka.__dict__.get("_kernel_perm512")
     if cached is None:  # pqtls: allow[CT001] — per-instance compile-cache probe
-        cached = compiled_perms(b"".join(haraka._rc[:40]))
-        haraka._kernel_perms = cached
+        cached = compiled_perm512(b"".join(haraka._rc[:40]))
+        haraka._kernel_perm512 = cached
     return cached

@@ -1,26 +1,27 @@
-"""Fast Kyber polynomial kernels: lane-packed bigints + lazy reduction.
+"""Fast Kyber polynomial kernels: lane-packed bigints and lookup tables.
 
-Byte-for-byte twins of ``repro.pqc.kyber.poly``:
+Byte-for-byte twins of ``repro.pqc.kyber.poly`` (and of the shared
+reference packers in ``repro.pqc.bitpack``):
 
 - ``poly_add``/``poly_sub`` pack the 256 coefficients into one 4096-bit
   Python int (16-bit lanes, via ``struct``) and do the add plus the
   conditional subtract-q of *all* lanes in a handful of bigint
   operations — CPython executes those in C over 64-bit limbs, which is
   the closest a pure-Python program gets to SIMD.
-- ``ntt``/``intt`` keep the spec's butterfly order but reduce lazily:
-  only the zeta products are taken mod q inside the layers, sums and
-  differences ride unreduced (bounded by 128q, still machine ints) and
-  one final reduction pass restores canonical form.
 - ``parse_uniform`` squeezes the XOF three blocks at a gulp instead of
   three bytes at a call.
 - ``cbd`` replaces the per-bit list walk with byte tables (eta=2) and
   6-bit bigint field extraction (eta=3).
 - ``pack_bits``/``unpack_bits``/``compress``/``decompress`` run on one
-  bigint / one lookup table instead of per-coefficient shift loops.
+  bigint / one lookup table instead of per-coefficient shift loops. The
+  packers are the one fast copy: Dilithium binds them too.
+
+The NTT, inverse NTT and base multiplication have no twin: a lazily
+reduced rewrite did not beat the reference by more than the host's
+run-to-run spread (DESIGN.md §8).
 
 This module must not import ``repro.pqc.kyber.poly`` (which imports it
-to register bindings), so the NTT constants are derived here from the
-same spec formulas.
+to register bindings).
 """
 
 from __future__ import annotations
@@ -29,19 +30,6 @@ import struct
 
 Q = 3329
 N = 256
-_QINV_128 = 3303  # 128^{-1} mod q
-
-
-def _bitrev7(value: int) -> int:
-    result = 0
-    for _ in range(7):
-        result = (result << 1) | (value & 1)
-        value >>= 1
-    return result
-
-
-ZETAS = [pow(17, _bitrev7(i), Q) for i in range(128)]
-GAMMAS = [pow(17, 2 * _bitrev7(i) + 1, Q) for i in range(128)]
 
 # -- lane packing ---------------------------------------------------------
 
@@ -78,86 +66,6 @@ def poly_sub(a: list[int], b: list[int]) -> list[int]:
         return [(x - y) % Q for x, y in zip(a, b)]
     # lane = a - b + q, in (0, 2q) for reduced inputs
     return _swar_mod_q(ia + (_QLANES - ib))
-
-
-# -- transforms -----------------------------------------------------------
-
-def ntt(coeffs: list[int]) -> list[int]:
-    """Forward NTT, lazily reduced (identical output to the reference).
-
-    Long layers (few, wide butterflies) run as slice comprehensions;
-    short layers run a tight loop that skips the reference's two mod-q
-    reductions per butterfly — sums and differences drift at most 7q
-    before one final reduction pass restores canonical form.
-    """
-    f = list(coeffs)
-    zetas = ZETAS
-    k = 1
-    length = 128
-    while length >= 64:
-        for start in range(0, N, 2 * length):
-            zeta = zetas[k]
-            k += 1
-            mid = start + length
-            lo = f[start:mid]
-            products = [zeta * x % Q for x in f[mid:mid + length]]
-            f[start:mid] = [a + t for a, t in zip(lo, products)]
-            f[mid:mid + length] = [a - t for a, t in zip(lo, products)]
-        length //= 2
-    while length >= 2:
-        for start in range(0, N, 2 * length):
-            zeta = zetas[k]
-            k += 1
-            for j in range(start, start + length):
-                jl = j + length
-                t = zeta * f[jl] % Q
-                fj = f[j]
-                f[j] = fj + t
-                f[jl] = fj - t
-        length //= 2
-    return [x % Q for x in f]
-
-
-def intt(coeffs: list[int]) -> list[int]:
-    """Inverse NTT, lazily reduced (identical output to the reference)."""
-    f = list(coeffs)
-    zetas = ZETAS
-    k = 127
-    length = 2
-    while length <= 32:
-        for start in range(0, N, 2 * length):
-            zeta = zetas[k]
-            k -= 1
-            for j in range(start, start + length):
-                jl = j + length
-                lo = f[j]
-                hi = f[jl]
-                f[j] = lo + hi
-                f[jl] = zeta * (hi - lo) % Q
-        length *= 2
-    while length <= 128:
-        for start in range(0, N, 2 * length):
-            zeta = zetas[k]
-            k -= 1
-            mid = start + length
-            lo = f[start:mid]
-            hi = f[mid:mid + length]
-            f[start:mid] = [a + b for a, b in zip(lo, hi)]
-            f[mid:mid + length] = [zeta * (b - a) % Q for a, b in zip(lo, hi)]
-        length *= 2
-    # unreduced sums stay below 128q — far inside machine-int range
-    return [x * _QINV_128 % Q for x in f]
-
-
-def basemul(a: list[int], b: list[int]) -> list[int]:
-    """Pointwise product in the NTT domain (pairs modulo X^2 - gamma_i)."""
-    c = [0] * N
-    c[0::2] = [(a0 * b0 + a1 * b1 % Q * g) % Q
-               for a0, a1, b0, b1, g in zip(a[0::2], a[1::2],
-                                            b[0::2], b[1::2], GAMMAS)]
-    c[1::2] = [(a0 * b1 + a1 * b0) % Q
-               for a0, a1, b0, b1 in zip(a[0::2], a[1::2], b[0::2], b[1::2])]
-    return c
 
 
 # -- sampling -------------------------------------------------------------

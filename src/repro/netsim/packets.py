@@ -7,7 +7,7 @@ TCP with timestamps (32 B) = 66 B of headers per segment; SYN frames carry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 HEADER_OVERHEAD = 66
 SYN_EXTRA_OPTIONS = 8
@@ -24,11 +24,13 @@ class Segment:
     push: bool = False
     is_ack_only: bool = False
     labels: tuple[str, ...] = ()   # TLS flight labels carried (ground truth)
+    # frame size on the wire: computed once here, read by TCP, the link
+    # (serialization delay) and the tap (byte tally)
+    wire_bytes: int = field(init=False)
 
-    @property
-    def wire_bytes(self) -> int:
+    def __post_init__(self) -> None:
         extra = SYN_EXTRA_OPTIONS if self.syn else 0
-        return HEADER_OVERHEAD + extra + len(self.payload)
+        self.wire_bytes = HEADER_OVERHEAD + extra + len(self.payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(

@@ -3,15 +3,22 @@
 The Dilithium NTT is complete (8 layers, 256-point); rounding helpers
 (Power2Round, Decompose, hints) follow the round-3 specification.
 
-``PQTLS_KERNELS=fast`` (default) swaps the transform/arithmetic/packing
-entry points for the lane-packed twins in
-``repro.crypto.kernels.dilithium``; call through the module so rebinding
-takes effect.
+The scheme works on whole polynomial vectors, so the switchable entry
+points are the ``*_vec`` family, ``rej_uniform`` and the bit packers:
+``PQTLS_KERNELS=fast`` (default) swaps them for the batched numpy twins
+in ``repro.crypto.kernels.dilithium`` and the shared Kyber packers. The
+scalar ``ntt``/``intt``/``pointwise``/``add``/``sub`` here are plain
+reference helpers of the ``*_vec`` loops, never rebound; a single
+polynomial goes through ``ntt_vec([c])[0]``. Call through the module so
+rebinding takes effect.
 """
 
 from __future__ import annotations
 
 import sys
+
+# bit packing: the one reference copy, shared with Kyber
+from repro.pqc.bitpack import pack_bits, unpack_bits  # noqa: F401
 
 Q = 8380417
 N = 256
@@ -74,10 +81,6 @@ def sub(a: list[int], b: list[int]) -> list[int]:
     return [(x - y) % Q for x, y in zip(a, b)]
 
 
-def scale(a: list[int], c: int) -> list[int]:
-    return [x * c % Q for x in a]
-
-
 def centered(value: int, modulus: int = Q) -> int:
     """Representative in (-modulus/2, modulus/2]."""
     value %= modulus
@@ -133,41 +136,6 @@ def use_hint(hint: int, r: int, alpha: int) -> int:
             return (r1 + 1) % m
         return (r1 - 1) % m
     return r1
-
-
-# -- bit packing (shared with Kyber's convention) ---------------------------
-
-def pack_bits(values: list[int], bits: int) -> bytes:
-    acc = 0
-    acc_bits = 0
-    out = bytearray()
-    mask = (1 << bits) - 1
-    for v in values:
-        acc |= (v & mask) << acc_bits
-        acc_bits += bits
-        while acc_bits >= 8:
-            out.append(acc & 0xFF)
-            acc >>= 8
-            acc_bits -= 8
-    if acc_bits:
-        out.append(acc & 0xFF)
-    return bytes(out)
-
-
-def unpack_bits(data: bytes, bits: int, count: int = N) -> list[int]:
-    acc = 0
-    acc_bits = 0
-    out = []
-    it = iter(data)
-    mask = (1 << bits) - 1
-    for _ in range(count):
-        while acc_bits < bits:
-            acc |= next(it) << acc_bits
-            acc_bits += 8
-        out.append(acc & mask)
-        acc >>= bits
-        acc_bits -= bits
-    return out
 
 
 # -- polynomial-vector entry points ----------------------------------------
@@ -266,13 +234,15 @@ def rej_uniform(data: bytes, limit: int) -> tuple[list[int], int]:
 
 from repro.crypto import kernels as _kernels  # noqa: E402
 from repro.crypto.kernels import dilithium as _fast  # noqa: E402
+from repro.crypto.kernels import kyber as _fast_kyber  # noqa: E402
 
 _SELF = sys.modules[__name__]
-for _name in ("ntt", "intt", "pointwise", "add", "sub",
-              "pack_bits", "unpack_bits",
-              "ntt_vec", "intt_vec", "pointwise_each", "matvec_pointwise",
+for _name in ("ntt_vec", "intt_vec", "pointwise_each", "matvec_pointwise",
               "add_vec", "sub_vec", "neg_vec", "inf_norm_vec",
               "highbits_vec", "lowbits_vec", "make_hint_vec", "use_hint_vec",
               "power2round_vec", "rej_uniform"):
     _kernels.bind(_SELF, _name,
                   ref=getattr(_SELF, _name), fast=getattr(_fast, _name))
+for _name in ("pack_bits", "unpack_bits"):
+    _kernels.bind(_SELF, _name,
+                  ref=getattr(_SELF, _name), fast=getattr(_fast_kyber, _name))

@@ -268,7 +268,7 @@ class DilithiumSignature(SignatureScheme):
             w1_packed = b"".join(poly.pack_bits(row, self._w1bits) for row in w1)
             c_tilde = _shake256(mu + w1_packed, 32)
             c = self._sample_in_ball(c_tilde)
-            c_hat = poly.ntt(c)
+            c_hat = poly.ntt_vec([c])[0]
             z = poly.add_vec(y, poly.intt_vec(poly.pointwise_each(c_hat, s1_hat)))
             if poly.inf_norm_vec(z) >= p.gamma1 - p.beta:
                 continue
@@ -324,7 +324,7 @@ class DilithiumSignature(SignatureScheme):
         a_hat = self._expand_a(rho)
         mu = _shake256(_shake256(public_key, 64) + message, 64)
         c = self._sample_in_ball(c_tilde)
-        c_hat = poly.ntt(c)
+        c_hat = poly.ntt_vec([c])[0]
         z_hat = poly.ntt_vec(z)
         alpha = 2 * p.gamma2
         t1_shifted = poly.ntt_vec([[v << poly.D for v in row] for row in t1])

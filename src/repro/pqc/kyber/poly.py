@@ -5,14 +5,18 @@ fields), centered binomial sampling, rejection sampling of uniform
 matrices, and the d-bit compression/serialisation functions.
 
 Everything here is the spec-shaped reference; ``PQTLS_KERNELS=fast``
-(the default) swaps the module entry points for the lane-packed bigint
-twins in ``repro.crypto.kernels.kyber`` at import. Call through the
-module (``poly.ntt(...)``) so rebinding takes effect.
+(the default) swaps the add/sub, sampling, compression and packing entry
+points for the lane-packed bigint twins in ``repro.crypto.kernels.kyber``
+at import. ``ntt``/``intt``/``basemul`` have no twin. Call through the
+module (``poly.cbd(...)``) so rebinding takes effect.
 """
 
 from __future__ import annotations
 
 import sys
+
+# ByteEncode/ByteDecode; the one reference copy, shared with Dilithium
+from repro.pqc.bitpack import pack_bits, unpack_bits  # noqa: F401
 
 Q = 3329
 N = 256
@@ -144,45 +148,11 @@ def decompress(values: list[int], d: int) -> list[int]:
     return [(v * Q + (1 << (d - 1))) >> d for v in values]
 
 
-def pack_bits(values: list[int], d: int) -> bytes:
-    """Pack *d*-bit integers little-endian-bitwise (the Kyber ByteEncode)."""
-    acc = 0
-    acc_bits = 0
-    out = bytearray()
-    for v in values:
-        acc |= (v & ((1 << d) - 1)) << acc_bits
-        acc_bits += d
-        while acc_bits >= 8:
-            out.append(acc & 0xFF)
-            acc >>= 8
-            acc_bits -= 8
-    if acc_bits:
-        out.append(acc & 0xFF)
-    return bytes(out)
-
-
-def unpack_bits(data: bytes, d: int, count: int = N) -> list[int]:
-    """Inverse of :func:`pack_bits`."""
-    acc = 0
-    acc_bits = 0
-    out = []
-    it = iter(data)
-    for _ in range(count):
-        while acc_bits < d:
-            acc |= next(it) << acc_bits
-            acc_bits += 8
-        out.append(acc & ((1 << d) - 1))
-        acc >>= d
-        acc_bits -= d
-    return out
-
-
 from repro.crypto import kernels as _kernels  # noqa: E402
 from repro.crypto.kernels import kyber as _fast  # noqa: E402
 
 _SELF = sys.modules[__name__]
-for _name in ("ntt", "intt", "basemul", "poly_add", "poly_sub",
-              "parse_uniform", "cbd", "compress", "decompress",
-              "pack_bits", "unpack_bits"):
+for _name in ("poly_add", "poly_sub", "parse_uniform", "cbd", "compress",
+              "decompress", "pack_bits", "unpack_bits"):
     _kernels.bind(_SELF, _name,
                   ref=getattr(_SELF, _name), fast=getattr(_fast, _name))

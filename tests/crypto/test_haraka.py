@@ -2,37 +2,25 @@
 
 import pytest
 
-from repro.crypto.haraka import Haraka, RC, haraka256, haraka512, haraka_keyed
+from repro.crypto.haraka import Haraka, RC, haraka512, haraka_keyed
 
 
 def test_output_lengths():
-    assert len(haraka256(bytes(32))) == 32
     assert len(haraka512(bytes(64))) == 32
 
 
 def test_input_lengths_enforced():
     with pytest.raises(ValueError):
-        haraka256(bytes(31))
-    with pytest.raises(ValueError):
         haraka512(bytes(63))
-
-
-def test_determinism():
-    data = bytes(range(32))
-    assert haraka256(data) == haraka256(data)
-
-
-def test_diffusion_single_bit():
-    base = haraka256(bytes(32))
-    flipped = haraka256(b"\x01" + bytes(31))
-    differing = sum(bin(a ^ b).count("1") for a, b in zip(base, flipped))
-    assert differing > 80  # ~128 expected for a good permutation
+    with pytest.raises(ValueError):
+        Haraka().haraka512_perm(bytes(65))
 
 
 def test_512_diffusion():
     base = haraka512(bytes(64))
     flipped = haraka512(bytes(63) + b"\x01")
-    assert base != flipped
+    differing = sum(bin(a ^ b).count("1") for a, b in zip(base, flipped))
+    assert differing > 80  # ~128 of the 256 output bits expected
 
 
 def test_permutation_is_invertible_by_construction():
@@ -52,10 +40,10 @@ def test_keyed_instance_differs_and_is_deterministic():
     keyed = haraka_keyed(b"\xAB" * 16)
     keyed2 = haraka_keyed(b"\xAB" * 16)
     other = haraka_keyed(b"\xCD" * 16)
-    data = bytes(range(32))
-    assert keyed.haraka256(data) == keyed2.haraka256(data)
-    assert keyed.haraka256(data) != haraka256(data)
-    assert keyed.haraka256(data) != other.haraka256(data)
+    data = bytes(range(64))
+    assert keyed.haraka512(data) == keyed2.haraka512(data)
+    assert keyed.haraka512(data) != haraka512(data)
+    assert keyed.haraka512(data) != other.haraka512(data)
 
 
 def test_sponge_lengths_and_domain_separation():
