@@ -269,26 +269,31 @@ def write_flames(out_dir: Path) -> None:
                         title=filename.removesuffix(".svg"))
 
 
-def _time_best(fn, reps: int) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _time_once(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
 def bench_one(builder, reps: int) -> dict:
     """Best-of-``reps`` wall time under each kernel mode.
 
-    The builder runs once per mode (outside the timed region) so keygen
-    and memo-table construction don't pollute the measurement; the
-    reference mode goes first so fast-side caches can't warm it up.
+    Each mode calls the builder once, under that mode and outside the
+    timed region, so keygen and memo-table construction stay out of the
+    measurement and the two sides share no inputs. The reps then
+    alternate ref, fast, ref, fast, ...: a slow spell of a shared host
+    lands on both sides instead of only on whichever ran during it.
     """
-    times = {}
-    for mode in ("ref", "fast"):
+    modes = ("ref", "fast")
+    runs = {}
+    for mode in modes:
         with kernels.override(mode):
-            times[mode] = _time_best(builder(), reps)
+            runs[mode] = builder()
+    times = {mode: float("inf") for mode in modes}
+    for _ in range(reps):
+        for mode in modes:
+            with kernels.override(mode):
+                times[mode] = min(times[mode], _time_once(runs[mode]))
     return {
         "ref_s": round(times["ref"], 4),
         "fast_s": round(times["fast"], 4),

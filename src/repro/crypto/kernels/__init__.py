@@ -2,9 +2,10 @@
 
 The reference implementations under ``repro.crypto`` / ``repro.pqc`` are
 written to read like the specs; this package holds their performance
-twins: lane-packed bigint arithmetic and bit packing for Kyber (the
-packers shared with Dilithium), batched numpy polynomial vectors for
-Dilithium, the codegen-unrolled Haraka-512 permutation, table-driven
+twins: lane-packed bigint arithmetic and Kyber's per-polynomial lane bit
+packer, Dilithium's polynomial vectors as (rows, 256) numpy arrays with
+batched arithmetic, samplers and a whole-vector bit packer, the
+codegen-unrolled Haraka-512 permutation, table-driven
 GHASH and GF(256), windowed EC scalar multiplication, and CRT RSA. Every
 kernel is byte-for-byte equivalent to its reference twin (property-tested
 in ``tests/crypto/test_kernels.py``), so which side runs never changes

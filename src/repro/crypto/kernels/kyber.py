@@ -13,8 +13,9 @@ reference packers in ``repro.pqc.bitpack``):
 - ``cbd`` replaces the per-bit list walk with byte tables (eta=2) and
   6-bit bigint field extraction (eta=3).
 - ``pack_bits``/``unpack_bits``/``compress``/``decompress`` run on one
-  bigint / one lookup table instead of per-coefficient shift loops. The
-  packers are the one fast copy: Dilithium binds them too.
+  bigint / one lookup table instead of per-coefficient shift loops.
+  Dilithium packs whole vectors with its own numpy packer instead
+  (``repro.crypto.kernels.dilithium``).
 
 The NTT, inverse NTT and base multiplication have no twin: a lazily
 reduced rewrite did not beat the reference by more than the host's

@@ -3,9 +3,11 @@
 Both schemes serialise polynomials the same way: fixed-width integers
 concatenated least-significant bit first (Kyber's ByteEncode,
 Dilithium's bit-packing of t1, t0, s1/s2, z and w1). This module holds
-the one spec-shaped reference copy; ``repro.pqc.kyber.poly`` and
-``repro.pqc.dilithium.poly`` both import it and bind it against the one
-fast twin in ``repro.crypto.kernels.kyber``.
+the one spec-shaped reference copy. ``repro.pqc.kyber.poly`` binds it
+against the lane packer in ``repro.crypto.kernels.kyber``;
+``repro.pqc.dilithium.poly`` runs it row by row inside its reference
+whole-vector ``pack_vec``/``unpack_vec``, whose fast twin is one numpy
+pass in ``repro.crypto.kernels.dilithium``.
 """
 
 from __future__ import annotations

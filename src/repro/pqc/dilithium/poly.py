@@ -3,22 +3,29 @@
 The Dilithium NTT is complete (8 layers, 256-point); rounding helpers
 (Power2Round, Decompose, hints) follow the round-3 specification.
 
-The scheme works on whole polynomial vectors, so the switchable entry
-points are the ``*_vec`` family, ``rej_uniform`` and the bit packers:
-``PQTLS_KERNELS=fast`` (default) swaps them for the batched numpy twins
-in ``repro.crypto.kernels.dilithium`` and the shared Kyber packers. The
-scalar ``ntt``/``intt``/``pointwise``/``add``/``sub`` here are plain
-reference helpers of the ``*_vec`` loops, never rebound; a single
-polynomial goes through ``ntt_vec([c])[0]``. Call through the module so
-rebinding takes effect.
+The scheme keeps every polynomial vector as a (rows, 256) int64 numpy
+array, so the switchable entry points are the ``*_vec`` family, the
+whole-vector packers ``pack_vec``/``unpack_vec`` and the samplers
+``rej_uniform``/``rej_eta``: ``PQTLS_KERNELS=fast`` (default) swaps them
+for the batched numpy twins in ``repro.crypto.kernels.dilithium``. The
+reference twins take and return the same arrays but convert to lists
+once at their boundary and run the scalar loops, so they stay the
+oracle. The scalar ``ntt``/``intt``/``pointwise``/``add``/``sub`` and
+the per-row ``pack_bits``/``unpack_bits`` (Kyber's reference packers,
+which Kyber binds to its lane packers) are plain helpers of those
+loops, never rebound here; a single polynomial goes through
+``ntt_vec(c[None])[0]``. Call through the module so rebinding takes
+effect.
 """
 
 from __future__ import annotations
 
 import sys
 
-# bit packing: the one reference copy, shared with Kyber
-from repro.pqc.bitpack import pack_bits, unpack_bits  # noqa: F401
+import numpy as np
+
+# per-row bit packing: the one reference copy, shared with Kyber
+from repro.pqc.bitpack import pack_bits, unpack_bits
 
 Q = 8380417
 N = 256
@@ -141,78 +148,106 @@ def use_hint(hint: int, r: int, alpha: int) -> int:
 # -- polynomial-vector entry points ----------------------------------------
 #
 # The unit of work in keygen/sign/verify is a whole vector of polynomials
-# (length k or l); these reference twins are the scalar loops spelled
-# out, and PQTLS_KERNELS=fast swaps them for the batched numpy kernels.
+# (length k or l), held as a (rows, 256) int64 array. These reference
+# twins convert once at their boundary and run the scalar loops above;
+# PQTLS_KERNELS=fast swaps them for the batched numpy kernels.
 
-def ntt_vec(rows: list[list[int]]) -> list[list[int]]:
-    return [ntt(row) for row in rows]
-
-
-def intt_vec(rows: list[list[int]]) -> list[list[int]]:
-    return [intt(row) for row in rows]
+def _lists(rows) -> list:
+    """A vector (or matrix) of polynomials as nested int lists."""
+    return np.asarray(rows, dtype=np.int64).tolist()
 
 
-def pointwise_each(one: list[int], rows: list[list[int]]) -> list[list[int]]:
-    return [pointwise(one, row) for row in rows]
+def _array(rows) -> np.ndarray:
+    return np.array(rows, dtype=np.int64)
 
 
-def matvec_pointwise(mat, vec) -> list[list[int]]:
+def ntt_vec(rows: np.ndarray) -> np.ndarray:
+    return _array([ntt(row) for row in _lists(rows)])
+
+
+def intt_vec(rows: np.ndarray) -> np.ndarray:
+    return _array([intt(row) for row in _lists(rows)])
+
+
+def pointwise_each(one: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    one = _lists(one)
+    return _array([pointwise(one, row) for row in _lists(rows)])
+
+
+def matvec_pointwise(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """rows[i] = sum_j mat[i][j] * vec[j] (pointwise, mod q), NTT domain."""
+    vec = _lists(vec)
     out = []
-    for row in mat:
+    for row in _lists(mat):
         acc = [0] * N
         for entry, v in zip(row, vec):
             acc = add(acc, pointwise(entry, v))
         out.append(acc)
-    return out
+    return _array(out)
 
 
-def add_vec(a, b) -> list[list[int]]:
-    return [add(x, y) for x, y in zip(a, b)]
+def add_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _array([add(x, y) for x, y in zip(_lists(a), _lists(b))])
 
 
-def sub_vec(a, b) -> list[list[int]]:
-    return [sub(x, y) for x, y in zip(a, b)]
+def sub_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _array([sub(x, y) for x, y in zip(_lists(a), _lists(b))])
 
 
-def neg_vec(rows) -> list[list[int]]:
-    return [[(-c) % Q for c in row] for row in rows]
+def neg_vec(rows: np.ndarray) -> np.ndarray:
+    return _array([[(-c) % Q for c in row] for row in _lists(rows)])
 
 
-def inf_norm_vec(rows) -> int:
-    return max(inf_norm(row) for row in rows)
+def inf_norm_vec(rows: np.ndarray) -> int:
+    return max(inf_norm(row) for row in _lists(rows))
 
 
-def highbits_vec(rows, alpha: int) -> list[list[int]]:
-    return [[highbits(c, alpha) for c in row] for row in rows]
+def highbits_vec(rows: np.ndarray, alpha: int) -> np.ndarray:
+    return _array([[highbits(c, alpha) for c in row] for row in _lists(rows)])
 
 
-def lowbits_vec(rows, alpha: int) -> list[list[int]]:
-    return [[lowbits(c, alpha) for c in row] for row in rows]
+def lowbits_vec(rows: np.ndarray, alpha: int) -> np.ndarray:
+    return _array([[lowbits(c, alpha) for c in row] for row in _lists(rows)])
 
 
-def make_hint_vec(z_rows, r_rows, alpha: int) -> list[list[int]]:
-    return [
+def make_hint_vec(z_rows: np.ndarray, r_rows: np.ndarray, alpha: int) -> np.ndarray:
+    return _array([
         [make_hint(z, r, alpha) for z, r in zip(z_row, r_row)]
-        for z_row, r_row in zip(z_rows, r_rows)
-    ]
+        for z_row, r_row in zip(_lists(z_rows), _lists(r_rows))
+    ])
 
 
-def use_hint_vec(hints, rows, alpha: int) -> list[list[int]]:
-    return [
+def use_hint_vec(hints: np.ndarray, rows: np.ndarray, alpha: int) -> np.ndarray:
+    return _array([
         [use_hint(h, r, alpha) for h, r in zip(h_row, r_row)]
-        for h_row, r_row in zip(hints, rows)
-    ]
+        for h_row, r_row in zip(_lists(hints), _lists(rows))
+    ])
 
 
-def power2round_vec(rows) -> tuple[list[list[int]], list[list[int]]]:
+def power2round_vec(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hi_rows, lo_rows = [], []
-    for row in rows:
+    for row in _lists(rows):
         pairs = [power2round(c) for c in row]
         hi_rows.append([hi for hi, _ in pairs])
         lo_rows.append([lo for _, lo in pairs])
-    return hi_rows, lo_rows
+    return _array(hi_rows), _array(lo_rows)
 
+
+def pack_vec(rows: np.ndarray, bits: int) -> bytes:
+    """Every row packed with :func:`pack_bits`, rows concatenated."""
+    return b"".join(pack_bits(row, bits) for row in _lists(rows))
+
+
+def unpack_vec(data: bytes, bits: int, nrows: int) -> np.ndarray:
+    """Inverse of :func:`pack_vec`: (nrows, 256) from the head of *data*."""
+    if 8 * len(data) < bits * N * nrows:
+        raise ValueError("unpack_vec: not enough data")
+    row_bytes = N * bits // 8
+    return _array([unpack_bits(data[i * row_bytes: (i + 1) * row_bytes], bits)
+                   for i in range(nrows)])
+
+
+# -- rejection samplers ----------------------------------------------------
 
 def rej_uniform(data: bytes, limit: int) -> tuple[list[int], int]:
     """Uniform-mod-q rejection sampling over 3-byte chunks (top bit cleared).
@@ -232,17 +267,36 @@ def rej_uniform(data: bytes, limit: int) -> tuple[list[int], int]:
     return out, offset
 
 
+def rej_eta(data: bytes, eta: int, limit: int) -> tuple[list[int], int]:
+    """Coefficients in [-eta, eta] (mod q) from the low, then high nibbles.
+
+    Nibbles >= 15 (eta=2) or >= 9 (eta=4) are rejected. Returns
+    (accepted values, bytes consumed); the byte holding the
+    ``limit``-th acceptance is consumed whole.
+    """
+    out: list[int] = []
+    offset = 0
+    while len(out) < limit and offset < len(data):
+        byte = data[offset]
+        offset += 1
+        for nibble in (byte & 0x0F, byte >> 4):
+            if len(out) >= limit:
+                break
+            if eta == 2 and nibble < 15:
+                out.append((2 - nibble % 5) % Q)
+            elif eta == 4 and nibble < 9:
+                out.append((4 - nibble) % Q)
+    return out, offset
+
+
 from repro.crypto import kernels as _kernels  # noqa: E402
 from repro.crypto.kernels import dilithium as _fast  # noqa: E402
-from repro.crypto.kernels import kyber as _fast_kyber  # noqa: E402
 
 _SELF = sys.modules[__name__]
 for _name in ("ntt_vec", "intt_vec", "pointwise_each", "matvec_pointwise",
               "add_vec", "sub_vec", "neg_vec", "inf_norm_vec",
               "highbits_vec", "lowbits_vec", "make_hint_vec", "use_hint_vec",
-              "power2round_vec", "rej_uniform"):
+              "power2round_vec", "pack_vec", "unpack_vec", "rej_uniform",
+              "rej_eta"):
     _kernels.bind(_SELF, _name,
                   ref=getattr(_SELF, _name), fast=getattr(_fast, _name))
-for _name in ("pack_bits", "unpack_bits"):
-    _kernels.bind(_SELF, _name,
-                  ref=getattr(_SELF, _name), fast=getattr(_fast_kyber, _name))

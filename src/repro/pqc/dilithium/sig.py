@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.crypto import aes as _aes
 from repro.crypto.drbg import Drbg
 from repro.pqc.dilithium import poly
@@ -99,57 +101,50 @@ class DilithiumSignature(SignatureScheme):
         self.signature_bytes = 32 + (N * self._zbits // 8) * p.l + p.omega + p.k
 
     # -- sampling -----------------------------------------------------------
-    def _expand_a(self, rho: bytes) -> list[list[list[int]]]:
-        matrix = []
+    def _expand_a(self, rho: bytes) -> np.ndarray:
+        """The (k, l, 256) NTT-domain matrix A, one XOF stream per entry."""
+        matrix = np.empty((self._p.k, self._p.l, N), dtype=np.int64)
         for i in range(self._p.k):
-            row = []
             for j in range(self._p.l):
                 # Rejection-sample < q from 3-byte chunks (top bit cleared).
                 # Re-expanding a longer stream replays the same prefix
                 # (XOF), so chunked parsing is position-exact.
-                coeffs: list[int] = []
                 need = 3 * 340
                 stream = self._xof.expand_a(rho, i, j, need)
-                offset = 0
-                while len(coeffs) < N:
+                offset = filled = 0
+                while filled < N:
                     if offset + 3 > len(stream):
                         need += 3 * 170
                         stream = self._xof.expand_a(rho, i, j, need)
-                    got, used = poly.rej_uniform(stream[offset:], N - len(coeffs))
-                    coeffs.extend(got)
+                    got, used = poly.rej_uniform(stream[offset:], N - filled)
+                    matrix[i, j, filled: filled + len(got)] = got
+                    filled += len(got)
                     offset += used
-                row.append(coeffs)
-            matrix.append(row)
         return matrix
 
-    def _sample_eta(self, rho_prime: bytes, nonce: int) -> list[int]:
-        coeffs: list[int] = []
+    def _sample_eta(self, rho_prime: bytes, nonce: int) -> np.ndarray:
+        row = np.empty(N, dtype=np.int64)
         need = 192
         stream = self._xof.expand_s(rho_prime, nonce, need)
-        offset = 0
-        while len(coeffs) < N:
+        offset = filled = 0
+        while filled < N:
             if offset >= len(stream):
                 need += 64
                 stream = self._xof.expand_s(rho_prime, nonce, need)
-            byte = stream[offset]
-            offset += 1
-            for nibble in (byte & 0x0F, byte >> 4):
-                if len(coeffs) >= N:
-                    break
-                if self._p.eta == 2 and nibble < 15:
-                    coeffs.append((2 - nibble % 5) % Q)
-                elif self._p.eta == 4 and nibble < 9:
-                    coeffs.append((4 - nibble) % Q)
-        return coeffs
+            got, used = poly.rej_eta(stream[offset:], self._p.eta, N - filled)
+            row[filled: filled + len(got)] = got
+            filled += len(got)
+            offset += used
+        return row
 
-    def _sample_mask_poly(self, rho_prime: bytes, nonce: int) -> list[int]:
+    def _sample_mask(self, rho_prime: bytes, kappa: int) -> np.ndarray:
+        """y: l polynomials with coefficients in (-gamma1, gamma1] (mod q)."""
         bits = self._zbits
-        data = self._xof.expand_mask(rho_prime, nonce, N * bits // 8)
-        raw = poly.unpack_bits(data, bits)
-        gamma1 = self._p.gamma1
-        return [(gamma1 - t) % Q for t in raw]
+        data = b"".join(self._xof.expand_mask(rho_prime, kappa + i, N * bits // 8)
+                        for i in range(self._p.l))
+        return (self._p.gamma1 - poly.unpack_vec(data, bits, self._p.l)) % Q
 
-    def _sample_in_ball(self, c_tilde: bytes) -> list[int]:
+    def _sample_in_ball(self, c_tilde: bytes) -> np.ndarray:
         # c_tilde is the published challenge hash (part of the signature);
         # the rejection sampling below is over public data
         stream = _shake256(c_tilde, 32 + self._p.tau * 4)
@@ -167,37 +162,34 @@ class DilithiumSignature(SignatureScheme):
             c[i] = c[j]
             c[j] = (1 if signs & 1 == 0 else Q - 1)
             signs >>= 1
-        return c
+        return np.array(c, dtype=np.int64)
 
     # -- hint packing (spec encoding: positions + per-row cumulative) -------
-    def _pack_hint(self, hints: list[list[int]]) -> bytes:
+    def _pack_hint(self, hints: np.ndarray) -> bytes:
         out = bytearray(self._p.omega + self._p.k)
         index = 0
         for row, h in enumerate(hints):
-            for pos, bit in enumerate(h):
-                if bit:
-                    out[index] = pos
-                    index += 1
+            positions = np.flatnonzero(h)
+            out[index: index + len(positions)] = positions.astype(np.uint8).tobytes()
+            index += len(positions)
             out[self._p.omega + row] = index
         return bytes(out)
 
-    def _unpack_hint(self, data: bytes) -> list[list[int]] | None:
+    def _unpack_hint(self, data: bytes) -> np.ndarray | None:
         omega, k = self._p.omega, self._p.k
-        hints = [[0] * N for _ in range(k)]
+        hints = np.zeros((k, N), dtype=np.int64)
         index = 0
         for row in range(k):
             end = data[omega + row]
             if end < index or end > omega:
                 return None
-            prev = -1
-            while index < end:
-                pos = data[index]
-                if pos <= prev:  # positions must be strictly increasing
-                    return None
-                prev = pos
-                hints[row][pos] = 1
-                index += 1
-        if any(data[i] for i in range(index, omega)):  # zero padding enforced
+            positions = data[index:end]
+            # positions must be strictly increasing
+            if any(a >= b for a, b in zip(positions, positions[1:])):
+                return None
+            hints[row, list(positions)] = 1
+            index = end
+        if any(data[index:omega]):  # zero padding enforced
             return None
         return hints
 
@@ -208,21 +200,17 @@ class DilithiumSignature(SignatureScheme):
         seed = _shake256(zeta, 128)
         rho, rho_prime, key = seed[:32], seed[32:96], seed[96:]
         a_hat = self._expand_a(rho)
-        s1 = [self._sample_eta(rho_prime, nonce) for nonce in range(p.l)]
-        s2 = [self._sample_eta(rho_prime, nonce) for nonce in range(p.l, p.l + p.k)]
-        s1_hat = poly.ntt_vec(s1)
-        t = poly.add_vec(poly.intt_vec(poly.matvec_pointwise(a_hat, s1_hat)), s2)
-        t1_rows, t0_rows = poly.power2round_vec(t)
-        pk = rho + b"".join(poly.pack_bits(row, 10) for row in t1_rows)
+        s = np.array([self._sample_eta(rho_prime, nonce)
+                      for nonce in range(p.l + p.k)])
+        s1, s2 = s[:p.l], s[p.l:]
+        t = poly.add_vec(poly.intt_vec(poly.matvec_pointwise(a_hat, poly.ntt_vec(s1))), s2)
+        t1, t0 = poly.power2round_vec(t)
+        pk = rho + poly.pack_vec(t1, 10)
         tr = _shake256(pk, 64)
         sk = (
             rho + key + tr
-            + b"".join(poly.pack_bits([(p.eta - poly.centered(c)) for c in row],
-                                      self._etabits) for row in s1)
-            + b"".join(poly.pack_bits([(p.eta - poly.centered(c)) for c in row],
-                                      self._etabits) for row in s2)
-            + b"".join(poly.pack_bits([(1 << (poly.D - 1)) - lo for lo in row], 13)
-                       for row in t0_rows)
+            + poly.pack_vec(p.eta - _centered(s), self._etabits)  # s1 then s2
+            + poly.pack_vec((1 << (poly.D - 1)) - t0, 13)
         )
         return pk, sk
 
@@ -231,22 +219,11 @@ class DilithiumSignature(SignatureScheme):
         rho, key, tr = sk[:32], sk[32:64], sk[64:128]
         off = 128
         eta_bytes = N * self._etabits // 8
-        s1 = []
-        for _ in range(p.l):
-            raw = poly.unpack_bits(sk[off: off + eta_bytes], self._etabits)
-            s1.append([(p.eta - v) % Q for v in raw])
-            off += eta_bytes
-        s2 = []
-        for _ in range(p.k):
-            raw = poly.unpack_bits(sk[off: off + eta_bytes], self._etabits)
-            s2.append([(p.eta - v) % Q for v in raw])
-            off += eta_bytes
-        t0 = []
-        t0_bytes = N * 13 // 8
-        for _ in range(p.k):
-            raw = poly.unpack_bits(sk[off: off + t0_bytes], 13)
-            t0.append([((1 << (poly.D - 1)) - v) % Q for v in raw])
-            off += t0_bytes
+        s1 = (p.eta - poly.unpack_vec(sk[off:], self._etabits, p.l)) % Q
+        off += p.l * eta_bytes
+        s2 = (p.eta - poly.unpack_vec(sk[off:], self._etabits, p.k)) % Q
+        off += p.k * eta_bytes
+        t0 = ((1 << (poly.D - 1)) - poly.unpack_vec(sk[off:], 13, p.k)) % Q
         return rho, key, tr, s1, s2, t0
 
     # -- signing ---------------------------------------------------------------
@@ -261,14 +238,12 @@ class DilithiumSignature(SignatureScheme):
         t0_hat = poly.ntt_vec(t0)
         alpha = 2 * p.gamma2
         for kappa in range(0, _MAX_SIGN_ITERS * p.l, p.l):
-            y = [self._sample_mask_poly(rho_prime, kappa + i) for i in range(p.l)]
+            y = self._sample_mask(rho_prime, kappa)
             y_hat = poly.ntt_vec(y)
             w = poly.intt_vec(poly.matvec_pointwise(a_hat, y_hat))
             w1 = poly.highbits_vec(w, alpha)
-            w1_packed = b"".join(poly.pack_bits(row, self._w1bits) for row in w1)
-            c_tilde = _shake256(mu + w1_packed, 32)
-            c = self._sample_in_ball(c_tilde)
-            c_hat = poly.ntt_vec([c])[0]
+            c_tilde = _shake256(mu + poly.pack_vec(w1, self._w1bits), 32)
+            c_hat = poly.ntt_vec(self._sample_in_ball(c_tilde)[None])[0]
             z = poly.add_vec(y, poly.intt_vec(poly.pointwise_each(c_hat, s1_hat)))
             if poly.inf_norm_vec(z) >= p.gamma1 - p.beta:
                 continue
@@ -284,14 +259,11 @@ class DilithiumSignature(SignatureScheme):
             hints = poly.make_hint_vec(
                 poly.neg_vec(ct0), poly.add_vec(w_cs2, ct0), alpha
             )
-            if sum(sum(row) for row in hints) > p.omega:
+            if int(hints.sum()) > p.omega:
                 continue
-            z_packed = b"".join(
-                poly.pack_bits([(p.gamma1 - poly.centered(cf)) % (2 * p.gamma1)
-                                for cf in row], self._zbits)
-                for row in z
-            )
-            return c_tilde + z_packed + self._pack_hint(hints)  # pqtls: allow[CT101] — hint positions are published in the signature encoding
+            z_packed = poly.pack_vec(
+                (p.gamma1 - _centered(z)) % (2 * p.gamma1), self._zbits)
+            return c_tilde + z_packed + self._pack_hint(hints)  # pqtls: allow[CT103] — hint positions are published in the signature encoding
         raise RuntimeError(f"{self.name}: signing did not converge")
 
     # -- verification ------------------------------------------------------------
@@ -302,40 +274,32 @@ class DilithiumSignature(SignatureScheme):
         if len(signature) != self.signature_bytes:
             return False
         rho = public_key[:32]
-        t1 = []
-        off = 32
-        row_bytes = 320
-        for _ in range(p.k):
-            t1.append(poly.unpack_bits(public_key[off: off + row_bytes], 10))
-            off += row_bytes
+        t1 = poly.unpack_vec(public_key[32:], 10, p.k)
         c_tilde = signature[:32]
-        z_bytes = N * self._zbits // 8
-        z = []
-        off = 32
-        for _ in range(p.l):
-            raw = poly.unpack_bits(signature[off: off + z_bytes], self._zbits)
-            z.append([(p.gamma1 - v) % Q for v in raw])
-            off += z_bytes
-        hints = self._unpack_hint(signature[off:])
+        z_end = 32 + p.l * (N * self._zbits // 8)
+        z = (p.gamma1 - poly.unpack_vec(signature[32:z_end], self._zbits, p.l)) % Q
+        hints = self._unpack_hint(signature[z_end:])
         if hints is None:
             return False
         if poly.inf_norm_vec(z) >= p.gamma1 - p.beta:
             return False
         a_hat = self._expand_a(rho)
         mu = _shake256(_shake256(public_key, 64) + message, 64)
-        c = self._sample_in_ball(c_tilde)
-        c_hat = poly.ntt_vec([c])[0]
+        c_hat = poly.ntt_vec(self._sample_in_ball(c_tilde)[None])[0]
         z_hat = poly.ntt_vec(z)
         alpha = 2 * p.gamma2
-        t1_shifted = poly.ntt_vec([[v << poly.D for v in row] for row in t1])
+        t1_shifted = poly.ntt_vec(t1 << poly.D)
         acc = poly.sub_vec(
             poly.matvec_pointwise(a_hat, z_hat),
             poly.pointwise_each(c_hat, t1_shifted),
         )
-        w_approx = poly.intt_vec(acc)
-        w1 = poly.use_hint_vec(hints, w_approx, alpha)
-        w1_packed = b"".join(poly.pack_bits(row, self._w1bits) for row in w1)
-        return _shake256(mu + w1_packed, 32) == c_tilde
+        w1 = poly.use_hint_vec(hints, poly.intt_vec(acc), alpha)
+        return _shake256(mu + poly.pack_vec(w1, self._w1bits), 32) == c_tilde
+
+
+def _centered(rows: np.ndarray) -> np.ndarray:
+    """Coefficients in [0, q) as representatives in (-q/2, q/2]."""
+    return np.where(rows > Q // 2, rows - Q, rows)
 
 
 DILITHIUM2 = DilithiumSignature(2)

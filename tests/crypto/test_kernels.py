@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -211,21 +212,6 @@ def test_kyber_cbd_and_parse_uniform_ref_equals_fast():
     assert got["ref"] == got["fast"]
 
 
-def test_dilithium_poly_ops_ref_equals_fast():
-    # Dilithium binds the shared Kyber packers; every width it packs
-    from repro.pqc.dilithium import poly as dp
-
-    drbg = Drbg(b"kernels-dilithium")
-    a = [drbg.randint(0, dp.Q - 1) for _ in range(256)]
-
-    def run():
-        return [(dp.pack_bits(a, bits),
-                 dp.unpack_bits(dp.pack_bits(a, bits), bits))
-                for bits in (3, 4, 6, 10, 13, 18, 20, 23)]
-    got = both_modes(run)
-    assert got["ref"] == got["fast"]
-
-
 def test_kyber90s_xof_roundtrip_ref_equals_fast():
     # exercises the incremental AES-CTR XOF against the sliced reference
     from repro.pqc.registry import get_kem
@@ -397,33 +383,59 @@ def test_hqc_kem_roundtrip_ref_equals_fast():
 
 
 # -- Dilithium batched vector ops --------------------------------------------
+#
+# Production keeps every Dilithium vector as a (rows, 256) int64 array, so
+# both sides are fed arrays and compared with np.array_equal.
 
 DILITHIUM_ALPHAS = (190464, 523776)   # 2*gamma2 for dilithium2 and 3/5
+DILITHIUM_PACK_WIDTHS = (3, 4, 6, 10, 13, 18, 20)   # eta, w1, t1, t0, z
+
+
+def assert_same(ref, fast):
+    """Deep equality of nested tuples/lists of arrays, ints and bytes."""
+    if isinstance(ref, np.ndarray) or isinstance(fast, np.ndarray):
+        assert np.array_equal(ref, fast)
+    elif isinstance(ref, (tuple, list)):
+        assert isinstance(fast, (tuple, list)) and len(ref) == len(fast)
+        for r, f in zip(ref, fast):
+            assert_same(r, f)
+    else:
+        assert ref == fast
+
+
+def _coeffs(drbg, *shape, bound=8380417):
+    return np.array([drbg.randint(0, bound - 1) for _ in range(int(np.prod(shape)))],
+                    dtype=np.int64).reshape(shape)
 
 
 def test_dilithium_vec_ntt_and_matvec_ref_equals_fast():
     from repro.pqc.dilithium import poly as dp
 
     drbg = Drbg(b"kernels-dvec")
-    vec = [[drbg.randint(0, dp.Q - 1) for _ in range(256)] for _ in range(4)]
-    mat = [[[drbg.randint(0, dp.Q - 1) for _ in range(256)]
-            for _ in range(4)] for _ in range(3)]
-    one = [drbg.randint(0, dp.Q - 1) for _ in range(256)]
+    vec = _coeffs(drbg, 4, 256)
+    mat = _coeffs(drbg, 3, 4, 256)
+    one = _coeffs(drbg, 256)
     # the challenge c (39 coefficients of +-1) goes through ntt_vec as one row
-    ball = [0] * 256
+    ball = np.zeros(256, dtype=np.int64)
     for i in drbg.sample_distinct(256, 39):
         ball[i] = 1 if drbg.randint(0, 1) else dp.Q - 1
+    # the NTT's lazy reduction is bounded by the largest inputs
+    top = np.full((2, 256), dp.Q - 1, dtype=np.int64)
 
     def run():
-        v_hat = dp.ntt_vec([list(row) for row in vec])
-        return (v_hat, dp.intt_vec([list(row) for row in v_hat]),
-                dp.ntt_vec([ball]), dp.ntt_vec([one]),
+        v_hat = dp.ntt_vec(vec)
+        return (v_hat, dp.intt_vec(v_hat), dp.ntt_vec(top), dp.intt_vec(top),
+                dp.ntt_vec(ball[None]), dp.ntt_vec(one[None]),
                 dp.matvec_pointwise(mat, v_hat),
+                dp.matvec_pointwise(np.full((2, 7, 256), dp.Q - 1), top[[0] * 7]),
                 dp.pointwise_each(one, v_hat),
                 dp.add_vec(vec, v_hat), dp.sub_vec(vec, v_hat),
                 dp.neg_vec(vec), dp.inf_norm_vec(vec))
     got = both_modes(run)
-    assert got["ref"] == got["fast"]
+    assert_same(got["ref"], got["fast"])
+    for out in got["fast"][:-1]:
+        assert isinstance(out, np.ndarray) and out.dtype == np.int64
+    assert np.array_equal(got["fast"][1], vec)   # intt(ntt(v)) == v
 
 
 @pytest.mark.parametrize("alpha", DILITHIUM_ALPHAS)
@@ -434,11 +446,10 @@ def test_dilithium_vec_decompose_and_hints_ref_equals_fast(alpha):
     # include the q-1 wraparound corner and the alpha boundary values
     specials = [0, 1, dp.Q - 1, dp.Q - 2, alpha, alpha - 1, alpha // 2,
                 alpha // 2 + 1, dp.Q - alpha, dp.Q - alpha // 2]
-    rows = [specials + [drbg.randint(0, dp.Q - 1)
-                        for _ in range(256 - len(specials))]
-            for _ in range(4)]
-    z_rows = [[drbg.randint(0, dp.Q - 1) for _ in range(256)]
-              for _ in range(4)]
+    rows = np.array([specials + [drbg.randint(0, dp.Q - 1)
+                                 for _ in range(256 - len(specials))]
+                     for _ in range(4)], dtype=np.int64)
+    z_rows = _coeffs(drbg, 4, 256)
 
     def run():
         hints = dp.make_hint_vec(z_rows, rows, alpha)
@@ -446,11 +457,50 @@ def test_dilithium_vec_decompose_and_hints_ref_equals_fast(alpha):
                 hints, dp.use_hint_vec(hints, rows, alpha),
                 dp.power2round_vec(rows))
     got = both_modes(run)
-    assert got["ref"] == got["fast"]
+    assert_same(got["ref"], got["fast"])
     # scalar reference cross-check on the first row
     with kernels.override("fast"):
-        assert dp.highbits_vec(rows, alpha)[0] == \
-            [dp.highbits(r, alpha) for r in rows[0]]
+        assert dp.highbits_vec(rows, alpha)[0].tolist() == \
+            [dp.highbits(r, alpha) for r in rows[0].tolist()]
+
+
+@pytest.mark.parametrize("bits", DILITHIUM_PACK_WIDTHS)
+def test_dilithium_pack_vec_ref_equals_fast(bits):
+    from repro.pqc.dilithium import poly as dp
+
+    drbg = Drbg(b"kernels-pack-%d" % bits)
+    top = (1 << bits) - 1
+    vec = _coeffs(drbg, 5, 256, bound=top + 1)
+    vec[0, :7] = top                     # the all-ones maximum value
+    vec[1] = top
+    vec[2, -1] = 0
+
+    def run():
+        packed = dp.pack_vec(vec, bits)
+        # the head of a longer buffer decodes the same rows
+        return (packed, dp.unpack_vec(packed, bits, 5),
+                dp.unpack_vec(packed + b"\xff", bits, 5),
+                dp.unpack_vec(packed, bits, 2), dp.pack_vec(vec[:1], bits))
+    got = both_modes(run)
+    assert_same(got["ref"], got["fast"])
+    packed, back = got["fast"][:2]
+    assert len(packed) == 5 * 256 * bits // 8
+    assert np.array_equal(back, vec)
+    # the per-row reference encodings, concatenated
+    assert packed == b"".join(dp.pack_bits(row, bits) for row in vec.tolist())
+
+
+def test_dilithium_unpack_vec_short_data_raises_like_unpack_bits():
+    from repro.pqc.dilithium import poly as dp
+    from repro.crypto.kernels import kyber as fast_kyber
+
+    short = bytes(3 * 256 * 13 // 8 - 1)
+    with pytest.raises(ValueError, match="not enough data"):
+        fast_kyber.unpack_bits(short[: 256 * 13 // 8 - 1], 13)
+    for mode in ("ref", "fast"):
+        with kernels.override(mode), \
+                pytest.raises(ValueError, match="unpack_vec: not enough data"):
+            dp.unpack_vec(short, 13, 3)
 
 
 def test_dilithium_rej_uniform_ref_equals_fast():
@@ -466,9 +516,42 @@ def test_dilithium_rej_uniform_ref_equals_fast():
              (b"", 4), (stream[:5], 4), (stream[:3 * 4], 256)]
     for data, limit in cases:
         got = both_modes(lambda: dp.rej_uniform(data, limit))
-        assert got["ref"] == got["fast"], (len(data), limit)
+        assert_same(got["ref"], got["fast"])
         coeffs, used = got["fast"]
         assert used <= len(data) and all(c < dp.Q for c in coeffs)
+
+
+@pytest.mark.parametrize("eta", [2, 4])
+def test_dilithium_rej_eta_ref_equals_fast(eta):
+    from repro.pqc.dilithium import poly as dp
+
+    drbg = Drbg(b"kernels-rej-eta-%d" % eta)
+    stream = drbg.random_bytes(192)
+    reject = 15 if eta == 2 else 9          # the smallest rejected nibble
+    hot = bytearray(stream)
+    hot[0] = reject | (reject << 4)           # both nibbles rejected
+    hot[1] = 0xF0 | 1                         # low kept, high rejected
+    hot[2] = (reject << 4) | 0x0F if eta == 2 else 0xFF
+    hot = bytes(hot)
+    # limit 3: byte 1 gives two acceptances and byte 2's low nibble the
+    # third, so byte 2 is consumed with its high nibble unread
+    low_hit = bytes([reject | (reject << 4), 0x11, 0x32, 0x44])
+    cases = [(stream, 256), (hot, 256), (hot, 1), (hot, 2), (low_hit, 3),
+             (stream, 0), (b"", 4), (stream[:10], 256), (hot[:3], 256),
+             (bytes([0xFF] * 16), 8)]
+    for data, limit in cases:
+        got = both_modes(lambda: dp.rej_eta(data, eta, limit))
+        assert_same(got["ref"], got["fast"])
+        coeffs, used = got["fast"]
+        assert used <= len(data) and len(coeffs) <= limit
+        centered = [c - dp.Q if c > dp.Q // 2 else c for c in coeffs]
+        assert all(-eta <= c <= eta for c in centered)
+    coeffs, used = both_modes(lambda: dp.rej_eta(low_hit, eta, 3))["fast"]
+    assert used == 3 and list(coeffs) == [(eta - 1) % dp.Q, (eta - 1) % dp.Q,
+                                          (eta - 2) % dp.Q]
+    # a stream too short to finish is consumed whole
+    coeffs, used = both_modes(lambda: dp.rej_eta(stream[:10], eta, 256))["fast"]
+    assert len(coeffs) < 256 and used == 10
 
 
 @pytest.mark.parametrize("name", ["dilithium2", "dilithium3", "dilithium5"])

@@ -1,8 +1,12 @@
 """Dilithium: rounding algebra, hints, codecs, signatures."""
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.crypto import kernels
 from repro.crypto.drbg import Drbg
 from repro.pqc.dilithium import (
     DILITHIUM2,
@@ -10,6 +14,7 @@ from repro.pqc.dilithium import (
     DILITHIUM3,
     DILITHIUM5,
 )
+from repro.pqc.registry import get_sig
 from repro.pqc.dilithium import poly
 from repro.pqc.dilithium.poly import D, N, Q
 
@@ -120,11 +125,13 @@ def test_length_validation(d2_keypair):
 
 def test_hint_packing_roundtrip_and_canonicality(d2_keypair):
     scheme = DILITHIUM2
-    hints = [[0] * N for _ in range(scheme._p.k)]
-    hints[0][3] = hints[0][250] = hints[2][7] = 1
+    hints = np.zeros((scheme._p.k, N), dtype=np.int64)
+    hints[0, 3] = hints[0, 250] = hints[2, 7] = 1
     packed = scheme._pack_hint(hints)
     assert len(packed) == scheme._p.omega + scheme._p.k
-    assert scheme._unpack_hint(packed) == hints
+    assert packed[:3] == bytes([3, 250, 7])
+    assert packed[scheme._p.omega:] == bytes([2, 2, 3, 3])
+    assert np.array_equal(scheme._unpack_hint(packed), hints)
     # non-canonical encodings must be rejected
     corrupt = bytearray(packed)
     corrupt[scheme._p.omega] = scheme._p.omega + 1  # count beyond omega
@@ -170,3 +177,151 @@ def test_aes_variant_same_sizes_different_keys():
     aes = DILITHIUM2_AES.keygen(Drbg("suite"))
     assert len(std[0]) == len(aes[0])
     assert std[0] != aes[0]
+
+
+# -- byte pins: keygen, sign and verify under both kernel modes --------------
+#
+# sha256 of (pk, sk, signature) at fixed DRBG seeds; each signature
+# verifies and a copy with one flipped z bit does not. Any change to
+# sampling, NTT arithmetic, rounding or packing shows up here.
+
+BYTE_PINS = {
+    "dilithium2": (
+        "9ebe1fb31ee28cd7f7e5a79640c7934c37082e364fe36164090a8dd0f9240a5c",
+        "e6650d6b21a6b9f90403b0825d63c3d6ee0557098efdc57a0b461d51363c1934",
+        "7a4c76853115ba51e044a5b365886ab03fbeccb16f6759c718c0ecc0c3e1376d",
+    ),
+    "dilithium3": (
+        "d0a888622201b2ce042ea768dbe96aac14f2fa2705f7a2055a21033e460d8cad",
+        "5c2197022b622d3c7e3a98f2a7a1ecc2ef606d0f28aefda6180fcaa29b3a649f",
+        "756f459ba30b9b551f0c4da88b5b0db6edbbaef1ae7ed0691b639caf73e8823a",
+    ),
+    "dilithium5": (
+        "e35126eea2834f01734f2210ce74d83b6bfb2cf405d9083addb1b75709ff9977",
+        "a3b58b33d5f19630e205ed91d22bc905a92f3f8c243483d0757c0b528e3bf351",
+        "cc8f53e9abbbc9d42bae21466f87e755ba08a3fa848b23dc8350b99511ed6f6f",
+    ),
+    "dilithium2_aes": (
+        "620e59ed21cff0ffe628b35c79ed2e8656f9fcd2cf75395d4b430911792833f8",
+        "3ac810a6aa01c0b5c86fc5f1fd7343475dd7cb731541f07d58f2446fe43b4883",
+        "26d640cc399e26ecb15367ad830534bbeeb32c389a8350644e28129ad62edaf6",
+    ),
+    "dilithium3_aes": (
+        "421f267d8c2c47497850dfd2af0108570c55d46ebe89f65c8bbd3d643b9690a8",
+        "a556b312104f44bc3f20f84996d7d420f6b4b92044641e38c405082bd533b175",
+        "2459acc683a32a52792c44562f81e14d7aead13713a9d933250dde4248039b83",
+    ),
+    "dilithium5_aes": (
+        "7f28c26a8063818a8ce50899d8848ee3831b1ec09827ade3d2c64a457cf2cf36",
+        "3df2ed8787a8ecd717fa14838c217809f2fd3812f620cb7f028a069944ecbabb",
+        "64dc76100618697e834a89781270779b428fb02183f2e4c186256093a09cd7ef",
+    ),
+}
+
+
+@pytest.mark.kernels
+@pytest.mark.parametrize("mode", ["ref", "fast"])
+@pytest.mark.parametrize("name", sorted(BYTE_PINS))
+def test_keygen_sign_verify_bytes_pinned(name, mode):
+    sig = get_sig(name)
+    msg = b"byte pin " + name.encode()
+    with kernels.override(mode):
+        pk, sk = sig.keygen(Drbg(b"pin-keygen-" + name.encode()))
+        s = sig.sign(sk, msg, Drbg(b"pin-sign-" + name.encode()))
+        tampered = bytearray(s)
+        tampered[40] ^= 1
+        verdicts = (sig.verify(pk, msg, s), sig.verify(pk, msg, bytes(tampered)))
+    digests = tuple(hashlib.sha256(part).hexdigest() for part in (pk, sk, s))
+    assert digests == BYTE_PINS[name]
+    assert verdicts == (True, False)
+
+
+# -- verify's early rejections -----------------------------------------------
+#
+# Each malformed input must be refused before any lattice work: the test
+# replaces _expand_a (verify's first step past the parsing checks) with a
+# tripwire, so a False that came only from the final hash comparison fails.
+
+@pytest.fixture(scope="module")
+def d2_signed(d2_keypair):
+    pk, sk = d2_keypair
+    return pk, DILITHIUM2.sign(sk, b"neg", Drbg("neg"))
+
+
+@pytest.fixture(params=["ref", "fast"])
+def tripwired(request, monkeypatch):
+    def tripwire(rho):
+        raise AssertionError("verify went past its parsing checks")
+    monkeypatch.setattr(DILITHIUM2, "_expand_a", tripwire)
+    with kernels.override(request.param):
+        yield DILITHIUM2
+
+
+def _with_hint(signature: bytes, hint: bytes) -> bytes:
+    return signature[: len(signature) - len(hint)] + hint
+
+
+def _hint_section(rows: list[list[int]], omega: int, padding=b"") -> bytes:
+    """The spec hint encoding of explicit per-row positions."""
+    positions = [pos for row in rows for pos in row]
+    body = bytes(positions) + padding
+    ends, total = [], 0
+    for row in rows:
+        total += len(row)
+        ends.append(total)
+    return body + bytes(omega - len(body)) + bytes(ends)
+
+
+def test_verify_rejects_non_increasing_hint_positions(d2_signed, tripwired):
+    pk, sig = d2_signed
+    omega = tripwired._p.omega
+    for row in ([9, 9], [9, 4]):
+        bad = _with_hint(sig, _hint_section([row, [], [], []], omega))
+        assert tripwired._unpack_hint(bad[-(omega + 4):]) is None
+        assert tripwired.verify(pk, b"neg", bad) is False
+
+
+def test_verify_rejects_nonzero_hint_padding(d2_signed, tripwired):
+    pk, sig = d2_signed
+    omega = tripwired._p.omega
+    bad = _with_hint(sig, _hint_section([[1], [2], [], [3]], omega, padding=b"\x01"))
+    assert tripwired.verify(pk, b"neg", bad) is False
+
+
+def test_verify_rejects_row_end_above_omega(d2_signed, tripwired):
+    pk, sig = d2_signed
+    omega = tripwired._p.omega
+    hint = bytearray(_hint_section([[1], [], [], []], omega))
+    hint[omega + 3] = omega + 1
+    assert tripwired.verify(pk, b"neg", _with_hint(sig, bytes(hint))) is False
+    # a decreasing row end is refused the same way
+    hint = bytearray(_hint_section([[1, 2], [], [], []], omega))
+    hint[omega + 1] = 1
+    assert tripwired.verify(pk, b"neg", _with_hint(sig, bytes(hint))) is False
+
+
+def _with_z_coefficient(scheme, signature: bytes, value: int) -> bytes:
+    """*signature* with z[0][0] set to the centered *value*."""
+    bits = scheme._zbits
+    row_bytes = N * bits // 8
+    row = poly.unpack_bits(signature[32: 32 + row_bytes], bits)
+    row[0] = scheme._p.gamma1 - value
+    return signature[:32] + poly.pack_bits(row, bits) + signature[32 + row_bytes:]
+
+
+def test_verify_rejects_z_norm_at_bound(d2_signed, tripwired):
+    pk, sig = d2_signed
+    p = tripwired._p
+    bound = p.gamma1 - p.beta
+    for value in (bound, -bound, p.gamma1):
+        assert tripwired.verify(pk, b"neg", _with_z_coefficient(tripwired, sig, value)) is False
+    # one below the bound passes the norm check and reaches the lattice work
+    with pytest.raises(AssertionError, match="past its parsing checks"):
+        tripwired.verify(pk, b"neg", _with_z_coefficient(tripwired, sig, bound - 1))
+
+
+def test_verify_rejects_wrong_lengths(d2_signed, tripwired):
+    pk, sig = d2_signed
+    for bad_pk, bad_sig in ((pk[:-1], sig), (pk + b"\x00", sig),
+                            (pk, sig[:-1]), (pk, sig + b"\x00"), (b"", b"")):
+        assert tripwired.verify(bad_pk, b"neg", bad_sig) is False
