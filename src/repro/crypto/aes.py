@@ -20,7 +20,7 @@ import sys
 from repro.crypto._aestables import INV_SBOX, RCON as _RCON
 from repro.crypto._aestables import SBOX, TE0 as _TE0, TE1 as _TE1, TE2 as _TE2, TE3 as _TE3
 
-__all__ = ["AES", "INV_SBOX", "SBOX", "CtrBlockSource", "aes_round",
+__all__ = ["AES", "INV_SBOX", "SBOX", "aes_round",
            "aes_ctr_keystream", "aes_ctr_xor", "cached_cipher"]
 
 
@@ -143,47 +143,37 @@ def cached_cipher(key: bytes) -> AES:
 
 
 def aes_ctr_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """AES-CTR keystream with a 12-byte nonce and 32-bit big-endian counter."""
-    if len(nonce) != 12:
-        raise ValueError("CTR nonce must be 12 bytes")
+    """AES-CTR keystream with a 12-byte nonce and 32-bit big-endian counter.
+
+    *nonce* may also be several 12-byte nonces concatenated: the result
+    is then each nonce's *length*-byte keystream, joined in nonce order
+    (the batched rows of the Kyber-90s and Dilithium-AES expansions).
+    """
+    if len(nonce) == 0 or len(nonce) % 12:
+        raise ValueError("CTR nonce must be 12 bytes (or several concatenated)")
     cipher = AES(key)
-    blocks = []
-    counter = 0
-    while 16 * len(blocks) < length:
-        blocks.append(cipher.encrypt_block(nonce + counter.to_bytes(4, "big")))
-        counter += 1
-    return b"".join(blocks)[:length]
+    streams = []
+    for start in range(0, len(nonce), 12):
+        blocks = []
+        counter = 0
+        while 16 * len(blocks) < length:
+            blocks.append(cipher.encrypt_block(nonce[start: start + 12]
+                                               + counter.to_bytes(4, "big")))
+            counter += 1
+        streams.append(b"".join(blocks)[:length])
+    return b"".join(streams)
 
 
 def _aes_ctr_keystream_fast(key: bytes, nonce: bytes, length: int) -> bytes:
-    if len(nonce) != 12:
-        raise ValueError("CTR nonce must be 12 bytes")
-    return _fast.ctr_keystream(cached_cipher(key), nonce, 0, (length + 15) // 16)[:length]
-
-
-class CtrBlockSource:
-    """Incremental AES-CTR XOF: ``source(ctr)`` is chunk *ctr* of the stream.
-
-    Byte-identical to ``aes_ctr_keystream(key, nonce, chunk * (ctr + 1))
-    [chunk * ctr:]`` — the shape the Kyber-90s XOF needs — but each call
-    encrypts only the blocks overlapping its chunk instead of restarting
-    the keystream from counter zero.
-    """
-
-    def __init__(self, key: bytes, nonce: bytes, chunk: int = 168):
-        if len(nonce) != 12:
-            raise ValueError("CTR nonce must be 12 bytes")
-        self._cipher = cached_cipher(key)
-        self._nonce = nonce
-        self._chunk = chunk
-
-    def __call__(self, ctr: int) -> bytes:
-        start = self._chunk * ctr
-        first = start // 16
-        last = -(-(start + self._chunk) // 16)
-        stream = _fast.ctr_keystream(self._cipher, self._nonce, first, last - first)
-        offset = start - 16 * first
-        return stream[offset:offset + self._chunk]
+    if len(nonce) == 0 or len(nonce) % 12:
+        raise ValueError("CTR nonce must be 12 bytes (or several concatenated)")
+    nblocks = (length + 15) // 16
+    stream = _fast.ctr_keystream(cached_cipher(key), nonce, 0, nblocks)
+    step = 16 * nblocks
+    if length == step:  # whole blocks (also length 0): nothing to trim
+        return stream
+    return b"".join(stream[start: start + length]
+                    for start in range(0, len(stream), step))
 
 
 def aes_ctr_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:

@@ -2,10 +2,11 @@
 
 The reference implementations under ``repro.crypto`` / ``repro.pqc`` are
 written to read like the specs; this package holds their performance
-twins: lane-packed bigint arithmetic and Kyber's per-polynomial lane bit
-packer, Dilithium's polynomial vectors as (rows, 256) numpy arrays with
-batched arithmetic, samplers and a whole-vector bit packer, the
-codegen-unrolled Haraka-512 permutation, table-driven
+twins: Kyber's and Dilithium's polynomial vectors as (rows, 256) numpy
+arrays with batched arithmetic and samplers, on the shared
+layer-parallel NTT, whole-vector bit packer and batched matrix
+rejection filter of ``lattice``; T-table AES with one multi-nonce CTR
+pass; the codegen-unrolled Haraka-512 permutation, table-driven
 GHASH and GF(256), windowed EC scalar multiplication, and CRT RSA. Every
 kernel is byte-for-byte equivalent to its reference twin (property-tested
 in ``tests/crypto/test_kernels.py``), so which side runs never changes
@@ -115,7 +116,7 @@ def override(value: str):
 
 
 _KERNEL_MODULES = ("aes", "dilithium", "ec", "gcm", "gf256", "haraka",
-                   "hqc", "kyber", "rsa")
+                   "hqc", "kyber", "lattice", "rsa")
 
 
 def warm() -> list[str]:

@@ -6,11 +6,12 @@ The reference twin in ``repro.crypto.aes`` walks the FIPS 197 state
 array byte by byte; ``encrypt_block`` is ~10x fewer Python operations
 per block.
 
-``ctr_keystream`` runs the same tables over every block of a CTR
-keystream at once: the state is an ``(nblocks, 16)`` uint8 array, and
-each full round is one numpy gather into the flattened 4x256 T-table at
-the ShiftRows-permuted byte positions, an XOR-reduce of the four words
-per column, and the round-key XOR. Below ``_NUMPY_MIN_BLOCKS`` the array
+``ctr_keystream`` runs the same tables over every block of one or
+several CTR keystreams at once: the state is an ``(m * nblocks, 16)``
+uint8 array for m counter-block prefixes, and each full round is one
+numpy gather into the flattened 4x256 T-table at the ShiftRows-permuted
+byte positions, an XOR-reduce of the four words per column, and the
+round-key XOR. Below ``_NUMPY_MIN_BLOCKS`` the array
 set-up costs more than it saves, so short runs keep the scalar loop.
 numpy is imported on the first vectorised call (or by ``warm()``), so
 importing the AES and GCM modules stays numpy-free.
@@ -115,32 +116,40 @@ def _np_round_keys(round_keys: tuple[int, ...]):
     return np.frombuffer(raw, dtype=np.uint32).reshape(-1, 4)
 
 
-def ctr_keystream(cipher, prefix12: bytes, first_counter: int, nblocks: int) -> bytes:
-    """``E(prefix12 || (first_counter + i) mod 2^32)`` for i < nblocks, joined.
+def ctr_keystream(cipher, prefixes: bytes, first_counter: int, nblocks: int) -> bytes:
+    """``E(prefix || (first_counter + i) mod 2^32)`` for i < nblocks, joined.
 
-    The one fast-side CTR loop: AES-CTR keystreams, the Kyber-90s XOF
-    blocks and GCM record encryption all come through here.
+    *prefixes* is one 12-byte counter-block prefix or several
+    concatenated; the result is each prefix's *nblocks*-block keystream
+    in prefix order, all computed in one ``(m * nblocks, 16)`` state.
+    The one fast-side CTR loop: AES-CTR keystreams, the batched rows of
+    the Kyber-90s and Dilithium-AES expansions, and GCM record
+    encryption all come through here.
     """
+    count = len(prefixes) // 12
+    total = count * nblocks
     # pqtls: allow[CT001] — the block count is public (a message length)
-    if nblocks < _NUMPY_MIN_BLOCKS:
+    if total < _NUMPY_MIN_BLOCKS:
         # pqtls: allow[CT110] — the scalar T-table cipher, allowed at its sink
         return b"".join(
-            encrypt_block(cipher, prefix12 + ((first_counter + i) & 0xFFFFFFFF).to_bytes(4, "big"))
-            for i in range(nblocks))
+            encrypt_block(cipher, prefixes[12 * p: 12 * p + 12]
+                          + ((first_counter + i) & 0xFFFFFFFF).to_bytes(4, "big"))
+            for p in range(count) for i in range(nblocks))
     import numpy as np
 
     table, sbox, shift, offset = _np_tables()
     rk = _np_round_keys(tuple(cipher._round_keys))
-    blocks = np.empty((nblocks, 16), dtype=np.uint8)
-    blocks[:, :12] = np.frombuffer(prefix12, dtype=np.uint8)
+    blocks = np.empty((count, nblocks, 16), dtype=np.uint8)
+    blocks[:, :, :12] = np.frombuffer(prefixes, dtype=np.uint8,
+                                      count=12 * count).reshape(count, 1, 12)
     counters = np.arange(first_counter, first_counter + nblocks, dtype=np.uint64)
-    blocks[:, 12:] = (counters & 0xFFFFFFFF).astype(">u4").view(np.uint8).reshape(nblocks, 4)
-    words = blocks.view(np.uint32) ^ rk[0]
+    blocks[:, :, 12:] = (counters & 0xFFFFFFFF).astype(">u4").view(np.uint8).reshape(nblocks, 4)
+    words = blocks.reshape(total, 16).view(np.uint32) ^ rk[0]
     for round_key in rk[1:-1]:
         # pqtls: allow[CT003] — data-dependent T-table gather by design
         gathered = table[words.view(np.uint8).take(shift, axis=1) + offset]
-        words = np.empty((nblocks, 4), dtype=np.uint32)
-        np.bitwise_xor.reduce(gathered.reshape(nblocks, 4, 4), axis=2, out=words)
+        words = np.empty((total, 4), dtype=np.uint32)
+        np.bitwise_xor.reduce(gathered.reshape(total, 4, 4), axis=2, out=words)
         words ^= round_key
     last = sbox.take(words.view(np.uint8).take(shift, axis=1)).view(np.uint32)
     last ^= rk[-1]

@@ -3,13 +3,14 @@
 Dilithium's keygen, sign rejection loop and verify work on whole
 polynomial vectors, and ``repro.pqc.dilithium.sig`` keeps every vector
 as a (rows, 256) int64 numpy array from sampling to packing. The kernels
-here take and return those arrays: layer-parallel NTT/INTT butterflies
-(zeta slice ``ZETAS[m : 2m]`` for the layer with m blocks, reversed on
-the inverse), one broadcast matrix–vector pointwise accumulate,
-Decompose/hint/norm arithmetic as elementwise array ops, the samplers
-``rej_uniform``/``rej_eta`` as one filter over the whole XOF block, and
-the whole-vector bit packers ``pack_vec``/``unpack_vec`` as one
-``np.packbits``/``np.unpackbits`` pass. All arithmetic is exact mod-q
+here take and return those arrays: the NTT/INTT are the shared
+layer-parallel butterflies of ``repro.crypto.kernels.lattice`` (8
+layers, scaled by 1/256 on the inverse), the matrix–vector pointwise
+accumulate is one broadcast multiply-sum, Decompose/hint/norm
+arithmetic runs as elementwise array ops, ``rej_uniform_rows`` filters
+every ExpandA stream of the matrix in one pass, and ``rej_eta`` filters
+a whole s1/s2 row. The whole-vector bit packers are shared with Kyber
+(``lattice.pack_vec``/``unpack_vec``). All arithmetic is exact mod-q
 integer math (products bounded by q^2 < 2^63), so outputs equal the
 scalar reference loops in ``repro.pqc.dilithium.poly`` coefficient for
 coefficient and byte for byte. A single polynomial (the challenge ``c``)
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.crypto.kernels.lattice import Ntt, first_accepted
+
 Q = 8380417
 N = 256
 _N_INV = pow(N, Q - 2, Q)
@@ -38,55 +41,9 @@ def _bitrev8(value: int) -> int:
     return result
 
 
-_ZETAS_NP = np.array([pow(1753, _bitrev8(i), Q) for i in range(N)],
-                     dtype=np.int64)
-
-
-def ntt_vec(rows: np.ndarray) -> np.ndarray:
-    """Forward NTT of every row; layer-parallel butterflies.
-
-    Only the twiddle product is reduced inside a layer: each layer
-    raises the magnitude bound by at most q, so after 8 layers every
-    |value| is below 9q and every product below 2^50; one final ``% Q``
-    (a floor modulo, so negatives land in [0, q)) gives the canonical
-    result.
-    """
-    f = rows % Q  # a fresh array, rewritten in place layer by layer
-    nrows = f.shape[0]
-    length = 128
-    while length >= 1:
-        nblocks = N // (2 * length)
-        g = f.reshape(nrows, nblocks, 2, length)
-        lo = g[:, :, 0, :]
-        hi = g[:, :, 1, :]
-        t = (_ZETAS_NP[nblocks: 2 * nblocks][None, :, None] * hi) % Q
-        np.subtract(lo, t, out=hi)
-        lo += t
-        length //= 2
-    return f % Q
-
-
-def intt_vec(rows: np.ndarray) -> np.ndarray:
-    """Inverse NTT of every row (zeta slice reversed per layer).
-
-    The lo half ``lo + hi`` stays unreduced, so the bound at most
-    doubles per layer: below 2^8 q < 2^31 after 8 layers, which keeps
-    every twiddle product and the final scaling by 1/256 below 2^54.
-    """
-    f = rows % Q
-    nrows = f.shape[0]
-    length = 1
-    while length < N:
-        nblocks = N // (2 * length)
-        g = f.reshape(nrows, nblocks, 2, length)
-        lo = g[:, :, 0, :]
-        hi = g[:, :, 1, :]
-        t = hi - lo
-        lo += hi
-        t *= _ZETAS_NP[nblocks: 2 * nblocks][::-1][None, :, None]
-        np.remainder(t, Q, out=hi)
-        length *= 2
-    return (f * _N_INV) % Q
+_NTT = Ntt(Q, [pow(1753, _bitrev8(i), Q) for i in range(N)], 8, _N_INV)
+ntt_vec = _NTT.forward
+intt_vec = _NTT.inverse
 
 
 def pointwise_each(one: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -162,52 +119,20 @@ def power2round_vec(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (r - r0) >> d, r0
 
 
-# -- whole-vector bit packing ---------------------------------------------
-
-def pack_vec(rows: np.ndarray, bits: int) -> bytes:
-    """Every row's *bits*-wide coefficients, LSB first, rows concatenated.
-
-    A row is 256 * bits bits, a whole number of bytes, so one packbits
-    pass over the vector equals the per-row reference encodings joined.
-    """
-    shifts = np.arange(bits, dtype=np.int64)
-    lanes = ((rows[..., None] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(lanes.reshape(-1), bitorder="little").tobytes()
-
-
-def unpack_vec(data: bytes, bits: int, nrows: int) -> np.ndarray:
-    """Inverse of :func:`pack_vec`: (nrows, 256) from the head of *data*."""
-    if 8 * len(data) < bits * N * nrows:  # pqtls: allow[CT001] — public shape check
-        raise ValueError("unpack_vec: not enough data")
-    raw = np.frombuffer(data, dtype=np.uint8, count=bits * N * nrows // 8)
-    lanes = np.unpackbits(raw, bitorder="little").reshape(nrows, N, bits)
-    return lanes.astype(np.int64) @ (1 << np.arange(bits, dtype=np.int64))
-
-
 # -- rejection samplers ---------------------------------------------------
 
-def rej_uniform(data: bytes, limit: int) -> tuple[np.ndarray, int]:
-    """Uniform-mod-q rejection sampling over 3-byte chunks (top bit cleared).
+def rej_uniform_rows(data: bytes, nrows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform-mod-q rejection sampling of *nrows* equal-length streams.
 
-    Returns (accepted values, bytes consumed); consumption stops exactly
-    after the chunk yielding the ``limit``-th acceptance, matching the
-    reference byte-at-a-time loop.
+    Each 3-byte chunk (top bit cleared) is one candidate; the first 256
+    below q fill the row. Returns ``(coeffs, full)`` as
+    :func:`repro.crypto.kernels.lattice.first_accepted`.
     """
-    chunks = len(data) // 3
-    # pqtls: allow[CT001] — public stream-shape guards
-    if chunks == 0 or limit <= 0:
-        return np.zeros(0, dtype=np.int64), 0
-    # (parses the *public* matrix-A XOF stream; data/limit are never
-    # secret at this call site)
-    b = np.frombuffer(data[: 3 * chunks], dtype=np.uint8).reshape(chunks, 3)
-    b = b.astype(np.int64)
-    t = b[:, 0] | (b[:, 1] << 8) | ((b[:, 2] & 0x7F) << 16)
-    good = t < Q
-    counts = np.cumsum(good)
-    if int(counts[-1]) <= limit:  # pqtls: allow[CT001] — public shape
-        return t[good], 3 * chunks  # pqtls: allow[CT003]
-    stop = int(np.searchsorted(counts, limit)) + 1
-    return t[:stop][good[:stop]], 3 * stop  # pqtls: allow[CT003]
+    # (parses the *public* matrix-A XOF streams of ExpandA)
+    b = np.frombuffer(data, dtype=np.uint8).reshape(nrows, -1, 3).astype(np.int64)
+    t = b[..., 0] | (b[..., 1] << 8) | ((b[..., 2] & 0x7F) << 16)
+    # pqtls: allow[CT110] — public XOF output, filtered at the pragma-allowed sink
+    return first_accepted(t, t < Q)
 
 
 def rej_eta(data: bytes, eta: int, limit: int) -> tuple[np.ndarray, int]:

@@ -5,15 +5,16 @@ The Dilithium NTT is complete (8 layers, 256-point); rounding helpers
 
 The scheme keeps every polynomial vector as a (rows, 256) int64 numpy
 array, so the switchable entry points are the ``*_vec`` family, the
-whole-vector packers ``pack_vec``/``unpack_vec`` and the samplers
-``rej_uniform``/``rej_eta``: ``PQTLS_KERNELS=fast`` (default) swaps them
-for the batched numpy twins in ``repro.crypto.kernels.dilithium``. The
-reference twins take and return the same arrays but convert to lists
-once at their boundary and run the scalar loops, so they stay the
-oracle. The scalar ``ntt``/``intt``/``pointwise``/``add``/``sub`` and
-the per-row ``pack_bits``/``unpack_bits`` (Kyber's reference packers,
-which Kyber binds to its lane packers) are plain helpers of those
-loops, never rebound here; a single polynomial goes through
+whole-vector packers ``pack_vec``/``unpack_vec`` (reference in
+``repro.pqc.bitpack``, shared with Kyber) and the samplers
+``rej_uniform_rows``/``rej_eta``: ``PQTLS_KERNELS=fast`` (default)
+swaps them for the batched numpy twins in
+``repro.crypto.kernels.dilithium`` and ``.lattice``. The reference
+twins take and return the same arrays but convert to lists once at
+their boundary and run the scalar loops, so they stay the oracle. The
+scalar ``ntt``/``intt``/``pointwise``/``add``/``sub``/``rej_uniform``
+and the per-row ``pack_bits``/``unpack_bits`` are plain helpers of
+those loops, never rebound; a single polynomial goes through
 ``ntt_vec(c[None])[0]``. Call through the module so rebinding takes
 effect.
 """
@@ -24,8 +25,9 @@ import sys
 
 import numpy as np
 
-# per-row bit packing: the one reference copy, shared with Kyber
-from repro.pqc.bitpack import pack_bits, unpack_bits
+# bit packing: the one reference copy, shared with Kyber
+from repro.pqc import bitpack
+from repro.pqc.bitpack import pack_bits, unpack_bits  # noqa: F401
 
 Q = 8380417
 N = 256
@@ -233,20 +235,6 @@ def power2round_vec(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _array(hi_rows), _array(lo_rows)
 
 
-def pack_vec(rows: np.ndarray, bits: int) -> bytes:
-    """Every row packed with :func:`pack_bits`, rows concatenated."""
-    return b"".join(pack_bits(row, bits) for row in _lists(rows))
-
-
-def unpack_vec(data: bytes, bits: int, nrows: int) -> np.ndarray:
-    """Inverse of :func:`pack_vec`: (nrows, 256) from the head of *data*."""
-    if 8 * len(data) < bits * N * nrows:
-        raise ValueError("unpack_vec: not enough data")
-    row_bytes = N * bits // 8
-    return _array([unpack_bits(data[i * row_bytes: (i + 1) * row_bytes], bits)
-                   for i in range(nrows)])
-
-
 # -- rejection samplers ----------------------------------------------------
 
 def rej_uniform(data: bytes, limit: int) -> tuple[list[int], int]:
@@ -265,6 +253,22 @@ def rej_uniform(data: bytes, limit: int) -> tuple[list[int], int]:
         if t < Q:
             out.append(t)
     return out, offset
+
+
+def rej_uniform_rows(data: bytes, nrows: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rej_uniform` over each of *nrows* equal-length streams.
+
+    Returns ``(coeffs, full)``: ``full[r]`` says row r reached 256
+    coefficients; a row that fell short is all zeros (the caller
+    squeezes its stream longer).
+    """
+    step = len(data) // nrows
+    rows, full = [], []
+    for r in range(nrows):
+        got, _ = rej_uniform(data[r * step: (r + 1) * step], N)
+        full.append(len(got) == N)
+        rows.append(got if len(got) == N else [0] * N)
+    return _array(rows).reshape(nrows, N), np.array(full, dtype=bool)
 
 
 def rej_eta(data: bytes, eta: int, limit: int) -> tuple[list[int], int]:
@@ -290,13 +294,15 @@ def rej_eta(data: bytes, eta: int, limit: int) -> tuple[list[int], int]:
 
 
 from repro.crypto import kernels as _kernels  # noqa: E402
-from repro.crypto.kernels import dilithium as _fast  # noqa: E402
+from repro.crypto.kernels import dilithium as _fast, lattice as _lattice  # noqa: E402
 
 _SELF = sys.modules[__name__]
 for _name in ("ntt_vec", "intt_vec", "pointwise_each", "matvec_pointwise",
               "add_vec", "sub_vec", "neg_vec", "inf_norm_vec",
               "highbits_vec", "lowbits_vec", "make_hint_vec", "use_hint_vec",
-              "power2round_vec", "pack_vec", "unpack_vec", "rej_uniform",
-              "rej_eta"):
+              "power2round_vec", "rej_uniform_rows", "rej_eta"):
     _kernels.bind(_SELF, _name,
                   ref=getattr(_SELF, _name), fast=getattr(_fast, _name))
+for _name in ("pack_vec", "unpack_vec"):
+    _kernels.bind(_SELF, _name,
+                  ref=getattr(bitpack, _name), fast=getattr(_lattice, _name))

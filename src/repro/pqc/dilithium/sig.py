@@ -44,45 +44,66 @@ _PARAM_SETS = {
 
 _MAX_SIGN_ITERS = 1000
 
+# ExpandA squeezes 272 3-byte chunks per entry up front (51 AES blocks):
+# each chunk is rejected with probability ~2^-10, so an entry short of 256
+# accepted coefficients (more than 16 rejections) is vanishingly rare; it
+# is squeezed 170 chunks longer at a time.
+_EXPAND_A_BYTES = 3 * 272
+_EXPAND_A_STEP = 3 * 170
+
+
+# ExpandS's first squeeze per row, by eta: 384 nibbles for eta=2 (15/16
+# accepted), 640 for eta=4 (9/16 accepted), so rows rarely run short and
+# are then squeezed 64 bytes longer at a time
+_ETA_BYTES = {2: 192, 4: 320}
+
+
+def _ball_bytes(tau: int) -> int:
+    """SampleInBall's first squeeze: 8 sign bytes and room for the tau
+    position draws with rejections (continued by a longer squeeze)."""
+    return 32 + 4 * tau
+
 
 def _shake256(data: bytes, outlen: int) -> bytes:
     return hashlib.shake_256(data).digest(outlen)
 
 
 class _Xof:
-    """SHAKE-based expansion (standard variants)."""
+    """SHAKE-based expansion (standard variants).
+
+    Each method takes several stream indices and returns every stream's
+    first *outlen* bytes, joined in order.
+    """
 
     @staticmethod
-    def expand_a(rho: bytes, i: int, j: int, outlen: int) -> bytes:
-        return hashlib.shake_128(rho + bytes([j, i])).digest(outlen)
+    def expand_a(rho: bytes, pairs: list[tuple[int, int]], outlen: int) -> bytes:
+        return b"".join(hashlib.shake_128(rho + bytes([j, i])).digest(outlen)
+                        for i, j in pairs)
 
     @staticmethod
-    def expand_s(rho_prime: bytes, nonce: int, outlen: int) -> bytes:
-        return _shake256(rho_prime + nonce.to_bytes(2, "little"), outlen)
+    def expand_s(rho_prime: bytes, nonces: range, outlen: int) -> bytes:
+        return b"".join(_shake256(rho_prime + nonce.to_bytes(2, "little"), outlen)
+                        for nonce in nonces)
 
-    @staticmethod
-    def expand_mask(rho_prime: bytes, nonce: int, outlen: int) -> bytes:
-        return _shake256(rho_prime + nonce.to_bytes(2, "little"), outlen)
+    expand_mask = expand_s
 
 
 class _XofAes:
-    """AES-256-CTR expansion (the *_aes variants)."""
+    """AES-256-CTR expansion (the *_aes variants): one multi-nonce
+    keystream call per matrix, per s1/s2 vector and per mask vector."""
 
     @staticmethod
-    def expand_a(rho: bytes, i: int, j: int, outlen: int) -> bytes:
-        nonce = bytes([j, i]) + b"\x00" * 10
+    def expand_a(rho: bytes, pairs: list[tuple[int, int]], outlen: int) -> bytes:
+        nonces = b"".join(bytes([j, i]) + b"\x00" * 10 for i, j in pairs)
         # module-attr call so the cached-cipher fast twin can rebind
-        return _aes.aes_ctr_keystream(rho, nonce, outlen)
+        return _aes.aes_ctr_keystream(rho, nonces, outlen)
 
     @staticmethod
-    def expand_s(rho_prime: bytes, nonce: int, outlen: int) -> bytes:
-        iv = nonce.to_bytes(2, "little") + b"\x00" * 10
-        return _aes.aes_ctr_keystream(rho_prime[:32], iv, outlen)
+    def expand_s(rho_prime: bytes, nonces: range, outlen: int) -> bytes:
+        ivs = b"".join(nonce.to_bytes(2, "little") + b"\x00" * 10 for nonce in nonces)
+        return _aes.aes_ctr_keystream(rho_prime[:32], ivs, outlen)
 
-    @staticmethod
-    def expand_mask(rho_prime: bytes, nonce: int, outlen: int) -> bytes:
-        iv = nonce.to_bytes(2, "little") + b"\x00" * 10
-        return _aes.aes_ctr_keystream(rho_prime[:32], iv, outlen)
+    expand_mask = expand_s
 
 
 class DilithiumSignature(SignatureScheme):
@@ -102,59 +123,68 @@ class DilithiumSignature(SignatureScheme):
 
     # -- sampling -----------------------------------------------------------
     def _expand_a(self, rho: bytes) -> np.ndarray:
-        """The (k, l, 256) NTT-domain matrix A, one XOF stream per entry."""
-        matrix = np.empty((self._p.k, self._p.l, N), dtype=np.int64)
-        for i in range(self._p.k):
-            for j in range(self._p.l):
-                # Rejection-sample < q from 3-byte chunks (top bit cleared).
-                # Re-expanding a longer stream replays the same prefix
-                # (XOF), so chunked parsing is position-exact.
-                need = 3 * 340
-                stream = self._xof.expand_a(rho, i, j, need)
-                offset = filled = 0
-                while filled < N:
-                    if offset + 3 > len(stream):
-                        need += 3 * 170
-                        stream = self._xof.expand_a(rho, i, j, need)
-                    got, used = poly.rej_uniform(stream[offset:], N - filled)
-                    matrix[i, j, filled: filled + len(got)] = got
-                    filled += len(got)
-                    offset += used
-        return matrix
+        """The (k, l, 256) NTT-domain matrix A.
 
-    def _sample_eta(self, rho_prime: bytes, nonce: int) -> np.ndarray:
-        row = np.empty(N, dtype=np.int64)
-        need = 192
-        stream = self._xof.expand_s(rho_prime, nonce, need)
-        offset = filled = 0
-        while filled < N:
-            if offset >= len(stream):
-                need += 64
-                stream = self._xof.expand_s(rho_prime, nonce, need)
-            got, used = poly.rej_eta(stream[offset:], self._p.eta, N - filled)
-            row[filled: filled + len(got)] = got
-            filled += len(got)
-            offset += used
-        return row
+        Every entry's first ``_EXPAND_A_BYTES`` are squeezed and filtered
+        in one pass. An entry short of 256 coefficients is squeezed longer
+        on its own and filtered again: the XOF replays the same prefix, so
+        the continuation is position-exact.
+        """
+        k, l = self._p.k, self._p.l
+        pairs = [(i, j) for i in range(k) for j in range(l)]
+        rows, full = poly.rej_uniform_rows(
+            self._xof.expand_a(rho, pairs, _EXPAND_A_BYTES), k * l)
+        for r in np.flatnonzero(~full):
+            length = _EXPAND_A_BYTES
+            while not full[r]:
+                length += _EXPAND_A_STEP
+                row, done = poly.rej_uniform_rows(
+                    self._xof.expand_a(rho, [pairs[r]], length), 1)
+                rows[r], full[r] = row[0], done[0]
+        return rows.reshape(k, l, N)
+
+    def _sample_eta(self, rho_prime: bytes) -> np.ndarray:
+        """s1 then s2: l + k rows from nonces 0, 1, ..., squeezed at once."""
+        p = self._p
+        count = p.l + p.k
+        need = _ETA_BYTES[p.eta]
+        data = self._xof.expand_s(rho_prime, range(count), need)
+        rows = np.empty((count, N), dtype=np.int64)
+        for nonce in range(count):
+            stream = data[nonce * need: (nonce + 1) * need]
+            length = need
+            offset = filled = 0
+            while filled < N:
+                if offset >= len(stream):
+                    length += 64
+                    stream = self._xof.expand_s(rho_prime, range(nonce, nonce + 1), length)
+                got, used = poly.rej_eta(stream[offset:], p.eta, N - filled)
+                rows[nonce, filled: filled + len(got)] = got
+                filled += len(got)
+                offset += used
+        return rows
 
     def _sample_mask(self, rho_prime: bytes, kappa: int) -> np.ndarray:
         """y: l polynomials with coefficients in (-gamma1, gamma1] (mod q)."""
         bits = self._zbits
-        data = b"".join(self._xof.expand_mask(rho_prime, kappa + i, N * bits // 8)
-                        for i in range(self._p.l))
+        data = self._xof.expand_mask(rho_prime, range(kappa, kappa + self._p.l),
+                                     N * bits // 8)
         return (self._p.gamma1 - poly.unpack_vec(data, bits, self._p.l)) % Q
 
     def _sample_in_ball(self, c_tilde: bytes) -> np.ndarray:
         # c_tilde is the published challenge hash (part of the signature);
         # the rejection sampling below is over public data
-        stream = _shake256(c_tilde, 32 + self._p.tau * 4)
+        length = _ball_bytes(self._p.tau)
+        stream = _shake256(c_tilde, length)
         signs = int.from_bytes(stream[:8], "little")
         c = [0] * N
         offset = 8
         for i in range(N - self._p.tau, N):
             while True:
                 if offset >= len(stream):
-                    stream += _shake256(c_tilde + b"x", 64)
+                    # keep squeezing the same SHAKE256 stream
+                    length += 64
+                    stream = _shake256(c_tilde, length)
                 j = stream[offset]
                 offset += 1
                 if j <= i:
@@ -200,8 +230,7 @@ class DilithiumSignature(SignatureScheme):
         seed = _shake256(zeta, 128)
         rho, rho_prime, key = seed[:32], seed[32:96], seed[96:]
         a_hat = self._expand_a(rho)
-        s = np.array([self._sample_eta(rho_prime, nonce)
-                      for nonce in range(p.l + p.k)])
+        s = self._sample_eta(rho_prime)
         s1, s2 = s[:p.l], s[p.l:]
         t = poly.add_vec(poly.intt_vec(poly.matvec_pointwise(a_hat, poly.ntt_vec(s1))), s2)
         t1, t0 = poly.power2round_vec(t)

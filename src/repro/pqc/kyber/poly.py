@@ -4,18 +4,30 @@ Implements the incomplete NTT of the Kyber spec (128 quadratic base
 fields), centered binomial sampling, rejection sampling of uniform
 matrices, and the d-bit compression/serialisation functions.
 
-Everything here is the spec-shaped reference; ``PQTLS_KERNELS=fast``
-(the default) swaps the add/sub, sampling, compression and packing entry
-points for the lane-packed bigint twins in ``repro.crypto.kernels.kyber``
-at import. ``ntt``/``intt``/``basemul`` have no twin. Call through the
-module (``poly.cbd(...)``) so rebinding takes effect.
+The KEM keeps every polynomial vector as a (rows, 256) int64 numpy
+array, so the switchable entry points are the ``*_vec`` family (NTT,
+inverse NTT, the base-multiplication matrix–vector product, add/sub,
+CBD, compress/decompress), the matrix sampler ``parse_uniform_rows``
+and the whole-vector packers ``pack_vec``/``unpack_vec`` (whose
+reference lives in ``repro.pqc.bitpack``, shared with Dilithium).
+``PQTLS_KERNELS=fast`` (the default) swaps them for the batched numpy
+twins in ``repro.crypto.kernels.kyber`` and ``.lattice``. The reference
+twins take and return the same arrays but convert to lists once at
+their boundary and run the scalar spec loops (``ntt``, ``intt``,
+``basemul``, ``poly_add``, ``poly_sub``, ``parse_uniform``, ``cbd``,
+``compress``, ``decompress``, ``pack_bits``, ``unpack_bits``), which
+are never rebound, so they stay the oracle. Call through the module
+(``poly.cbd_vec(...)``) so rebinding takes effect.
 """
 
 from __future__ import annotations
 
 import sys
 
+import numpy as np
+
 # ByteEncode/ByteDecode; the one reference copy, shared with Dilithium
+from repro.pqc import bitpack
 from repro.pqc.bitpack import pack_bits, unpack_bits  # noqa: F401
 
 Q = 3329
@@ -90,11 +102,17 @@ def poly_sub(a: list[int], b: list[int]) -> list[int]:
 
 # -- sampling -------------------------------------------------------------
 
-def parse_uniform(stream: "XofStream") -> list[int]:
-    """Rejection-sample a uniform NTT-domain polynomial from an XOF."""
+def parse_uniform(data: bytes) -> list[int]:
+    """The spec's Parse: up to 256 uniform NTT-domain coefficients.
+
+    Each 3-byte chunk of XOF output yields two 12-bit candidates; those
+    below q are kept, in order, until 256 are found or *data* runs out.
+    """
     coeffs: list[int] = []
-    while len(coeffs) < N:
-        chunk = stream.read(3)
+    offset = 0
+    while len(coeffs) < N and offset + 3 <= len(data):
+        chunk = data[offset: offset + 3]
+        offset += 3
         d1 = chunk[0] | ((chunk[1] & 0x0F) << 8)
         d2 = (chunk[1] >> 4) | (chunk[2] << 4)
         if d1 < Q:
@@ -120,23 +138,6 @@ def cbd(data: bytes, eta: int) -> list[int]:
     return coeffs
 
 
-class XofStream:
-    """Incremental byte stream over a callable block source."""
-
-    def __init__(self, block_fn, block_len: int = 168):
-        self._block_fn = block_fn
-        self._block_len = block_len
-        self._counter = 0
-        self._buffer = b""
-
-    def read(self, n: int) -> bytes:
-        while len(self._buffer) < n:
-            self._buffer += self._block_fn(self._counter)
-            self._counter += 1
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
-        return out
-
-
 # -- compression / serialisation ------------------------------------------
 
 def compress(coeffs: list[int], d: int) -> list[int]:
@@ -148,11 +149,88 @@ def decompress(values: list[int], d: int) -> list[int]:
     return [(v * Q + (1 << (d - 1))) >> d for v in values]
 
 
+# -- polynomial-vector entry points ----------------------------------------
+#
+# The unit of work in the KEM is a whole vector of polynomials (length k,
+# or 1 for v), held as a (rows, 256) int64 array. These reference twins
+# convert once at their boundary and run the scalar loops above;
+# PQTLS_KERNELS=fast swaps them for the batched numpy kernels.
+
+def _lists(rows) -> list:
+    """A vector (or matrix) of polynomials as nested int lists."""
+    return np.asarray(rows, dtype=np.int64).tolist()
+
+
+def _array(rows) -> np.ndarray:
+    return np.array(rows, dtype=np.int64)
+
+
+def ntt_vec(rows: np.ndarray) -> np.ndarray:
+    return _array([ntt(row) for row in _lists(rows)])
+
+
+def intt_vec(rows: np.ndarray) -> np.ndarray:
+    return _array([intt(row) for row in _lists(rows)])
+
+
+def matvec_basemul(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """rows[i] = sum_j basemul(mat[i][j], vec[j]) (mod q), NTT domain."""
+    vec = _lists(vec)
+    out = []
+    for row in _lists(mat):
+        acc = [0] * N
+        for entry, v in zip(row, vec):
+            acc = poly_add(acc, basemul(entry, v))
+        out.append(acc)
+    return _array(out)
+
+
+def add_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _array([poly_add(x, y) for x, y in zip(_lists(a), _lists(b))])
+
+
+def sub_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _array([poly_sub(x, y) for x, y in zip(_lists(a), _lists(b))])
+
+
+def cbd_vec(data: bytes, eta: int) -> np.ndarray:
+    """One CBD polynomial per 64*eta bytes of *data*."""
+    step = 64 * eta
+    return _array([cbd(data[i: i + step], eta) for i in range(0, len(data), step)])
+
+
+def compress_vec(rows: np.ndarray, d: int) -> np.ndarray:
+    return _array([compress(row, d) for row in _lists(rows)])
+
+
+def decompress_vec(rows: np.ndarray, d: int) -> np.ndarray:
+    return _array([decompress(row, d) for row in _lists(rows)])
+
+
+def parse_uniform_rows(data: bytes, nrows: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`parse_uniform` over each of *nrows* equal-length streams.
+
+    Returns ``(coeffs, full)``: ``full[r]`` says row r reached 256
+    coefficients; a row that fell short is all zeros (the caller
+    squeezes its stream longer).
+    """
+    step = len(data) // nrows
+    rows, full = [], []
+    for r in range(nrows):
+        got = parse_uniform(data[r * step: (r + 1) * step])
+        full.append(len(got) == N)
+        rows.append(got if len(got) == N else [0] * N)
+    return _array(rows).reshape(nrows, N), np.array(full, dtype=bool)
+
+
 from repro.crypto import kernels as _kernels  # noqa: E402
-from repro.crypto.kernels import kyber as _fast  # noqa: E402
+from repro.crypto.kernels import kyber as _fast, lattice as _lattice  # noqa: E402
 
 _SELF = sys.modules[__name__]
-for _name in ("poly_add", "poly_sub", "parse_uniform", "cbd", "compress",
-              "decompress", "pack_bits", "unpack_bits"):
+for _name in ("ntt_vec", "intt_vec", "matvec_basemul", "add_vec", "sub_vec",
+              "cbd_vec", "compress_vec", "decompress_vec", "parse_uniform_rows"):
     _kernels.bind(_SELF, _name,
                   ref=getattr(_SELF, _name), fast=getattr(_fast, _name))
+for _name in ("pack_vec", "unpack_vec"):
+    _kernels.bind(_SELF, _name,
+                  ref=getattr(bitpack, _name), fast=getattr(_lattice, _name))

@@ -1,14 +1,18 @@
-"""The shared server's CPU: a k-core FCFS run queue in O(1) per burst.
+"""The shared server's CPU: a k-core FCFS run queue in O(log k) per burst.
 
 The experiment layer's :class:`repro.netsim.hosts.Host` serializes CPU
 bursts on one implicit core per host; under load the server is the
 bottleneck and needs k cores with a queue. Because the engine enqueues
 bursts in non-decreasing simulated time and a burst never jumps the
 queue, "earliest-free core at enqueue time" is exactly FCFS dispatch —
-no separate queue structure, just one busy-until scalar per core.
+no separate queue structure, just a min-heap of the cores' busy-until
+times. A burst's ``(start, end)`` depends only on that multiset of
+times, so which core runs it never needs a name.
 """
 
 from __future__ import annotations
+
+from heapq import heapreplace
 
 
 class ServerCores:
@@ -19,7 +23,7 @@ class ServerCores:
     def __init__(self, cores: int):
         if cores < 1:
             raise ValueError(f"server needs >= 1 core, got {cores!r}")
-        self._free = [0.0] * cores
+        self._free = [0.0] * cores  # a min-heap (all equal, so already one)
         self.busy_seconds = 0.0
 
     @property
@@ -34,18 +38,10 @@ class ServerCores:
         wait the caller folds into the handshake's latency.
         """
         free = self._free
-        if len(free) == 1:
-            start = free[0]
-            if start < now:
-                start = now
-            end = start + seconds
-            free[0] = end
-        else:
-            best = min(range(len(free)), key=free.__getitem__)
-            start = free[best]
-            if start < now:
-                start = now
-            end = start + seconds
-            free[best] = end
+        start = free[0]
+        if start < now:
+            start = now
+        end = start + seconds
+        heapreplace(free, end)
         self.busy_seconds += seconds
         return start, end

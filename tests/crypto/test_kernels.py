@@ -8,7 +8,6 @@ level: a handshake recorded under ``PQTLS_KERNELS=ref`` in a fresh
 interpreter is identical to one recorded under ``fast``.
 """
 
-import hashlib
 import os
 import subprocess
 import sys
@@ -31,6 +30,23 @@ def both_modes(fn):
         with kernels.override(mode):
             out[mode] = fn()
     return out
+
+
+def assert_same(ref, fast):
+    """Deep equality of nested tuples/lists of arrays, ints and bytes."""
+    if isinstance(ref, np.ndarray) or isinstance(fast, np.ndarray):
+        assert np.array_equal(ref, fast)
+    elif isinstance(ref, (tuple, list)):
+        assert isinstance(fast, (tuple, list)) and len(ref) == len(fast)
+        for r, f in zip(ref, fast):
+            assert_same(r, f)
+    else:
+        assert ref == fast
+
+
+def _coeffs(drbg, *shape, bound=8380417):
+    return np.array([drbg.randint(0, bound - 1) for _ in range(int(np.prod(shape)))],
+                    dtype=np.int64).reshape(shape)
 
 
 def test_mode_env_default_and_override():
@@ -90,16 +106,38 @@ def test_ctr_keystream_equals_reference_blocks(key_len, prefix, first, nblocks, 
     assert ctr_keystream(cipher, prefix, first, nblocks) == expected
 
 
-@settings(max_examples=20, deadline=None)
-@given(key=st.binary(min_size=16, max_size=16),
-       nonce=st.binary(min_size=12, max_size=12),
-       ctr=st.integers(0, 30), chunk=st.integers(1, 200))
-def test_ctr_block_source_equals_keystream_slice(key, nonce, ctr, chunk):
+@settings(max_examples=30, deadline=None)
+@given(prefixes=st.lists(st.binary(min_size=12, max_size=12), min_size=1, max_size=6),
+       first=st.one_of(st.sampled_from([0, 2**32 - 3, 2**32 - 1]),
+                       st.integers(0, 2**32 - 1)),
+       nblocks=st.integers(0, 12), data=st.data())
+def test_ctr_keystream_multi_prefix_equals_per_prefix_calls(prefixes, first, nblocks, data):
+    # one (m * nblocks, 16) state against m single-prefix calls, across
+    # the 5-block scalar threshold (small m * nblocks) and the 2^32 wrap
+    from repro.crypto.aes import AES
+    from repro.crypto.kernels.aes import ctr_keystream
+
+    cipher = AES(data.draw(st.binary(min_size=32, max_size=32)))
+    expected = b"".join(ctr_keystream(cipher, p, first, nblocks) for p in prefixes)
+    assert ctr_keystream(cipher, b"".join(prefixes), first, nblocks) == expected
+
+
+def test_aes_ctr_keystream_several_nonces_ref_equals_fast():
     from repro.crypto import aes
 
-    with kernels.override("ref"):
-        expected = aes.aes_ctr_keystream(key, nonce, chunk * (ctr + 1))[chunk * ctr:]
-    assert aes.CtrBlockSource(key, nonce, chunk)(ctr) == expected
+    drbg = Drbg(b"kernels-ctr-multi")
+    key = drbg.random_bytes(32)
+    for count in (1, 2, 9):
+        nonces = drbg.random_bytes(12 * count)
+        for length in (0, 5, 16, 168, 504, 1020):
+            got = both_modes(lambda: aes.aes_ctr_keystream(key, nonces, length))
+            assert got["ref"] == got["fast"], (count, length)
+            assert got["fast"] == b"".join(
+                aes.aes_ctr_keystream(key, nonces[i: i + 12], length)
+                for i in range(0, len(nonces), 12))
+    for mode in ("ref", "fast"):
+        with kernels.override(mode), pytest.raises(ValueError):
+            aes.aes_ctr_keystream(key, bytes(18), 16)
 
 
 def test_gcm_ctr_wraps_like_inc32():
@@ -177,21 +215,77 @@ def test_haraka_sponge_and_keyed_ref_equals_fast():
     assert got["fast"][2] is True
 
 
-# -- Kyber / Dilithium polynomial ops ----------------------------------------
+# -- Kyber batched vector ops -------------------------------------------------
+#
+# Like Dilithium below, production keeps every Kyber vector as a (rows, 256)
+# int64 array, so both sides are fed arrays.
+
+KYBER_Q = 3329
+
 
 def test_kyber_poly_ops_ref_equals_fast():
     from repro.pqc.kyber import poly as kp
 
     drbg = Drbg(b"kernels-kyber")
-    a = [drbg.randint(0, kp.Q - 1) for _ in range(256)]
-    b = [drbg.randint(0, kp.Q - 1) for _ in range(256)]
+    a = _coeffs(drbg, 3, 256, bound=KYBER_Q)
+    b = _coeffs(drbg, 3, 256, bound=KYBER_Q)
+    a[0, :5] = KYBER_Q - 1                       # the largest canonical value
+    b[1] = 0
 
     def run():
-        return (kp.poly_add(a, b), kp.poly_sub(a, b),
-                kp.compress(a, 10), kp.decompress(kp.compress(a, 4), 4),
-                kp.pack_bits(a, 12), kp.unpack_bits(kp.pack_bits(a, 12), 12))
+        return (kp.add_vec(a, b), kp.sub_vec(a, b), kp.sub_vec(b, a),
+                [kp.compress_vec(a, d) for d in (1, 4, 5, 10, 11)],
+                [kp.decompress_vec(kp.compress_vec(a, d), d) for d in (1, 4, 5, 10, 11)])
     got = both_modes(run)
-    assert got["ref"] == got["fast"]
+    assert_same(got["ref"], got["fast"])
+    # the scalar reference, row by row
+    assert got["fast"][3][3][0].tolist() == kp.compress(a[0].tolist(), 10)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_kyber_vec_ntt_and_basemul_ref_equals_fast(k):
+    from repro.pqc.kyber import poly as kp
+
+    drbg = Drbg(b"kernels-kvec-%d" % k)
+    vec = _coeffs(drbg, k, 256, bound=KYBER_Q)
+    mat = _coeffs(drbg, k + 1, k, 256, bound=KYBER_Q)
+    top = np.full((k, 256), KYBER_Q - 1, dtype=np.int64)
+    # 12-bit unpacked keys may hold values up to 4095 (a malformed pk)
+    wide = np.full((1, k, 256), 4095, dtype=np.int64)
+
+    def run():
+        v_hat = kp.ntt_vec(vec)
+        return (v_hat, kp.intt_vec(v_hat), kp.ntt_vec(top), kp.intt_vec(top),
+                kp.matvec_basemul(mat, v_hat), kp.matvec_basemul(mat[:1], top),
+                kp.matvec_basemul(wide, top))
+    got = both_modes(run)
+    assert_same(got["ref"], got["fast"])
+    for out in got["fast"]:
+        assert isinstance(out, np.ndarray) and out.dtype == np.int64
+    assert np.array_equal(got["fast"][1], vec)   # intt(ntt(v)) == v
+    # the scalar reference on the first row and entry
+    assert got["fast"][0][0].tolist() == kp.ntt(vec[0].tolist())
+    expected = [0] * 256
+    for j in range(k):
+        expected = kp.poly_add(expected, kp.basemul(mat[0, j].tolist(),
+                                                    got["fast"][0][j].tolist()))
+    assert got["fast"][4][0].tolist() == expected
+
+
+@pytest.mark.parametrize("bits", [1, 4, 5, 10, 11, 12])
+def test_kyber_pack_vec_ref_equals_fast(bits):
+    from repro.pqc.kyber import poly as kp
+
+    drbg = Drbg(b"kernels-kpack-%d" % bits)
+    vec = _coeffs(drbg, 4, 256, bound=1 << bits)
+    vec[0, :3] = (1 << bits) - 1
+
+    def run():
+        packed = kp.pack_vec(vec, bits)
+        return packed, kp.unpack_vec(packed, bits, 4), kp.unpack_vec(packed, bits, 1)
+    got = both_modes(run)
+    assert_same(got["ref"], got["fast"])
+    assert got["fast"][0] == b"".join(kp.pack_bits(row, bits) for row in vec.tolist())
 
 
 def test_kyber_cbd_and_parse_uniform_ref_equals_fast():
@@ -199,21 +293,30 @@ def test_kyber_cbd_and_parse_uniform_ref_equals_fast():
 
     drbg = Drbg(b"kernels-cbd")
     for eta in (2, 3):
-        data = drbg.random_bytes(64 * eta)
-        got = both_modes(lambda: kp.cbd(data, eta))
-        assert got["ref"] == got["fast"], eta
+        data = drbg.random_bytes(3 * 64 * eta)
+        edge = bytes([0xFF] * 64 * eta) + bytes(64 * eta)   # all ones, all zeros
+        for blob in (data, edge):
+            got = both_modes(lambda: kp.cbd_vec(blob, eta))
+            assert_same(got["ref"], got["fast"])
+        assert got["fast"][0].tolist() == kp.cbd(edge[: 64 * eta], eta)
 
-    seed = drbg.random_bytes(32)
-
-    def stream():
-        return kp.XofStream(
-            lambda ctr: hashlib.shake_128(seed + ctr.to_bytes(4, "big")).digest(168))
-    got = both_modes(lambda: kp.parse_uniform(stream()))
-    assert got["ref"] == got["fast"]
+    streams = drbg.random_bytes(4 * 504)
+    # a row of rejectable chunks (both 12-bit candidates >= q) falls short
+    short = bytearray(streams)
+    short[504: 504 + 3 * 100] = b"\xff" * 300
+    for data, nrows in ((streams, 4), (bytes(short), 4), (streams[:504], 1),
+                        (streams[:3 * 100], 1)):
+        got = both_modes(lambda: kp.parse_uniform_rows(data, nrows))
+        assert_same(got["ref"], got["fast"])
+    rows, full = got["fast"]
+    assert not full[0] and not rows.any()
+    rows, full = both_modes(lambda: kp.parse_uniform_rows(bytes(short), 4))["fast"]
+    assert full.tolist() == [True, False, True, True]
+    assert rows[0].tolist() == kp.parse_uniform(streams[:504])
 
 
 def test_kyber90s_xof_roundtrip_ref_equals_fast():
-    # exercises the incremental AES-CTR XOF against the sliced reference
+    # the multi-nonce AES-CTR GenMatrix and PRF against the per-nonce loop
     from repro.pqc.registry import get_kem
 
     def run():
@@ -391,23 +494,6 @@ DILITHIUM_ALPHAS = (190464, 523776)   # 2*gamma2 for dilithium2 and 3/5
 DILITHIUM_PACK_WIDTHS = (3, 4, 6, 10, 13, 18, 20)   # eta, w1, t1, t0, z
 
 
-def assert_same(ref, fast):
-    """Deep equality of nested tuples/lists of arrays, ints and bytes."""
-    if isinstance(ref, np.ndarray) or isinstance(fast, np.ndarray):
-        assert np.array_equal(ref, fast)
-    elif isinstance(ref, (tuple, list)):
-        assert isinstance(fast, (tuple, list)) and len(ref) == len(fast)
-        for r, f in zip(ref, fast):
-            assert_same(r, f)
-    else:
-        assert ref == fast
-
-
-def _coeffs(drbg, *shape, bound=8380417):
-    return np.array([drbg.randint(0, bound - 1) for _ in range(int(np.prod(shape)))],
-                    dtype=np.int64).reshape(shape)
-
-
 def test_dilithium_vec_ntt_and_matvec_ref_equals_fast():
     from repro.pqc.dilithium import poly as dp
 
@@ -492,11 +578,8 @@ def test_dilithium_pack_vec_ref_equals_fast(bits):
 
 def test_dilithium_unpack_vec_short_data_raises_like_unpack_bits():
     from repro.pqc.dilithium import poly as dp
-    from repro.crypto.kernels import kyber as fast_kyber
 
     short = bytes(3 * 256 * 13 // 8 - 1)
-    with pytest.raises(ValueError, match="not enough data"):
-        fast_kyber.unpack_bits(short[: 256 * 13 // 8 - 1], 13)
     for mode in ("ref", "fast"):
         with kernels.override(mode), \
                 pytest.raises(ValueError, match="unpack_vec: not enough data"):
@@ -512,13 +595,23 @@ def test_dilithium_rej_uniform_ref_equals_fast():
     hot = bytearray(stream)
     for i in range(0, 90, 9):
         hot[i:i + 3] = b"\xff\xff\x7f"
-    cases = [(stream, 256), (bytes(hot), 256), (stream, 1), (stream, 0),
-             (b"", 4), (stream[:5], 4), (stream[:3 * 4], 256)]
-    for data, limit in cases:
-        got = both_modes(lambda: dp.rej_uniform(data, limit))
+    hot = bytes(hot)
+    # the top bit of each third byte is cleared before the comparison
+    masked = bytes(b | 0x80 if i % 3 == 2 else b for i, b in enumerate(stream))
+    cases = [(stream, 1), (hot, 1), (stream + hot, 2), (masked, 1),
+             (hot[: 3 * 260], 1), (stream[: 3 * 256], 1), (stream[:3 * 4], 4)]
+    for data, nrows in cases:
+        got = both_modes(lambda: dp.rej_uniform_rows(data, nrows))
         assert_same(got["ref"], got["fast"])
-        coeffs, used = got["fast"]
-        assert used <= len(data) and all(c < dp.Q for c in coeffs)
+        coeffs, full = got["fast"]
+        assert coeffs.shape == (nrows, 256) and (coeffs < dp.Q).all()
+    # each row equals the scalar sampler's first 256 acceptances
+    coeffs, full = both_modes(lambda: dp.rej_uniform_rows(stream + hot, 2))["fast"]
+    assert full.all() and coeffs[1].tolist() == dp.rej_uniform(hot, 256)[0]
+    assert np.array_equal(dp.rej_uniform_rows(masked, 1)[0], coeffs[:1])
+    # 260 chunks with 10 rejected fall short: the row is reported, all zeros
+    coeffs, full = both_modes(lambda: dp.rej_uniform_rows(hot[: 3 * 260], 1))["fast"]
+    assert not full[0] and not coeffs.any()
 
 
 @pytest.mark.parametrize("eta", [2, 4])
@@ -576,9 +669,12 @@ def test_dilithium_sign_roundtrip_ref_equals_fast(name):
 _RECORD_SNIPPET = """
 import hashlib, pickle, sys
 from repro.core.experiment import ExperimentConfig, run_experiment
-result = run_experiment(
-    ExperimentConfig(kem="kyber512", sig="dilithium2", duration=5.0))
-sys.stdout.write(hashlib.sha256(pickle.dumps(result)).hexdigest())
+digest = hashlib.sha256()
+# the SHAKE pair, then the AES-CTR pair (multi-nonce keystreams)
+for kem, sig in (("kyber512", "dilithium2"), ("kyber90s512", "dilithium2_aes")):
+    result = run_experiment(ExperimentConfig(kem=kem, sig=sig, duration=5.0))
+    digest.update(pickle.dumps(result))
+sys.stdout.write(digest.hexdigest())
 """
 
 

@@ -1,6 +1,7 @@
 """Dilithium: rounding algebra, hints, codecs, signatures."""
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from repro.pqc.dilithium import (
     DILITHIUM5,
 )
 from repro.pqc.registry import get_sig
-from repro.pqc.dilithium import poly
+from repro.pqc.dilithium import poly, sig as dilithium_sig
 from repro.pqc.dilithium.poly import D, N, Q
 
 coeffs = st.integers(min_value=0, max_value=Q - 1)
@@ -146,6 +147,33 @@ def test_sample_in_ball_shape():
     nonzero = [x for x in c if x != 0]
     assert len(nonzero) == DILITHIUM2._p.tau
     assert all(x in (1, Q - 1) for x in nonzero)
+
+
+def _sample_in_ball_one_digest(c_tilde: bytes, tau: int) -> list[int]:
+    """SampleInBall over one long SHAKE256 digest (the spec's stream)."""
+    stream = hashlib.shake_256(c_tilde).digest(4096)
+    signs = int.from_bytes(stream[:8], "little")
+    c, offset = [0] * N, 8
+    for i in range(N - tau, N):
+        while stream[offset] > i:
+            offset += 1
+        j = stream[offset]
+        offset += 1
+        c[i] = c[j]
+        c[j] = 1 if signs & 1 == 0 else Q - 1
+        signs >>= 1
+    return c
+
+
+@pytest.mark.parametrize("scheme", [DILITHIUM2, DILITHIUM5], ids=lambda s: s.name)
+def test_sample_in_ball_continues_the_same_shake_stream(scheme, monkeypatch):
+    c_tilde = hashlib.sha256(scheme.name.encode()).digest()
+    expected = _sample_in_ball_one_digest(c_tilde, scheme._p.tau)
+    assert scheme._sample_in_ball(c_tilde).tolist() == expected
+    # a 9-byte first squeeze runs out after one position draw, so every
+    # later draw comes from the continuation
+    monkeypatch.setattr(dilithium_sig, "_ball_bytes", lambda tau: 9)
+    assert scheme._sample_in_ball(c_tilde).tolist() == expected
 
 
 EXPECTED = {
@@ -325,3 +353,33 @@ def test_verify_rejects_wrong_lengths(d2_signed, tripwired):
     for bad_pk, bad_sig in ((pk[:-1], sig), (pk + b"\x00", sig),
                             (pk, sig[:-1]), (pk, sig + b"\x00"), (b"", b"")):
         assert tripwired.verify(bad_pk, b"neg", bad_sig) is False
+
+
+# -- ExpandA's rare path: an entry short of 256 after the first squeeze ------
+
+@pytest.mark.parametrize("mode", ["ref", "fast"])
+@pytest.mark.parametrize("scheme", [DILITHIUM2, DILITHIUM2_AES], ids=lambda s: s.name)
+def test_expand_a_short_entry_continues_its_stream(scheme, mode, monkeypatch):
+    # 200 chunks decoding to 2^23 - 1 >= q: entry (2, 1) then accepts only
+    # ~140 coefficients from its first 1020 bytes
+    real = scheme._xof.expand_a
+    junk = b"\xff" * 600
+    calls = []
+
+    def expand_a(rho, pairs, outlen):
+        calls.append((len(pairs), outlen))
+        return b"".join(
+            (junk + real(rho, [pair], outlen))[:outlen] if pair == (2, 1)
+            else real(rho, [pair], outlen)
+            for pair in pairs)
+
+    monkeypatch.setattr(scheme, "_xof", SimpleNamespace(expand_a=expand_a))
+    rho = bytes(range(32))
+    with kernels.override(mode):
+        got = scheme._expand_a(rho)
+    k, l = scheme._p.k, scheme._p.l
+    expected = [poly.rej_uniform(expand_a(rho, [(i, j)], 4096), N)[0]
+                for i in range(k) for j in range(l)]
+    assert got.tolist() == np.array(expected).reshape(k, l, N).tolist()
+    assert (k * l, dilithium_sig._EXPAND_A_BYTES) in calls
+    assert any(n == 1 and outlen > dilithium_sig._EXPAND_A_BYTES for n, outlen in calls)
