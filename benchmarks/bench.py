@@ -216,19 +216,6 @@ def _p256_scalar_mult():
     return run
 
 
-def _gf256_poly_mul():
-    from repro.pqc.hqc import gf256
-
-    d = Drbg(b"bench-gf")
-    a = [d.randint(0, 255) for _ in range(64)]
-    b = [d.randint(0, 255) for _ in range(64)]
-
-    def run():
-        for _ in range(64):
-            gf256.poly_mul(a, b)
-    return run
-
-
 # (section, row name, builder, best-of reps); a builder returns the
 # zero-argument function to time
 CRYPTO_ROWS = [
@@ -242,7 +229,6 @@ CRYPTO_ROWS = [
     ("primitives", "aes_gcm_record_4k", _aes_gcm_record, 3),
     ("primitives", "haraka512", _haraka512, 3),
     ("primitives", "p256_scalar_mult", _p256_scalar_mult, 3),
-    ("primitives", "gf256_poly_mul", _gf256_poly_mul, 3),
 ]
 
 # the two former ~1x stragglers: their flame SVGs ride next to the JSON

@@ -112,8 +112,8 @@ def record_cost(kem_name: str, sig_name: str) -> float:
             cost += (sig.signature_bytes + sig.public_key_bytes) / 1e6
     for kem in _kem_components(get_kem(kem_name)):
         # all KEM families record in milliseconds now that the code-based
-        # decoders run on the table-driven GF(256) kernel; wire volume is
-        # a good enough tiebreaker
+        # decoders run on the batched HQC kernels; wire volume is a good
+        # enough tiebreaker
         cost += 4e-6 * (kem.public_key_bytes + kem.ciphertext_bytes)
     return cost
 

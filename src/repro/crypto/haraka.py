@@ -10,13 +10,10 @@ the Haraka v2 reference implementation (the "RC_i" constants are the first
 40×16 bytes of pi's fractional part in hex).
 
 SPHINCS+ additionally keys Haraka with the public seed by XORing the seed
-expansion into the round constants; :class:`HarakaKeyed` provides that.
+expansion into the round constants; :func:`haraka_keyed` provides that.
 """
 
 from __future__ import annotations
-
-import functools
-import sys
 
 # The Haraka v2 reference derives its 40 sixteen-byte round constants from
 # the digits of pi. We generate ours from SHAKE-128 over a fixed label —
@@ -155,7 +152,7 @@ def haraka512(data: bytes) -> bytes:
     return _DEFAULT.haraka512(data)
 
 
-def _haraka_keyed_ref(pub_seed: bytes) -> Haraka:
+def haraka_keyed(pub_seed: bytes) -> Haraka:
     """Haraka instance with round constants keyed by the SPHINCS+ public seed.
 
     Per the SPHINCS+ spec, the constants become ``HarakaS(pub_seed, 640)``
@@ -165,12 +162,6 @@ def _haraka_keyed_ref(pub_seed: bytes) -> Haraka:
     return Haraka([stream[16 * i: 16 * (i + 1)] for i in range(40)])
 
 
-# The fast path memoizes the keyed instance per public seed: a SPHINCS+
-# signature makes thousands of backend calls against the same pub_seed,
-# and each Haraka instance also carries its compiled permutation.
-_haraka_keyed_fast = functools.lru_cache(maxsize=128)(_haraka_keyed_ref)
-
-
 from repro.crypto import kernels as _kernels  # noqa: E402
 from repro.crypto.kernels import haraka as _fast  # noqa: E402
 
@@ -178,5 +169,3 @@ _kernels.bind(Haraka, "haraka512",
               ref=Haraka._haraka512_ref, fast=Haraka._haraka512_fast)
 _kernels.bind(Haraka, "haraka_sponge",
               ref=Haraka._haraka_sponge_ref, fast=Haraka._haraka_sponge_fast)
-_kernels.bind(sys.modules[__name__], "haraka_keyed",
-              ref=_haraka_keyed_ref, fast=_haraka_keyed_fast)

@@ -6,8 +6,9 @@ twins: Kyber's and Dilithium's polynomial vectors as (rows, 256) numpy
 arrays with batched arithmetic and samplers, on the shared
 layer-parallel NTT, whole-vector bit packer and batched matrix
 rejection filter of ``lattice``; T-table AES with one multi-nonce CTR
-pass; the codegen-unrolled Haraka-512 permutation, table-driven
-GHASH and GF(256), windowed EC scalar multiplication, and CRT RSA. Every
+pass; the codegen-unrolled Haraka-512 permutation, table-driven GHASH,
+HQC's bigint cyclic products and batched Reed–Muller/Reed–Solomon
+gathers, windowed EC scalar multiplication, and CRT RSA. Every
 kernel is byte-for-byte equivalent to its reference twin (property-tested
 in ``tests/crypto/test_kernels.py``), so which side runs never changes
 wire artefacts, cache keys, or recorded handshakes — only wall clock.
@@ -76,10 +77,6 @@ def mode() -> str:
     return _mode
 
 
-def fast_enabled() -> bool:
-    return _mode == "fast"
-
-
 def bind(owner: object, name: str, *, ref: object, fast: object) -> None:
     """Register a ref/fast pair and install the active side on *owner*.
 
@@ -115,8 +112,8 @@ def override(value: str):
         set_mode(previous)
 
 
-_KERNEL_MODULES = ("aes", "dilithium", "ec", "gcm", "gf256", "haraka",
-                   "hqc", "kyber", "lattice", "rsa")
+_KERNEL_MODULES = ("aes", "dilithium", "ec", "gcm", "haraka", "hqc",
+                   "kyber", "lattice", "rsa")
 
 
 def warm() -> list[str]:
@@ -124,9 +121,9 @@ def warm() -> list[str]:
 
     Imports all kernel submodules (paying their import-time constant
     derivation) and invokes each module-level ``warm()`` hook where one
-    exists, so first-use costs — e.g. the 64 KiB GF(256) product table
-    or the numpy gather tables — are paid up front (a benchmark's setup
-    phase) instead of in the middle of the first measured experiment.
+    exists, so first-use costs — e.g. the numpy gather tables of AES
+    and HQC — are paid up front (a benchmark's setup phase) instead of
+    in the middle of the first measured experiment.
     Without it the lazy tables build the same values on first use.
     """
     import importlib

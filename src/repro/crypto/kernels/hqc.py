@@ -1,9 +1,9 @@
-"""Fast HQC decode pipeline: cyclic products, RM(1,7) and RS decoding.
+"""Fast HQC kernels: cyclic products, RM(1,7) decoding, RS encode/syndromes.
 
 Fast twins for the pure-Python hot paths of ``repro.pqc.hqc`` (profile
 of an hqc128 roundtrip: ``_sparse_mul``'s per-index ``np.roll`` is ~50%
 of wall time, the per-symbol Walsh–Hadamard loop in ``rm_decode``
-another ~15%, RS syndrome/Chien evaluation most of the rest):
+another ~15%, RS encoding and syndrome evaluation most of the rest):
 
 - :func:`sparse_mul` — the sparse·dense product in GF(2)[x]/(x^n - 1)
   as one Python bigint: pack the dense vector into an int, then each
@@ -13,11 +13,14 @@ another ~15%, RS syndrome/Chien evaluation most of the rest):
   fast Walsh–Hadamard transform on an (n1, 128) int32 matrix; argmax
   per row replaces the per-symbol Python loop. |soft| ≤ multiplicity,
   so transform values stay within ±640 — no overflow in int32.
-- :func:`rs_syndromes` / :func:`rs_chien` / :func:`rs_encode` — GF(256)
-  polynomial evaluation as exp/log table gathers against cached
-  exponent matrices (shared sentinel tables from
-  ``repro.crypto.kernels.gf256``: log 0 maps past the populated exp
-  range, so zero coefficients gather 0 with no masking).
+- :func:`rs_syndromes` / :func:`rs_encode` — GF(256) polynomial
+  evaluation as exp/log table gathers against cached exponent matrices
+  (log 0 maps past the populated exp range, so zero coefficients gather
+  0 with no masking).
+
+Reed–Solomon decoding past the syndromes (Berlekamp–Massey, Chien
+search, Forney) stays on the reference: an honest handshake's syndromes
+are all zero, so production never reaches it.
 
 All arithmetic is exact (XOR/GF(256)); outputs are byte-identical to
 the reference twins in ``repro.pqc.hqc.{kem,reedmuller,reedsolomon}``.
@@ -34,19 +37,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto.kernels import gf256 as _gf256
-
 _RM_BITS = 128
+_GF_POLY = 0x11D     # HQC's GF(256) modulus, x^8 + x^4 + x^3 + x^2 + 1
 
+# sentinel log of zero: the exp table is zero beyond index 509, so any
+# sum involving it gathers 0 and zero coefficients need no mask pass
+_LOG_ZERO = 1280
+
+_GF: tuple[np.ndarray, np.ndarray] | None = None
 # cached exponent matrices, keyed by the (public) code parameters
 _SYND_MATS: dict[tuple[int, int], np.ndarray] = {}
-_CHIEN_MATS: dict[tuple[int, int], np.ndarray] = {}
 _GENMUL: dict[bytes, np.ndarray] = {}
 
 
+def _gf_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(EXP, LOG) of GF(256) as int32 gather tables with the zero sentinel."""
+    global _GF
+    if _GF is None:
+        exp_np = np.zeros(2 * _LOG_ZERO + 1, dtype=np.int32)
+        log_np = np.full(256, _LOG_ZERO, dtype=np.int32)
+        value = 1
+        for i in range(255):
+            exp_np[i] = exp_np[i + 255] = value
+            log_np[value] = i
+            value <<= 1
+            if value & 0x100:
+                value ^= _GF_POLY
+        _GF = (exp_np, log_np)
+    return _GF
+
+
 def warm() -> None:
-    """Pre-build the shared GF(256) gather tables (per-worker warmup)."""
-    _gf256.np_tables()
+    """Pre-build the GF(256) gather tables (benchmark setup)."""
+    _gf_tables()
 
 
 # -- sparse·dense cyclic product ------------------------------------------------
@@ -111,31 +134,11 @@ def _synd_matrix(delta: int, n: int) -> np.ndarray:
 
 def rs_syndromes(word: list[int], delta: int) -> list[int]:
     """[poly_eval(word, alpha^i) for i in 1..2*delta] as one gather."""
-    exp_np, log_np = _gf256.np_tables()
+    exp_np, log_np = _gf_tables()
     logs = log_np[np.asarray(word, dtype=np.int32)]  # pqtls: allow[CT003]
     mat = _synd_matrix(delta, len(word))  # pqtls: allow[CT110] — public code params
     terms = exp_np[logs[None, :] + mat]  # pqtls: allow[CT003]
     return np.bitwise_xor.reduce(terms, axis=1).tolist()
-
-
-def _chien_matrix(n: int, slen: int) -> np.ndarray:
-    mat = _CHIEN_MATS.get((n, slen))
-    # pqtls: allow[CT001] — memoized matrix keyed by public code params
-    if mat is None:
-        pos = np.arange(n, dtype=np.int32)
-        j = np.arange(slen, dtype=np.int32)
-        mat = (((255 - pos) % 255)[:, None] * j[None, :]) % 255
-        _CHIEN_MATS[(n, slen)] = mat  # pqtls: allow[CT003] — public key
-    return mat
-
-
-def rs_chien(sigma: list[int], n: int) -> list[int]:
-    """Positions p in 0..n-1 with sigma(alpha^-p) == 0, ascending."""
-    exp_np, log_np = _gf256.np_tables()
-    logs = log_np[np.asarray(sigma, dtype=np.int32)]  # pqtls: allow[CT003]
-    mat = _chien_matrix(n, len(sigma))  # pqtls: allow[CT110] — public code params
-    vals = np.bitwise_xor.reduce(exp_np[logs[None, :] + mat], axis=1)  # pqtls: allow[CT003]
-    return np.nonzero(vals == 0)[0].tolist()
 
 
 def _gen_table(gen: list[int]) -> np.ndarray:
@@ -143,7 +146,7 @@ def _gen_table(gen: list[int]) -> np.ndarray:
     tab = _GENMUL.get(key)
     # pqtls: allow[CT001] — memoized table for the public generator poly
     if tab is None:
-        exp_np, log_np = _gf256.np_tables()
+        exp_np, log_np = _gf_tables()
         logs = log_np[np.asarray(gen, dtype=np.int32)]  # pqtls: allow[CT003] — public generator
         tab = exp_np[log_np[np.arange(256)][:, None] + logs[None, :]]  # pqtls: allow[CT003] — public generator
         _GENMUL[key] = tab  # pqtls: allow[CT003] — public generator

@@ -10,14 +10,17 @@
   receiver that coalesces segment trains (this is what keeps the client's
   byte count low and the paper's §5.5 amplification factors high),
 - NewReno recovery episodes: three duplicate ACKs open an episode that
-  halves the window and retransmits the oldest hole; each partial ACK
-  inside the episode repairs exactly the next hole (no duplicate
-  retransmissions into a fat bottleneck queue); a tail-loss-probe timer
-  with exponential backoff is the last resort. This is what keeps the
-  paper's lossy-scenario medians within a few RTTs.
+  cuts the window to 0.7 × the segments in flight and retransmits the
+  oldest hole; each partial ACK inside the episode repairs exactly the
+  next hole (no duplicate retransmissions into a fat bottleneck queue);
+  a tail-loss-probe timer with exponential backoff is the last resort.
+  This is what keeps the paper's lossy-scenario medians within a few
+  RTTs.
 
-Reno-style congestion response (ssthresh halving on loss, linear growth
-above ssthresh) keeps rate-limited lossy links (LTE-M) from collapsing
+CUBIC-style multiplicative decrease on every loss signal (ssthresh and
+cwnd = 0.7 × flight, the Linux default β, floored at 2 segments, for
+both a recovery episode and a probe-timer expiry) and linear growth
+above ssthresh keep rate-limited lossy links (LTE-M) from collapsing
 under retransmissions; receive-window flow control is omitted (handshake
 flows never fill buffers).
 """

@@ -3,15 +3,16 @@
 Everything else in ``repro.obs`` observes the *simulated* clock; this
 module observes the *real* one — where the Python process spends its CPU
 time while recording kernels or running campaigns. It answers the
-question the kernel-speed work keeps raising (which of hqc128,
-dilithium2 sign, gf256_poly_mul is actually burning host CPU, and in
+question the kernel-speed work keeps raising (which of hqc128 decaps,
+dilithium2 sign, an AES-GCM record is actually burning host CPU, and in
 which frames) without ``perf`` or any third-party profiler.
 
 A background thread wakes every ``interval`` seconds, grabs the profiled
 thread's current Python frame via ``sys._current_frames()``, and records
 the stack as a tuple of ``module:function`` frames. Aggregated stacks
 are attributed to a coarse category (crypto kernel / crypto / pqc / tls
-/ netsim / harness) by their innermost ``repro`` frame and can be
+/ netsim / harness) by their innermost ``repro`` frame — a shared kernel
+takes the algorithm of the ``repro.pqc`` frame that called it — and can be
 exported through the existing flame / Chrome-trace views: samples are
 laid out on a synthetic ``host-cpu`` track where **width is samples, not
 wall-clock order** — the usual flamegraph convention.
@@ -70,10 +71,20 @@ def categorize(module: str) -> str:
 
 
 def stack_category(stack: tuple[str, ...]) -> str:
-    """Attribution of a whole sample: its innermost ``repro`` frame."""
-    for frame in reversed(stack):
-        module = frame.split(":", 1)[0]
-        category = categorize(module)
+    """Attribution of a whole sample: its innermost ``repro`` frame.
+
+    Shared kernels (``kernels.lattice``, ``kernels.aes``, ``kernels.gcm``)
+    name no algorithm, so a plain ``kernel`` frame takes the family of the
+    nearest enclosing ``repro.pqc.<family>`` frame: a lattice NTT inside
+    Dilithium signing reads ``kernel/dilithium``.
+    """
+    categories = [categorize(frame.split(":", 1)[0]) for frame in stack]
+    for depth in range(len(stack) - 1, -1, -1):
+        category = categories[depth]
+        if category == "kernel":
+            for outer in reversed(categories[:depth]):
+                if outer.startswith("pqc/"):
+                    return "kernel/" + outer[len("pqc/"):]
         if category != "other":
             return category
     return "other"

@@ -1,13 +1,13 @@
 """GF(2^8) arithmetic with the HQC/AES-adjacent polynomial x^8+x^4+x^3+x^2+1.
 
-``PQTLS_KERNELS=fast`` (default) swaps ``poly_mul`` for the flat
-product-table kernel in ``repro.crypto.kernels.gf256``; call it through
-the module (``gf256.poly_mul(...)``) so rebinding takes effect.
+Reference only: ``poly_mul`` builds each Reed–Solomon generator
+polynomial once at import and runs in the error-correcting decode path,
+which honest handshakes never reach, so it has no fast twin. The fast
+RS kernels in ``repro.crypto.kernels.hqc`` derive their own numpy
+exp/log gather tables.
 """
 
 from __future__ import annotations
-
-import sys
 
 _POLY = 0x11D
 
@@ -70,10 +70,3 @@ def poly_eval(poly: list[int], x: int) -> int:
     for coeff in reversed(poly):
         acc = gf_mul(acc, x) ^ coeff
     return acc
-
-
-from repro.crypto import kernels as _kernels  # noqa: E402
-from repro.crypto.kernels import gf256 as _fast  # noqa: E402
-
-_kernels.bind(sys.modules[__name__], "poly_mul",
-              ref=poly_mul, fast=_fast.poly_mul)

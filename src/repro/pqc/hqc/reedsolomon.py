@@ -3,18 +3,19 @@
 Systematic encoding, and decoding via syndromes → Berlekamp–Massey →
 Chien search → Forney, correcting up to ``delta`` symbol errors.
 
-The evaluation-heavy stages (encode LFSR, syndromes, Chien search) live
-in module-level functions so ``PQTLS_KERNELS=fast`` (default) can swap
+The stages every handshake runs (encode LFSR, syndromes) live in
+module-level functions so ``PQTLS_KERNELS=fast`` (default) can swap
 them for the table-gather kernels in ``repro.crypto.kernels.hqc``; the
-class calls them as module globals so rebinding takes effect.
+class calls them as module globals so rebinding takes effect. The
+correcting path behind a nonzero syndrome (Berlekamp–Massey, Chien
+search, Forney) runs only on decode errors and has no fast twin.
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.pqc.hqc import gf256
-from repro.pqc.hqc.gf256 import gf_div, gf_mul, gf_pow, poly_eval
+from repro.pqc.hqc.gf256 import gf_div, gf_mul, gf_pow, poly_eval, poly_mul
 
 
 def _poly_add(a: list[int], b: list[int]) -> list[int]:
@@ -70,7 +71,7 @@ class ReedSolomon:
         # generator polynomial: product of (x + alpha^i), i = 1..2*delta
         g = [1]
         for i in range(1, 2 * self.delta + 1):
-            g = gf256.poly_mul(g, [gf_pow(2, i), 1])
+            g = poly_mul(g, [gf_pow(2, i), 1])
         self._gen = g
 
     def encode(self, message: bytes) -> bytes:
@@ -128,7 +129,7 @@ class ReedSolomon:
             raise ValueError("error locator does not split (decoding failure)")
 
         # Forney error values (narrow-sense code, b = 1)
-        omega = gf256.poly_mul(syndromes, sigma)[: 2 * self.delta]
+        omega = poly_mul(syndromes, sigma)[: 2 * self.delta]
         sigma_deriv = _poly_deriv(sigma)
         corrected = bytearray(received)
         for pos in positions:
@@ -150,5 +151,3 @@ _kernels.bind(sys.modules[__name__], "rs_encode",
               ref=rs_encode, fast=_fast.rs_encode)
 _kernels.bind(sys.modules[__name__], "rs_syndromes",
               ref=rs_syndromes, fast=_fast.rs_syndromes)
-_kernels.bind(sys.modules[__name__], "rs_chien",
-              ref=rs_chien, fast=_fast.rs_chien)

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.crypto import haraka as _haraka
-from repro.crypto.haraka import Haraka
+from repro.crypto.haraka import Haraka, haraka_keyed
 from repro.pqc.sphincs.address import Adrs
 
 
@@ -59,9 +58,7 @@ class HarakaBackend:
 
     def set_pk_seed(self, pk_seed: bytes) -> None:
         self._pk_seed = pk_seed
-        # module-attr call: under fast kernels this is memoized per seed,
-        # so re-keying for the same key pair skips the RC re-derivation
-        self._keyed = _haraka.haraka_keyed(pk_seed)
+        self._keyed = haraka_keyed(pk_seed)
 
     def _instance(self) -> Haraka:
         if self._keyed is None:
