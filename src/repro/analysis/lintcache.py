@@ -27,8 +27,6 @@ import os
 from functools import lru_cache
 from pathlib import Path
 
-RECORD_VERSION = 1
-
 
 @lru_cache(maxsize=1)
 def analysis_digest() -> str:
@@ -81,14 +79,13 @@ class LintCache:
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             self.misses += 1
             return None
-        if not isinstance(data, dict) or data.get("version") != RECORD_VERSION:
+        if not isinstance(data, dict):
             self.misses += 1
             return None
         self.hits += 1
         return data
 
     def store(self, kind: str, record_key: str, record: dict) -> None:
-        record = {"version": RECORD_VERSION, **record}
         path = self._path(kind, record_key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

@@ -2,8 +2,10 @@
 
 Recording a script runs real crypto (a SPHINCS+-256f signature alone is
 tens of seconds of pure-Python hashing), so scripts are cached under
-``.cache/`` keyed by configuration + a schema version. Delete the
-directory (or set ``REPRO_CACHE_DIR``) to force re-recording.
+``.cache/`` keyed by config plus :func:`code_digest` of the code that
+computes that kind of value, so a code edit misses stale entries with no
+version to bump. Delete the directory (or set ``REPRO_CACHE_DIR``) to
+force re-recording; superseded entries stay on disk until then.
 
 The cache is safe under concurrent writers (the parallel campaign
 executor runs one process per core against the same directory): `store`
@@ -19,6 +21,7 @@ CLI folds into its ``--metrics`` output.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import os
 import pickle
@@ -32,11 +35,30 @@ except ImportError:  # non-POSIX: locks degrade to no-ops (see `lock`)
 
 from repro.obs.metrics import Metrics
 
-# v5: every cached ExperimentResult carries outcomes, ttfb_samples and a
-# lossless metrics snapshot, so readers need no fallbacks for old pickles
-SCHEMA_VERSION = 5
+# The code that computes each kind of value, relative to the package root.
+# Static lists, not the import graph (~0.2 s of parsing per process); a
+# test keeps each a superset of its entry module's import closure.
+_RECORDING = ("crypto", "pqc", "tls", "netsim/scripted.py", "cache.py", "__init__.py")
+CODE_PATHS = {"creds": _RECORDING, "script": _RECORDING,
+              "experiment": _RECORDING + ("faults", "netsim", "obs", "core/experiment.py")}
+_PACKAGE_ROOT = Path(__file__).resolve().parent
 
 metrics = Metrics()
+
+
+@functools.cache
+def code_digest(kind: str, root: Path = _PACKAGE_ROOT) -> str:
+    """SHA-256 over the paths and bytes of the ``.py`` files that compute
+    values of ``kind``; ``KeyError`` for a kind not in :data:`CODE_PATHS`."""
+    sources = set()
+    for entry in CODE_PATHS[kind]:
+        path = root / entry
+        sources.update(path.rglob("*.py") if path.is_dir() else [path])
+    digest = hashlib.sha256()
+    for source in sorted(sources):
+        digest.update(source.relative_to(root).as_posix().encode() + b"\x00")
+        digest.update(source.read_bytes())
+    return digest.hexdigest()
 
 
 def cache_dir() -> Path:
@@ -51,7 +73,7 @@ def cache_dir() -> Path:
 
 def _key_path(kind: str, key: str) -> Path:
     digest = hashlib.sha256(
-        f"v{SCHEMA_VERSION}:{kind}:{key}".encode()).hexdigest()[:24]
+        f"{code_digest(kind)}:{kind}:{key}".encode()).hexdigest()[:24]
     sub = cache_dir() / kind
     sub.mkdir(parents=True, exist_ok=True)
     return sub / f"{digest}.pkl"

@@ -29,8 +29,8 @@ from repro.tls.server import BufferPolicy
 # (x25519/rsa:2048 -> ~22k handshakes per 60 s).
 INTER_HANDSHAKE_GAP = 0.0009
 
-# Defaults for the failure-handling knobs (kept out of the cache key when
-# unchanged, so pre-fault cache entries stay addressable).
+# Defaults for the failure-handling knobs, kept out of the config key when
+# unchanged: the key seeds each run's DRBG, so lossy cells keep their bytes.
 DEFAULT_HANDSHAKE_TIMEOUT = 600.0
 DEFAULT_FAILURE_QUOTA = 50
 
@@ -56,7 +56,8 @@ class ExperimentConfig:
         base = (f"{self.kem}|{self.sig}|{self.scenario}|{self.policy}"
                 f"|prof={self.profiling}|dur={self.duration}|seed={self.seed}"
                 f"|max={self.max_samples}")
-        # newer knobs append only when set, so older keys stay stable
+        # newer knobs append only when set: the key seeds the run's DRBG
+        # (``experiment:{key}``), so it fixes the bytes of every lossy cell
         plan_spec = resolve_fault_plan(self.faults).spec
         if plan_spec != "none":
             base += f"|faults={plan_spec}"
@@ -121,15 +122,8 @@ class ExperimentResult:
 def script_key(kem: str, sig: str, policy_value: str, seed: str = "paper",
                session: str = "full", chain: str = "direct") -> str:
     """The script-cache key; the executor groups experiments by this to
-    single-flight recording (one script serves every scenario/duration).
-    Session/chain append only when non-default, so a full handshake over
-    a direct chain keeps the plain four-field key."""
-    key = f"{kem}|{sig}|{policy_value}|{seed}"
-    if session != "full":
-        key += f"|session={session}"
-    if chain != "direct":
-        key += f"|chain={chain}"
-    return key
+    single-flight recording (one script serves every scenario/duration)."""
+    return "|".join((kem, sig, policy_value, seed, session, chain))
 
 
 def load_script(kem: str, sig: str, policy: BufferPolicy,

@@ -91,7 +91,8 @@ def load_credentials(sig_name: str, seed: str = "paper"):
 
 def load_chain_credentials(sig_name: str, chain: str = "direct",
                            seed: str = "paper"):
-    """Credentials for one chain profile (direct reuses the legacy cache)."""
+    """Credentials for one chain profile; ``direct`` is :func:`load_credentials`,
+    whose ``creds:{sig}:{seed}`` DRBG label the paper's recordings come from."""
     if chain == "direct":
         return load_credentials(sig_name, seed)
     from repro import cache

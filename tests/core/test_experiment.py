@@ -166,13 +166,13 @@ def test_session_and_chain_extend_key_only_when_set():
     chained = ExperimentConfig(kem="x25519", sig="rsa:1024",
                                chain="intermediate")
     assert "chain=intermediate" in chained.key
-    # same for the script cache key (shared across scenarios/durations)
+    # the script cache key names a file and seeds nothing: all six fields
     from repro.core.experiment import script_key
     assert script_key("x25519", "rsa:1024", "optimized") \
-        == "x25519|rsa:1024|optimized|paper"
+        == "x25519|rsa:1024|optimized|paper|full|direct"
     assert script_key("x25519", "rsa:1024", "optimized",
                       session="mtls", chain="suppressed") \
-        == "x25519|rsa:1024|optimized|paper|session=mtls|chain=suppressed"
+        == "x25519|rsa:1024|optimized|paper|mtls|suppressed"
 
 
 def test_successful_run_outcomes_all_success(baseline):
