@@ -12,7 +12,7 @@ from repro.crypto.drbg import Drbg
 from repro.netsim import tcp as tcp_mod
 from repro.netsim.costmodel import CostModel
 from repro.netsim.netem import SCENARIOS
-from repro.netsim.scripted import load_credentials, record_script, scripted_apps
+from repro.netsim.scripted import ScriptReplay, load_credentials, record_script
 from repro.netsim.testbed import Testbed, run_simulated_handshake
 from repro.tls.server import BufferPolicy
 
@@ -58,7 +58,7 @@ def test_ablation_scripted_vs_real():
     script = record_script("kyber512", "dilithium2")
 
     def replay():
-        client, server = scripted_apps(script)
+        client, server = ScriptReplay(script).apps()
         return run_simulated_handshake(
             client, server, scenario=SCENARIOS["none"],
             netem_drbg=Drbg("ablate"), cost_model=CostModel())

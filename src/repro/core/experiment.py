@@ -19,7 +19,7 @@ from repro.faults.outcome import KIND_TIMEOUT
 from repro.faults.plan import CORRUPT_DELIVER, resolve_fault_plan
 from repro.netsim.costmodel import CostModel
 from repro.netsim.netem import SCENARIOS
-from repro.netsim.scripted import HandshakeScript, record_script, scripted_apps
+from repro.netsim.scripted import HandshakeScript, ScriptReplay, record_script
 from repro.netsim.testbed import run_simulated_handshake
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.obs.tracer import NULL_TRACER
@@ -186,6 +186,7 @@ def run_experiment(config: ExperimentConfig, use_cache: bool = True,
     policy = BufferPolicy(config.policy)
     script = load_script(config.kem, config.sig, policy, config.seed,
                          config.session, config.chain)
+    replay = ScriptReplay(script)
     scenario = SCENARIOS[config.scenario]
     cost_model = CostModel(profiling=config.profiling)
     drbg = Drbg(f"experiment:{config.key}")
@@ -201,7 +202,7 @@ def run_experiment(config: ExperimentConfig, use_cache: bool = True,
     attempt = 0   # every attempt (success or failure) advances the DRBG fork
     failures = 0
     while elapsed < config.duration and len(totals) < sample_cap:
-        client_app, server_app = scripted_apps(script)
+        client_app, server_app = replay.apps()
         # every handshake replays the same script, so tracing the first one
         # captures the run's structure without recording thousands of copies
         hs_tracer = tracer if attempt == 0 else NULL_TRACER

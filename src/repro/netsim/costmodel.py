@@ -144,10 +144,34 @@ def _kem_attribution(name: str, role: str) -> str:
 
 
 class CostModel:
-    """Maps CryptoOps to simulated CPU time with a library attribution."""
+    """Maps CryptoOps to simulated CPU time with a library attribution.
+
+    A replayed script charges the same ops on every handshake, so
+    :meth:`price` memoizes each op's price on the instance, keyed by the
+    op's value (real endpoints build fresh, equal ops per handshake), and
+    the per-packet and tooling prices are fixed when the model is built.
+    """
 
     def __init__(self, profiling: bool = False):
         self._factor = PROFILING_OVERHEAD if profiling else 1.0
+        self._prices: dict[tuple, tuple[float, str]] = {}
+        # (seconds, library) charged per packet sent or received (kernel,
+        # driver), and per handshake for the testbed tooling (python)
+        self.packet_prices = tuple(
+            (cost.seconds, cost.library)
+            for cost in (self._mk(KERNEL_PER_PACKET, "kernel"),
+                         self._mk(DRIVER_PER_PACKET, "ixgbe")))
+        tooling = self._mk(PYTHON_PER_HANDSHAKE, "python")
+        self.tooling_price = (tooling.seconds, tooling.library)
+
+    def price(self, op, role: str) -> tuple[float, str]:
+        """``(seconds, library)`` of :meth:`op_cost`, priced once per value."""
+        key = (op, role)
+        priced = self._prices.get(key)
+        if priced is None:
+            cost = self.op_cost(op, role)
+            priced = self._prices[key] = (cost.seconds, cost.library)
+        return priced
 
     def op_cost(self, op, role: str) -> Cost:
         """Price one :class:`repro.tls.actions.CryptoOp` for *role*."""
@@ -166,17 +190,6 @@ class CostModel:
             fixed, per_byte, library = GENERIC_COSTS[kind]
             return self._mk(fixed + per_byte * op.size, library)
         raise KeyError(f"no cost model entry for op {kind!r}")
-
-    def packet_cost(self) -> list[Cost]:
-        """CPU charged per packet sent or received."""
-        return [
-            self._mk(KERNEL_PER_PACKET, "kernel"),
-            self._mk(DRIVER_PER_PACKET, "ixgbe"),
-        ]
-
-    def tooling_cost(self) -> Cost:
-        """Per-handshake testbed tooling work (python, libc)."""
-        return self._mk(PYTHON_PER_HANDSHAKE, "python")
 
     def _mk(self, ms: float, library: str) -> Cost:
         return Cost(ms * self._factor, library)

@@ -8,12 +8,15 @@ verification time while the *server* is still signing.
 
 Every charge lands in one running ledger, :attr:`Host.cpu_by_library`
 (library -> seconds, the white-box split of Table 3), and, while
-tracing, in one leaf span on the host's CPU track.
+tracing, in one leaf span on the host's CPU track. Charges arrive as
+``(seconds, library)`` prices: ops are priced once per
+:class:`~repro.netsim.costmodel.CostModel` (:meth:`CostModel.price`),
+packet and tooling work when the model is built.
 """
 
 from __future__ import annotations
 
-from repro.netsim.costmodel import Cost, CostModel, op_label
+from repro.netsim.costmodel import CostModel, op_label
 from repro.netsim.eventloop import EventLoop
 from repro.obs.tracer import NULL_TRACER
 from repro.tls.actions import Compute, CryptoOp, Send
@@ -32,9 +35,9 @@ class Host:
         self._tracer = tracer
         self._track = f"{name}-cpu"
         # per-packet kernel + driver work is the same for every packet:
-        # priced once, with its span names
-        self._packet_costs = tuple((cost, f"packet:{cost.library}")
-                                   for cost in cost_model.packet_cost())
+        # the model's prices, with their span names
+        self._packet_costs = tuple((seconds, library, f"packet:{library}")
+                                   for seconds, library in cost_model.packet_prices)
         self.cpu_by_library: dict[str, float] = {}
         self._cpu_free = 0.0
         self.tcp = None   # attached later
@@ -46,42 +49,46 @@ class Host:
         self._tls_receive = tls_receive
 
     # -- CPU accounting ------------------------------------------------------
-    def _charge(self, at: float, cost: Cost, name: str | CryptoOp,
-                **args) -> float:
-        """Run *cost* on the CPU from *at*; return when it finishes.
+    def _charge(self, at: float, seconds: float, library: str,
+                name: str | CryptoOp) -> float:
+        """Run *seconds* of *library* work on the CPU from *at*; return
+        when it finishes.
 
-        The ledger adds ``end - at`` (not ``cost.seconds``) so each
-        library's sum is the one the trace's leaf spans add up to. *name*
-        is the span name, or the CryptoOp whose label it is (formatted
-        only while tracing).
+        The ledger adds ``end - at`` (not *seconds*) so each library's sum
+        is the one the trace's leaf spans add up to. *name* is the span
+        name, or the CryptoOp whose label it is (formatted, with the op's
+        size, only while tracing).
         """
-        seconds = cost.seconds
         end = at + seconds
         if seconds > 0:
             ledger = self.cpu_by_library
-            ledger[cost.library] = ledger.get(cost.library, 0.0) + (end - at)
+            ledger[library] = ledger.get(library, 0.0) + (end - at)
             if self._tracer.enabled and end > at:
-                self._tracer.span(self._track,
-                                  name if isinstance(name, str) else op_label(name),
-                                  at, end, cat=cost.library, **args)
+                if isinstance(name, str):
+                    self._tracer.span(self._track, name, at, end, cat=library)
+                else:
+                    self._tracer.span(self._track, op_label(name), at, end,
+                                      cat=library, size=name.size)
         return end
 
     def _run_ops(self, at: float, ops) -> float:
+        price, role = self._cost.price, self.role
         for op in ops:
-            at = self._charge(at, self._cost.op_cost(op, self.role), op,
-                              size=op.size)
+            seconds, library = price(op, role)
+            at = self._charge(at, seconds, library, op)
         return at
 
     def charge_packet(self) -> None:
         """Per-packet kernel + driver work (tally; negligible latency)."""
         at = max(self._loop.now, self._cpu_free)
-        for cost, name in self._packet_costs:
-            at = self._charge(at, cost, name)
+        for seconds, library, name in self._packet_costs:
+            at = self._charge(at, seconds, library, name)
         self._cpu_free = at
 
     def charge_tooling(self) -> None:
         at = max(self._loop.now, self._cpu_free)
-        self._cpu_free = self._charge(at, self._cost.tooling_cost(), "tooling")
+        seconds, library = self._cost.tooling_price
+        self._cpu_free = self._charge(at, seconds, library, "tooling")
 
     # -- TLS action processing ---------------------------------------------------
     def process_actions(self, actions) -> None:

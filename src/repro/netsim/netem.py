@@ -127,6 +127,12 @@ class Link:
         Fault draws happen only when the corresponding knob is active, so
         a plan-free link consumes exactly one DRBG value per frame (the
         loss draw) — the paper scenarios replay bit-identically.
+
+        The tap is called here, at send time, with the moment the frame
+        is on the wire (no event is scheduled for it). Those times never
+        decrease along one link, so the tap sees frames in wire order; a
+        frame timed after the run's horizon was never seen, and the
+        caller drops its record after the run.
         """
         plan = self._plan
         corrupted = False
@@ -152,10 +158,7 @@ class Link:
         if self._drbg.random() < self._config.loss:
             self.tally["dropped"] += 1
             if self._tap is not None:
-                tap_time = max(self._loop.now, self._busy_until)
-                tap = self._tap
-                self._loop.schedule(max(0.0, tap_time - self._loop.now),
-                                    lambda: tap(tap_time, segment))
+                self._tap(max(self._loop.now, self._busy_until), segment)
             if duplicate:
                 self.tally["duplicated"] += 1
                 self.transmit(segment, _is_dup=True)
@@ -168,10 +171,7 @@ class Link:
             # The optical tap sits right after the sender's NIC: it sees the
             # frame when fully on the wire (loss/corruption are emulated at
             # the receiving endpoint via tc, so the tap sees what was sent).
-            tap_time = done
-            tap = self._tap
-            self._loop.schedule(max(0.0, done - self._loop.now),
-                                lambda: tap(tap_time, segment))
+            self._tap(done, segment)
         deliverable = segment
         if corrupted:
             self.tally["corrupted"] += 1

@@ -161,6 +161,17 @@ def record_script(kem_name: str, sig_name: str,
     )
 
 
+def replay_steps(milestones: tuple[Milestone, ...]) -> tuple[tuple[int, tuple], ...]:
+    """One side's milestones as ``(after_bytes, actions)`` replay steps,
+    with each :class:`ScriptedSend` built into a zero-filled ``Send``."""
+    return tuple(
+        (milestone.after_bytes, tuple(
+            Send(bytes(action.length), action.label)
+            if isinstance(action, ScriptedSend) else action
+            for action in milestone.actions))
+        for milestone in milestones)
+
+
 class ScriptedApp:
     """Replays one side of a recorded script against the byte stream."""
 
@@ -169,8 +180,8 @@ class ScriptedApp:
     failed = False
     failure = None
 
-    def __init__(self, milestones: tuple[Milestone, ...], total_in: int):
-        self._milestones = list(milestones)
+    def __init__(self, steps: tuple[tuple[int, tuple], ...], total_in: int):
+        self._steps = steps
         self._total_in = total_in
         self._received = 0
         self._next = 0
@@ -183,24 +194,33 @@ class ScriptedApp:
         return self._fire()
 
     def _fire(self):
+        steps, index = self._steps, self._next
         actions = []
-        while (self._next < len(self._milestones)
-               and self._milestones[self._next].after_bytes <= self._received):
-            for action in self._milestones[self._next].actions:
-                if isinstance(action, ScriptedSend):
-                    actions.append(Send(bytes(action.length), action.label))
-                else:
-                    actions.append(action)
-            self._next += 1
+        while index < len(steps) and steps[index][0] <= self._received:
+            actions.extend(steps[index][1])
+            index += 1
+        self._next = index
         return actions
 
     @property
     def handshake_complete(self) -> bool:
-        return self._next >= len(self._milestones) and self._received >= self._total_in
+        return self._next >= len(self._steps) and self._received >= self._total_in
 
 
-def scripted_apps(script: HandshakeScript) -> tuple[ScriptedApp, ScriptedApp]:
-    """Fresh (client, server) replay apps for one handshake."""
-    client = ScriptedApp(script.client_milestones, script.client_total_in)
-    server = ScriptedApp(script.server_milestones, script.server_total_in)
-    return client, server
+class ScriptReplay:
+    """A script's replay steps, built once: fresh apps for each handshake.
+
+    The steps, their ``Send`` objects included, are immutable and shared
+    by every handshake replayed from this object; an app only keeps its
+    own byte count and position.
+    """
+
+    def __init__(self, script: HandshakeScript):
+        self._client = (replay_steps(script.client_milestones),
+                        script.client_total_in)
+        self._server = (replay_steps(script.server_milestones),
+                        script.server_total_in)
+
+    def apps(self) -> tuple[ScriptedApp, ScriptedApp]:
+        """Fresh (client, server) replay apps for one handshake."""
+        return ScriptedApp(*self._client), ScriptedApp(*self._server)

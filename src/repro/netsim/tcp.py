@@ -300,7 +300,14 @@ class TcpEndpoint:
             partial = self._in_recovery and ack < self._recover_point
             if self._in_recovery and ack >= self._recover_point:
                 self._in_recovery = False
-            newly_acked = [s for s in self._inflight if s + len(self._inflight[s].payload) <= ack]
+            # in-flight segments are contiguous and keyed in ascending seq
+            # order (a retransmission keeps its slot), so the acked ones
+            # are a prefix: stop at the first that ends past the ACK
+            newly_acked = []
+            for seq, segment in self._inflight.items():
+                if seq + len(segment.payload) > ack:
+                    break
+                newly_acked.append(seq)
             for seq in newly_acked:
                 sent_at = self._send_times.pop(seq, None)
                 if sent_at is not None and seq not in self._retransmitted:

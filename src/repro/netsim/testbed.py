@@ -78,12 +78,10 @@ def first_byte_transit(scenario: NetemConfig) -> float:
     return scenario.one_way_delay + wire_bits / scenario.rate_bps
 
 
-def _tapped(tap_fn, tracer, direction: str):
-    """Wrap a Timestamper tap so every frame also lands in the trace."""
-    track = f"wire-{direction}"
-
-    def _record(time: float, segment) -> None:
-        tap_fn(time, segment)
+def _trace_wire(tracer, records) -> None:
+    """One instant per tapped frame on its direction's ``wire-*`` track."""
+    for record in records:
+        segment = record.segment
         if segment.syn:
             name = "SYN"
         elif segment.labels:
@@ -92,9 +90,8 @@ def _tapped(tap_fn, tracer, direction: str):
             name = "ACK"
         else:
             name = "seg"
-        tracer.instant(track, name, time, cat="wire",
-                       seq=segment.seq, bytes=segment.wire_bytes)
-    return _record
+        tracer.instant(f"wire-{record.direction}", name, record.time,
+                       cat="wire", seq=segment.seq, bytes=segment.wire_bytes)
 
 
 def _determine_outcome(client_app, server_app, client_tcp, server_tcp,
@@ -143,6 +140,10 @@ def run_simulated_handshake(client_app: App, server_app: App, *,
     pre-observability code paths and produces bit-identical traces.
     This is the one writer of per-handshake instruments: TCP and netem
     keep per-connection tallies, named here after the event loop settles.
+    The links tap each frame as they send it; after the loop, the records
+    timed past *max_sim_seconds* are cut (those frames were not on the
+    wire when the run ended) and the kept ones become the ``wire-*``
+    trace instants.
     """
     loop = EventLoop()
     tap = Timestamper()
@@ -168,15 +169,11 @@ def run_simulated_handshake(client_app: App, server_app: App, *,
         client_host.charge_packet()
         client_tcp.on_segment(segment)
 
-    tap_c2s, tap_s2c = tap.tap("c2s"), tap.tap("s2c")
-    if tracer.enabled:
-        tap_c2s = _tapped(tap_c2s, tracer, "c2s")
-        tap_s2c = _tapped(tap_s2c, tracer, "s2c")
     c2s = Link(loop, scenario, netem_drbg.fork("c2s"),
-               deliver=deliver_to_server, tap=tap_c2s,
+               deliver=deliver_to_server, tap=tap.tap("c2s"),
                plan=plan, name="c2s")
     s2c = Link(loop, scenario, netem_drbg.fork("s2c"),
-               deliver=deliver_to_client, tap=tap_s2c,
+               deliver=deliver_to_client, tap=tap.tap("s2c"),
                plan=plan, name="s2c")
     client_tcp.attach_link(c2s)
     server_tcp.attach_link(s2c)
@@ -188,6 +185,9 @@ def run_simulated_handshake(client_app: App, server_app: App, *,
     server_tcp.listen()
     client_tcp.connect()
     loop.run(until=max_sim_seconds)
+    tap.cut(max_sim_seconds)
+    if tracer.enabled:
+        _trace_wire(tracer, tap.records)
 
     outcome = SUCCESS
     if not (client_app.handshake_complete and server_app.handshake_complete):

@@ -4,6 +4,10 @@ Like the paper's MoonGen box behind optical splitters, it never touches
 traffic — it records (timestamp, direction, frame) and recovers the two
 handshake phases of Figure 1 from the first unencrypted bytes: ClientHello,
 ServerHello, and the client's ChangeCipherSpec+Finished packet.
+
+The links call a tap when they send a frame, with the time the frame is
+on the wire, which may lie past the end of the run; :meth:`Timestamper.cut`
+then drops what the tap could not yet have seen.
 """
 
 from __future__ import annotations
@@ -33,6 +37,11 @@ class Timestamper:
         def _record(time: float, segment: Segment) -> None:
             self.records.append(TapRecord(time, direction, segment))
         return _record
+
+    def cut(self, horizon: float) -> None:
+        """Drop the records timed after *horizon* (frames handed to a link
+        before the run ended that were not yet on the wire when it did)."""
+        self.records = [r for r in self.records if r.time <= horizon]
 
     # -- phase extraction (first sighting of each marker) ----------------------
     # Flight labels are '+'-joined when the server's buffer coalesces

@@ -40,7 +40,7 @@ from repro.core.experiment import load_script
 from repro.crypto.drbg import Drbg
 from repro.netsim.costmodel import CostModel
 from repro.netsim.netem import SCENARIOS, NetemConfig
-from repro.netsim.scripted import HandshakeScript, ScriptedSend, scripted_apps
+from repro.netsim.scripted import HandshakeScript, ScriptedSend, ScriptReplay
 from repro.netsim.packets import HEADER_OVERHEAD
 from repro.netsim.tcp import MSS
 from repro.netsim.testbed import first_byte_transit, run_simulated_handshake
@@ -122,7 +122,7 @@ def build_profile(kem: str, sig: str, scenario: str = "none",
     buffer_policy = BufferPolicy(policy)
     script = load_script(kem, sig, buffer_policy, seed, session)
     cost_model = CostModel()
-    client_app, server_app = scripted_apps(script)
+    client_app, server_app = ScriptReplay(script).apps()
     label = f"traffic-profile:{kem}:{sig}:{scenario}:{policy}:{seed}"
     if session != "full":
         # appended only when non-default: full-session labels (and the

@@ -245,16 +245,25 @@ def test_scenario_latency_ordering():
     assert none.total_median < bandwidth.total_median < delay.total_median
 
 
-# sha256 of json.dumps(result.metrics, sort_keys=True) for kyber512/
-# dilithium2 over lte-m at 20 samples. Between them the three runs touch
-# every tcp.* and netem.* counter except tcp.*.failed, plus the wire.*,
-# handshake.*, handshake.failures.* and cpu.* instruments.
+# sha256 of json.dumps(result.metrics, sort_keys=True) at 20 samples, for
+# kyber512/dilithium2 over lte-m unless the case names another pair or
+# scenario. Between them the lte-m runs touch every tcp.* and netem.*
+# counter except tcp.*.failed, plus the wire.*, handshake.*,
+# handshake.failures.* and cpu.* instruments; 5g and high-loss pin the
+# other two lossy scenarios, and kyber1024/dilithium5 a server flight
+# past the initial window.
 PINNED_METRICS = {
     "plain": ({}, "48d5261b21f73ed7133b8eace30f61335f4a2d2d6a0719b05b19699c98aec920"),
     "chaos": ({"faults": "chaos"},
               "f1525342c3c6279e960857876661c755f9210f46c8cb6fca136f64dd48e9d5fb"),
     "timeouts": ({"handshake_timeout": 1.6, "failure_quota": 100000},
                  "03cbd6dbb97893e21a8351e4115a94e85a9eb7050c1cd72c5a9e9a368d8311fb"),
+    "5g": ({"scenario": "5g"},
+           "ee6523fd00c3226275a5fb0fe33b97f2bd0830c7cc73f0e207f5a1897597be18"),
+    "high-loss": ({"scenario": "high-loss"},
+                  "c851a7b59ebb006f463d9d7115ce87d37cc07b0f5a14e729923a003c08ac036d"),
+    "multi-flight": ({"kem": "kyber1024", "sig": "dilithium5"},
+                     "bdbe9cb3efc433c2f8fccfcce3fecbde2a6ccdf4134f0190df4dcb0e5fca45b4"),
 }
 
 
@@ -264,9 +273,9 @@ def test_metrics_snapshot_is_pinned(case):
     """The per-handshake instruments (names, values, sample order) never
     move: a run's metrics snapshot hashes to the same bytes."""
     extra, digest = PINNED_METRICS[case]
-    result = run_experiment(ExperimentConfig(
-        kem="kyber512", sig="dilithium2", scenario="lte-m", max_samples=20,
-        **extra), use_cache=False)
+    config = {"kem": "kyber512", "sig": "dilithium2", "scenario": "lte-m",
+              "max_samples": 20, **extra}
+    result = run_experiment(ExperimentConfig(**config), use_cache=False)
     if case == "timeouts":
         assert result.outcomes == {"success": 20, "timeout": 7}
     encoded = json.dumps(result.metrics, sort_keys=True).encode()

@@ -14,7 +14,7 @@ from repro.faults.outcome import FAILURE_KINDS, KIND_SUCCESS
 from repro.faults.plan import FAULT_PLANS
 from repro.netsim.costmodel import CostModel
 from repro.netsim.netem import SCENARIOS
-from repro.netsim.scripted import scripted_apps
+from repro.netsim.scripted import ScriptReplay
 from repro.netsim.testbed import run_simulated_handshake
 from repro.core.experiment import load_script
 from repro.tls.server import BufferPolicy
@@ -32,7 +32,7 @@ def script():
 def _one(script, seed_index: int):
     scenario = SCENARIOS[_SCENARIOS[seed_index % len(_SCENARIOS)]]
     plan = FAULT_PLANS[_PLANS[seed_index % len(_PLANS)]]
-    client, server = scripted_apps(script)
+    client, server = ScriptReplay(script).apps()
     return run_simulated_handshake(
         client, server, scenario=scenario,
         netem_drbg=Drbg(f"soak:{seed_index}"), cost_model=CostModel(),

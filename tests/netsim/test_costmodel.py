@@ -64,9 +64,8 @@ def test_unknown_op_rejected(model):
 
 
 def test_packet_and_tooling_costs(model):
-    packet_costs = model.packet_cost()
-    assert {c.library for c in packet_costs} == {"kernel", "ixgbe"}
-    assert model.tooling_cost().library == "python"
+    assert {library for _, library in model.packet_prices} == {"kernel", "ixgbe"}
+    assert model.tooling_price[1] == "python"
 
 
 def test_profiling_overhead_scales_everything():

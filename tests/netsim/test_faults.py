@@ -204,12 +204,12 @@ def test_retransmission_exhaustion_yields_transport_outcome(monkeypatch):
     from repro.faults.outcome import KIND_TRANSPORT
     from repro.netsim import tcp
     from repro.netsim.costmodel import CostModel
-    from repro.netsim.scripted import record_script, scripted_apps
+    from repro.netsim.scripted import ScriptReplay, record_script
     from repro.netsim.testbed import run_simulated_handshake
 
     monkeypatch.setattr(tcp, "MAX_RETRIES", 3)
     blackhole = NetemConfig("blackhole", loss=1.0, rate_bps=1e9)
-    client, server = scripted_apps(record_script("x25519", "rsa:1024"))
+    client, server = ScriptReplay(record_script("x25519", "rsa:1024")).apps()
     metrics = Metrics()
     trace = run_simulated_handshake(
         client, server, scenario=blackhole, netem_drbg=Drbg("exhaust"),

@@ -8,8 +8,9 @@ from repro.netsim.scripted import (
     Milestone,
     ScriptedApp,
     ScriptedSend,
+    ScriptReplay,
     record_script,
-    scripted_apps,
+    replay_steps,
 )
 from repro.tls.actions import Compute, CryptoOp, Send
 from repro.tls.server import BufferPolicy
@@ -47,7 +48,7 @@ def test_totals_cover_all_milestones(script):
 
 
 def test_replay_fires_on_thresholds(script):
-    client, server = scripted_apps(script)
+    client, server = ScriptReplay(script).apps()
     start_actions = client.start()
     sends = [a for a in start_actions if isinstance(a, Send)]
     assert sends and len(sends[0].data) > 0
@@ -65,7 +66,7 @@ def test_replay_fires_on_thresholds(script):
 
 def test_replay_handles_coalesced_delivery(script):
     """All bytes in one burst must fire all milestones in order."""
-    client, server = scripted_apps(script)
+    client, server = ScriptReplay(script).apps()
     client.start()
     server_actions = server.receive(bytes(script.server_total_in))
     labels = [a.label for a in server_actions if isinstance(a, Send)]
@@ -90,7 +91,7 @@ def test_default_policy_script_differs(script):
 def test_handshake_complete_semantics():
     milestones = (Milestone(0, (ScriptedSend(10, "x"),)),
                   Milestone(5, (Compute((CryptoOp("key_schedule"),)),)))
-    app = ScriptedApp(milestones, total_in=7)
+    app = ScriptedApp(replay_steps(milestones), total_in=7)
     app.start()
     assert not app.handshake_complete
     app.receive(b"12345")

@@ -5,7 +5,7 @@ import pytest
 from repro.crypto.drbg import Drbg
 from repro.netsim.costmodel import CostModel
 from repro.netsim.netem import SCENARIOS
-from repro.netsim.scripted import record_script, scripted_apps
+from repro.netsim.scripted import ScriptReplay, record_script
 from repro.netsim.testbed import Testbed, run_simulated_handshake
 from repro.obs.flame import library_breakdown
 from repro.obs.tracer import Tracer
@@ -86,7 +86,7 @@ def test_scripted_replay_matches_real(rsa_creds):
                   drbg=Drbg("script:kyber512:dilithium2:optimized:paper"))
     real = bed.run_handshake()
     script = record_script("kyber512", "dilithium2")
-    client, server = scripted_apps(script)
+    client, server = ScriptReplay(script).apps()
     replay = run_simulated_handshake(
         client, server, scenario=SCENARIOS["none"], netem_drbg=Drbg("n"),
         cost_model=CostModel())
@@ -98,9 +98,9 @@ def test_scripted_replay_matches_real(rsa_creds):
 
 
 def test_scripted_replay_under_loss_completes():
-    script = record_script("x25519", "rsa:1024")
+    replay = ScriptReplay(record_script("x25519", "rsa:1024"))
     for i in range(10):
-        client, server = scripted_apps(script)
+        client, server = replay.apps()
         trace = run_simulated_handshake(
             client, server, scenario=SCENARIOS["high-loss"],
             netem_drbg=Drbg(f"loss{i}"), cost_model=CostModel())
@@ -112,7 +112,7 @@ def test_cpu_ledger_equals_leaf_spans_exactly(session):
     """Each host's ledger is bit-for-bit the sum of its CPU leaf spans,
     retransmitted packets' charges included."""
     script = record_script("x25519", "rsa:1024", session=session)
-    client, server = scripted_apps(script)
+    client, server = ScriptReplay(script).apps()
     tracer = Tracer()
     trace = run_simulated_handshake(
         client, server, scenario=SCENARIOS["high-loss"],
@@ -133,3 +133,60 @@ def test_cwnd_overflow_dilithium5_two_rtt():
     small = make_server_credentials("rsa:1024", Drbg("small-creds"))
     bed2 = Testbed("x25519", "rsa:1024", *small, scenario="high-delay")
     assert 0.9 < bed2.run_handshake().total < 1.2  # 1 RTT
+
+
+# client_cpu / server_cpu of three real-TLS kyber512/dilithium2 handshakes
+# on high-loss, bit for bit. Real endpoints emit fresh CryptoOp objects on
+# every handshake, so these also pin that an op's price depends on its
+# value alone (and that per-packet charges still sum in the same order).
+PINNED_REAL_CPU = (
+    ({"python": 8e-05, "kernel": 0.00029999999999998897,
+      "ixgbe": 7.000000000000055e-05, "libcrypto": 0.000349076300000002,
+      "libssl": 0.000274580000000002},
+     {"python": 8e-05, "kernel": 0.00026999999999999144,
+      "ixgbe": 6.300000000000043e-05, "libssl": 0.000323140000000003,
+      "libcrypto": 0.0004190763000000014}),
+    ({"python": 8e-05, "kernel": 0.00027000000000000006,
+      "ixgbe": 6.300000000000005e-05, "libcrypto": 0.00034907630000000013,
+      "libssl": 0.00027458000000000007},
+     {"python": 8e-05, "kernel": 0.0002100000000000003,
+      "ixgbe": 4.9000000000000256e-05, "libssl": 0.0003231400000000001,
+      "libcrypto": 0.00041907630000000015}),
+    ({"python": 8e-05, "kernel": 0.0002699999999997704,
+      "ixgbe": 6.30000000008124e-05, "libcrypto": 0.0003490763000002506,
+      "libssl": 0.0002745799999996912},
+     {"python": 8e-05, "kernel": 0.0002699999999997959,
+      "ixgbe": 6.300000000072213e-05, "libssl": 0.0003231399999998885,
+      "libcrypto": 0.0004190763000002651}),
+)
+
+
+@pytest.mark.kernels
+def test_real_handshake_cpu_is_pinned():
+    creds = make_server_credentials("dilithium2", Drbg("testbed-creds"))
+    bed = Testbed("kyber512", "dilithium2", *creds, scenario="high-loss")
+    for client_cpu, server_cpu in PINNED_REAL_CPU:
+        trace = bed.run_handshake()
+        assert trace.outcome.ok
+        assert trace.client_cpu == client_cpu
+        assert trace.server_cpu == server_cpu
+
+
+def test_frames_on_the_wire_after_the_horizon_are_not_counted():
+    """A frame handed to the link before ``max_sim_seconds`` but fully on
+    the wire only after it was never seen by the tap: it counts in neither
+    the wire bytes and packets nor ``wall_end``."""
+    from repro.core.experiment import load_script
+
+    script = load_script("kyber1024", "dilithium5", BufferPolicy.OPTIMIZED)
+    client, server = ScriptReplay(script).apps()
+    trace = run_simulated_handshake(
+        client, server, scenario=SCENARIOS["low-bandwidth"],
+        netem_drbg=Drbg("horizon"), cost_model=CostModel(),
+        max_sim_seconds=0.04)
+    assert trace.outcome.key == "timeout"
+    # the server's first flight is still serializing at 1 Mbit/s: only the
+    # frames fully on the wire by 40 ms count (the whole run sends 14,826
+    # bytes in 16 frames)
+    assert (trace.server_wire_bytes, trace.server_packets) == (2007, 5)
+    assert trace.wall_end == pytest.approx(0.03192, abs=1e-9)
