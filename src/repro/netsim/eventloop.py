@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable
 
 
@@ -27,22 +28,23 @@ class EventLoop:
 
     def run(self, until: float | None = None, max_events: int = 10_000_000) -> None:
         """Run until the queue drains (or simulated time passes *until*)."""
+        queue = self._queue
+        pop = heapq.heappop
+        horizon = math.inf if until is None else until
         events = 0
-        while self._queue:
-            at, _, callback = self._queue[0]
-            if until is not None and at > until:
-                break
-            heapq.heappop(self._queue)
-            self.now = max(self.now, at)
+        while queue and queue[0][0] <= horizon:
+            at, _, callback = pop(queue)
+            if at > self.now:
+                self.now = at
             callback()
             events += 1
             if events > max_events:
                 raise EventLoopRunaway("event loop runaway (likely a protocol deadlock)")
-        if until is not None:
+        if until is not None and until > self.now:
             # the clock reflects the requested horizon even when idle, so
             # callers interleaving run(until=...) with direct calls (tests,
             # interactive drivers) get consistent timestamps
-            self.now = max(self.now, until)
+            self.now = until
 
     def idle(self) -> bool:
         return not self._queue

@@ -20,11 +20,12 @@ _US = 1e6  # simulated seconds -> trace microseconds
 
 
 def _track_ids(tracer: Tracer) -> dict[str, int]:
-    # stable lane ordering: phases on top, then CPUs, then the rest
+    # stable lane ordering: phases on top, then CPUs, then the rest by
+    # name, so a lane's id never depends on which record came first
     preferred = ["phases", "client-cpu", "server-cpu"]
     tracks = tracer.tracks()
     ordered = [t for t in preferred if t in tracks]
-    ordered += [t for t in tracks if t not in ordered]
+    ordered += sorted(t for t in tracks if t not in preferred)
     return {track: index + 1 for index, track in enumerate(ordered)}
 
 

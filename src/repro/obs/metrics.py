@@ -21,6 +21,14 @@ structures merge associatively, so worker→leader snapshot shipping in
 ``repro.core.executor`` is bit-identical at any ``--jobs`` and a
 million-handshake campaign holds O(retention) memory per histogram.
 
+``observe_many`` fills the exact window in one pass: the batch's head
+becomes a list of floats, ``sum`` adds it left to right with
+``functools.reduce`` (sequential IEEE addition, as scalar ``observe``
+does; builtin ``sum`` is compensated from CPython 3.12), builtin
+``min``/``max`` keep the first extreme as the running comparisons do,
+and the samples extend at once — spilling at the same sample scalar
+``observe`` would. This branch never imports numpy.
+
 Streaming observations are *folded* in chunks: after the spill, scalar
 ``observe`` appends to a pending buffer of at most :data:`FOLD_CHUNK`
 values, and ``observe_many`` hands a whole batch over at once. One fold
@@ -38,6 +46,8 @@ un-observed runs pay nothing beyond an attribute check.
 
 from __future__ import annotations
 
+import functools
+import operator
 import statistics
 from dataclasses import dataclass
 
@@ -129,14 +139,24 @@ class Histogram:
     def observe_many(self, values) -> None:
         """Observe a sequence of values in order, as ``observe`` would.
 
-        The exact window fills (and spills) at the same sample; past the
-        spill, count/min/max are exact and ``sum`` accumulates in stream
-        order, so the result is bit-identical to one ``observe`` per value.
+        The exact window fills (and spills) at the same sample in one
+        pass; past the spill, count/min/max are exact and ``sum``
+        accumulates in stream order, so the result is bit-identical to
+        one ``observe`` per value.
         """
         if self._sketch is None:
             room = self.retention + 1 - len(self.samples)
-            for value in values[:room]:
-                self.observe(value)
+            head = list(map(float, values[:room]))
+            if head:
+                # reduce, not builtin sum: see the module docstring
+                self._account(len(head),
+                              functools.reduce(operator.add, head, self._sum),
+                              min(head), max(head))
+                self.samples.extend(head)
+                self._sorted = None
+                self._next_index += len(head)
+                if len(self.samples) > self.retention:
+                    self._spill()
             if len(values) <= room:
                 return
             values = values[room:]
@@ -145,19 +165,25 @@ class Histogram:
         chunk = np.asarray(values, dtype=np.float64)
         if not chunk.size:
             return
-        self._count += chunk.size
-        self._sum = float(np.add.accumulate(
-            np.concatenate(((self._sum,), chunk)))[-1])
         # the first value equal to the extreme, as a running `<` keeps it
-        low = float(chunk[(chunk == chunk.min()).argmax()])
-        high = float(chunk[(chunk == chunk.max()).argmax()])
+        self._account(
+            chunk.size,
+            float(np.add.accumulate(np.concatenate(((self._sum,), chunk)))[-1]),
+            float(chunk[(chunk == chunk.min()).argmax()]),
+            float(chunk[(chunk == chunk.max()).argmax()]))
+        self._flush()
+        self._fold(chunk, self._next_index)
+        self._next_index += chunk.size
+
+    def _account(self, count: int, total: float, low: float,
+                 high: float) -> None:
+        """Fold a batch's count, running sum and extremes into the scalars."""
+        self._count += count
+        self._sum = total
         if self._min is None or low < self._min:
             self._min = low
         if self._max is None or high > self._max:
             self._max = high
-        self._flush()
-        self._fold(chunk, self._next_index)
-        self._next_index += chunk.size
 
     def _fold(self, values, start: int) -> None:
         """Feed values observed at stream positions ``start, start+1, ...``."""

@@ -2,17 +2,31 @@
 
 One *shard* simulates a contiguous time-slice of the arrival timeline
 against its own :class:`~repro.traffic.server.ServerCores` and a fresh
-:class:`~repro.obs.metrics.Metrics` registry. Per handshake the engine
-runs exactly four event-loop callbacks — arrival, burst-A enqueue,
-burst-B enqueue (where the two queueing waits are kept), completion —
-and allocates nothing but three `partial` thunks: connection state lives
-in a pooled free-list. The five latencies of a handshake are its
-profile's constants plus its two waits, so each channel keeps only
-(wait_a, wait_b); every :data:`OBSERVE_CHUNK` handshakes, and at the
-shard's end, it computes the latencies as numpy arrays and hands them to
-its histograms' ``observe_many`` (exact to the retention window,
-constant-memory sketch + reservoir beyond), so memory is flat in the
-handshake count.
+:class:`~repro.obs.metrics.Metrics` registry. An open-loop handshake
+takes three event-loop callbacks — arrival, burst-A enqueue, burst-B
+enqueue (where the two queueing waits are kept) — and allocates two
+`partial` thunks and one finish-heap entry: connection state lives in a
+pooled free-list. Completion is bookkeeping, not an event: burst B
+pushes ``(finish, n, conn)`` onto a shard-local min-heap (``n`` is a
+shard counter, so two conns are never compared), and the next arrival
+*retires* every entry with ``finish <= now`` (in-flight count,
+completion count, the conn back to the pool, heartbeat check) before
+its admission check; the shard retires the rest once the loop drains.
+Tie rule: a completion at exactly an arrival's instant is retired
+before that arrival is admitted. A closed-loop client starts thinking
+at its finish time, so closed-loop shards also schedule a wake-up at
+that instant; it retires every due entry through the same path, then
+schedules the client's next handshake. The pool grows only at
+retirement and shrinks only at admission, so its length at every
+admission — and ``pool_peak`` — is what a completion event per
+handshake would give.
+
+The five latencies of a handshake are its profile's constants plus its
+two waits, so each channel keeps only (wait_a, wait_b); every
+:data:`OBSERVE_CHUNK` handshakes, and at the shard's end, it computes
+the latencies as numpy arrays and hands them to its histograms'
+``observe_many`` (exact to the retention window, constant-memory sketch
++ reservoir beyond), so memory is flat in the handshake count.
 
 Determinism contract (`--jobs` bit-identity): the shard layout depends
 only on the config (never on the worker count), each shard forks its
@@ -34,6 +48,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -48,8 +63,9 @@ from repro.traffic.arrivals import (DRAW_CHUNK, Window, open_arrivals,
 from repro.traffic.profile import handshake_profile
 from repro.traffic.server import ServerCores
 
-# host seconds between flight-recorder heartbeats (checked every
-# _HEARTBEAT_MASK+1 completions so the hot path never reads the clock)
+# host seconds between flight-recorder heartbeats (checked whenever a
+# retirement crosses a multiple of _HEARTBEAT_MASK+1 completions, so the
+# hot path never reads the clock)
 HEARTBEAT_SECONDS = 5.0
 _HEARTBEAT_MASK = 0x3FF
 
@@ -217,6 +233,10 @@ class _ShardEngine:
         self._resume_draws: list[float] = []
         self.pool: list[_Conn] = []
         self.pool_peak = 0
+        # (finish, n, conn) per served, not yet retired handshake
+        self._finishes: list[tuple[float, int, _Conn]] = []
+        self._finish_n = 0
+        self._closed = self.spec.closed
         self.in_flight = 0
         self.peak_in_flight = 0
         self.offered = 0
@@ -231,7 +251,7 @@ class _ShardEngine:
 
     # -- arrival drivers ----------------------------------------------------
     def run(self) -> None:
-        if self.spec.closed:
+        if self._closed:
             self._start_closed()
         else:
             self._arrivals = open_arrivals(self.spec, self.window,
@@ -239,8 +259,9 @@ class _ShardEngine:
             self._chain_arrival()
         # arrivals stop at the window's end, so the queue always drains:
         # in-flight handshakes complete past the boundary, then the loop
-        # goes idle (no budget cap — 1M handshakes is ~4M events)
+        # goes idle (no budget cap — 1M handshakes is ~3M events)
         self.loop.run(max_events=1 << 62)
+        self._retire(math.inf)
 
     def _chain_arrival(self) -> None:
         at = self._arrivals.next_time()
@@ -260,8 +281,11 @@ class _ShardEngine:
         for _ in range(self.spec.clients):
             self.loop.schedule(start + stagger.random() * ramp, self._begin)
 
-    # -- per-handshake hot path (4 events, zero per-handshake objects) -------
+    # -- per-handshake hot path (3 events open loop, 4 closed loop) ----------
     def _begin(self) -> None:
+        finishes = self._finishes
+        if finishes and finishes[0][0] <= self.loop.now:
+            self._retire(self.loop.now)
         self.offered += 1
         if self.in_flight >= self.config.max_in_flight:
             self.dropped += 1
@@ -311,22 +335,37 @@ class _ShardEngine:
         channel.completed += 1
         if len(channel.wait_b) >= OBSERVE_CHUNK:
             channel.observe()
-        self.loop.schedule(end + profile.resp_transit - now,
-                           partial(self._finish, conn))
+        # the same float the loop would give an event after this delay
+        delay = end + profile.resp_transit - now
+        self._finish_n += 1
+        heappush(self._finishes, (now + delay, self._finish_n, conn))
+        if self._closed:
+            self.loop.schedule(delay, self._wake)
 
-    def _finish(self, conn: _Conn) -> None:
-        self.in_flight -= 1
-        self.completed += 1
-        conn.channel = None
+    def _wake(self) -> None:
+        """A closed-loop client's response arrived: think, then go again."""
+        now = self.loop.now
+        self._retire(now)
+        think = self.spec.think
+        if now + think < self.window.end:
+            self.loop.schedule(think, self._begin)
+
+    def _retire(self, now: float) -> None:
+        """Complete every handshake whose response arrived by ``now``."""
+        finishes = self._finishes
         pool = self.pool
-        pool.append(conn)
+        done = 0
+        while finishes and finishes[0][0] <= now:
+            pool.append(heappop(finishes)[2])
+            done += 1
+        if not done:
+            return
+        self.in_flight -= done
+        before = self.completed
+        self.completed = before + done
         if len(pool) > self.pool_peak:
             self.pool_peak = len(pool)
-        if self.spec.closed:
-            think = self.spec.think
-            if self.loop.now + think < self.window.end:
-                self.loop.schedule(think, self._begin)
-        if self._beat and not (self.completed & _HEARTBEAT_MASK):
+        if self._beat and (before | _HEARTBEAT_MASK) < self.completed:
             self._heartbeat()
 
     # -- observation ---------------------------------------------------------

@@ -66,10 +66,33 @@ def test_negative_delay_rejected():
 
 def test_runaway_guard():
     loop = EventLoop()
+    fired = []
 
     def recur():
+        fired.append(loop.now)
         loop.schedule(0.0, recur)
 
     loop.schedule(0.0, recur)
     with pytest.raises(RuntimeError, match="runaway"):
         loop.run(max_events=1000)
+    # the budget is the number of events allowed; the one past it raises
+    assert len(fired) == 1001
+
+
+def test_event_at_exactly_until_fires():
+    loop = EventLoop()
+    fired = []
+    loop.schedule(2.0, lambda: fired.append(loop.now))
+    loop.schedule(2.5, lambda: fired.append(loop.now))
+    loop.run(until=2.0)
+    assert fired == [2.0]
+    assert loop.now == 2.0
+
+
+def test_run_until_on_an_empty_queue_moves_the_clock():
+    loop = EventLoop()
+    loop.run(until=1.5)
+    assert loop.now == 1.5
+    loop.run(until=0.5)                     # the clock never goes back
+    assert loop.now == 1.5
+

@@ -78,3 +78,22 @@ def test_metrics_json_round_trip(tmp_path):
     loaded = json.loads(path.read_text())
     assert loaded["counters"]["cache.script.hit"] == 3
     assert loaded["histograms"]["handshake.total"]["count"] == 1
+
+
+def test_lane_ids_do_not_depend_on_emission_order():
+    # the same records, emitted with the non-preferred tracks interleaved
+    # differently, export to the same bytes
+    records = [
+        ("span", "tcp-server", "recv", 0.0, 0.001),
+        ("span", "tcp-client", "send", 0.0005, 0.001),
+        ("instant", "link", "drop", 0.001),
+        ("counter", "tcp-client", "cwnd", 0.001, 3.0),
+        ("span", "phases", "handshake", 0.0, 0.002),
+    ]
+    dumps = set()
+    for order in (records, records[::-1], records[1:] + records[:1]):
+        tracer = Tracer()
+        for kind, *fields in order:
+            getattr(tracer, kind)(*fields)
+        dumps.add(json.dumps(chrome_trace(tracer), sort_keys=True))
+    assert len(dumps) == 1

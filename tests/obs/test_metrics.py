@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -288,13 +289,16 @@ def _scalar(retention, values):
     return metrics
 
 
-def _batched(retention, values, sizes):
+def _batched(retention, values, sizes, as_array=False):
     metrics = Metrics(retention=retention)
     histogram = metrics.histogram("lat")
     start, turn = 0, 0
     while start < len(values):
         size = sizes[turn % len(sizes)]
-        histogram.observe_many(values[start:start + size])
+        batch = values[start:start + size]
+        if as_array:
+            batch = np.array(batch)
+        histogram.observe_many(batch)
         start, turn = start + size, turn + 1
     return metrics
 
@@ -305,26 +309,36 @@ def _dump(metrics):
 
 @settings(max_examples=100)
 @example(pool=[0.5, -0.0, 2.25, 0.0, -1.5, 1e-3], length=9000,
-         sizes=[1000, 3, 4097], cut=0.4, retention=4096)
+         sizes=[1000, 3, 4097], cut=0.4, retention=4096, as_array=False)
+# an ndarray batch straddling the window, -0.0/0.0 ties at min and max
+@example(pool=[0.0, -0.0], length=40, sizes=[5, 30], cut=0.5, retention=8,
+         as_array=True)
+# a batch that fills the window exactly (no spill), then one past it
+@example(pool=[3.0, 1.0, 2.0], length=12, sizes=[8, 4], cut=0.0,
+         retention=8, as_array=False)
+# a batch of retention + 1: spills at the same sample as observe would
+@example(pool=[3.0, 1.0, 2.0], length=12, sizes=[9, 3], cut=1.0,
+         retention=8, as_array=True)
 @given(pool=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1,
                      max_size=64),
        length=st.integers(min_value=0, max_value=9000),
        sizes=st.lists(st.integers(min_value=1, max_value=5000), min_size=1,
                       max_size=8),
        cut=st.floats(min_value=0.0, max_value=1.0),
-       retention=st.sampled_from([1, 8, 4096]))
+       retention=st.sampled_from([1, 8, 4096]),
+       as_array=st.booleans())
 def test_batching_is_invisible_in_the_snapshot(pool, length, sizes, cut,
-                                               retention):
+                                               retention, as_array):
     # the pool repeats so a stream can pass the 4096 retention window
     values = [pool[(i * 7919) % len(pool)] for i in range(length)]
     expected = _dump(_scalar(retention, values))
-    assert _dump(_batched(retention, values, sizes)) == expected
+    assert _dump(_batched(retention, values, sizes, as_array)) == expected
 
     split = round(cut * length)
     halves = (values[:split], values[split:])
     merged = []
     for build in (lambda v: _scalar(retention, v),
-                  lambda v: _batched(retention, v, sizes)):
+                  lambda v: _batched(retention, v, sizes, as_array)):
         first, second = (build(half) for half in halves)
         first.merge(second)
         merged.append(_dump(first))
@@ -388,6 +402,19 @@ def test_importing_obs_loads_no_numpy():
     # every benchmark child imports repro.obs; numpy there would cost
     # ~13 MB of RSS in workloads that never fold a stream
     code = ("import sys, repro.obs, repro.obs.metrics, repro.obs.sketch; "
+            "print('numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "False"
+
+
+def test_unspilled_observe_many_loads_no_numpy():
+    # the exact window fills in pure Python: per-handshake testbed
+    # batches never pay numpy's import
+    code = ("import sys; from repro.obs.metrics import Metrics; "
+            "h = Metrics(retention=8).histogram('lat'); "
+            "h.observe_many([0.5, -0.0, 2.0]); h.observe_many([1.0] * 5); "
+            "assert not h.spilled and h.count == 8; "
             "print('numpy' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], check=True,
                             capture_output=True, text=True)

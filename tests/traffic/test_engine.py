@@ -1,8 +1,11 @@
 """The traffic engine: queueing semantics, sharding, --jobs bit-identity."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import fanout
 from repro.obs.metrics import DEFAULT_RETENTION, Metrics
@@ -292,3 +295,127 @@ def test_flight_recorder_sees_heartbeats_and_shard_finishes(monkeypatch):
     finish = next(e for e in recorder.events if e["event"] == "shard_finish")
     assert finish["mode"] == "serial"
     assert finish["completed"] > 0
+
+
+# -- byte pins ---------------------------------------------------------------
+# sha256 of the merged metrics snapshot plus the summary counts
+# (offered, completed, dropped, peak_in_flight, pool_peak). Engine
+# optimizations must leave every one of these bytes alone.
+
+FLASH_PAIRS = (PAIR, ("p256_kyber512", "p256_dilithium2"))
+
+PINS = {
+    "perfbench-open": (
+        dict(arrival="poisson:25200/s", duration=2.0, pairs=(PAIR,),
+             server_cores=32, shard_seconds=1.0, seed="bench"),
+        "6ac61cafbf265b25df0df161a2ea5912441f2208a66fae287f47a682de0e2115",
+        (50699, 50699, 0, 75, 75)),
+    "perfbench-flash": (
+        dict(arrival="flash:15000/s,peak=60000/s,at=1.5,width=1",
+             duration=4.0, pairs=FLASH_PAIRS, resume=(0.5, 0.5),
+             server_cores=32, shard_seconds=1.0, max_in_flight=20_000,
+             seed="bench"),
+        "6232606bfb72e39b84d6704a5809f113e1844828d75f1c722412a4ff39bebd90",
+        (105116, 101712, 3404, 20000, 20000)),
+    "admission-cap": (
+        dict(arrival="poisson:3000/s", duration=2.0, pairs=(PAIR,),
+             server_cores=1, max_in_flight=50, seed="x"),
+        "a34c2179d4daf32076148cd3e8e452b63772373d7be7a061ade2f3f6487b6afc",
+        (5986, 1876, 4110, 50, 50)),
+    "closed-loop": (
+        dict(arrival="closed:25,think=0.001", duration=1.0, pairs=(PAIR,)),
+        "ce3d2b7172ec6a698235e15e65c1133b7746ca036afd58b2b67f01fcf38c1e97",
+        (938, 938, 0, 25, 25)),
+    "diurnal-mix": (
+        dict(arrival="diurnal:2000/s,amp=0.5", duration=3.0,
+             pairs=(PAIR, ("hqc128", "dilithium2")), server_cores=2,
+             shard_seconds=1.0),
+        "473c90d6ea47eca80d1b48a5789ff0c1be4fa63435361250dd0eedde4fd12e83",
+        (5992, 5992, 0, 1634, 1634)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_outputs_match_their_byte_pins(name):
+    settings, digest, counts = PINS[name]
+    metrics = Metrics()
+    summary = run_traffic(TrafficConfig(**settings), metrics=metrics)
+    assert (summary.offered, summary.completed, summary.dropped,
+            summary.peak_in_flight, summary.pool_peak) == counts
+    dump = json.dumps(metrics.snapshot(), sort_keys=True).encode()
+    assert hashlib.sha256(dump).hexdigest() == digest
+
+
+# -- engine properties -------------------------------------------------------
+
+ARRIVALS = st.one_of(
+    st.builds("poisson:{}/s".format, st.integers(50, 3000)),
+    st.builds("flash:{}/s,peak={}/s,at={},width={}".format,
+              st.integers(50, 500), st.integers(500, 4000),
+              st.sampled_from([0.1, 0.4]), st.sampled_from([0.05, 0.3])),
+    st.builds("diurnal:{}/s,amp={}".format, st.integers(50, 2000),
+              st.sampled_from([0.0, 0.5, 0.9])),
+    st.builds("closed:{},think={}".format, st.integers(1, 60),
+              st.sampled_from([0.0, 0.001, 0.02])),
+)
+
+
+def _record_schedules(loop):
+    """Wrap ``loop.schedule``; returns the list each call appends to."""
+    calls = []
+    schedule = loop.schedule
+
+    def recorded(delay, callback):
+        calls.append(schedule(delay, callback))
+
+    loop.schedule = recorded
+    return calls
+
+
+@settings(max_examples=30)
+@given(arrival=ARRIVALS, cores=st.integers(1, 8),
+       cap=st.sampled_from([1, 5, 40, 100_000]),
+       shard_seconds=st.sampled_from([0.25, 0.6]),
+       resume=st.sampled_from([(), (0.5,)]))
+def test_engine_invariants_hold_for_every_arrival_shape(
+        arrival, cores, cap, shard_seconds, resume):
+    config = TrafficConfig(arrival=arrival, duration=0.6, pairs=(PAIR,),
+                           server_cores=cores, max_in_flight=cap,
+                           shard_seconds=shard_seconds, resume=resume)
+    for window in shard_windows(config):
+        metrics = Metrics()
+        shard = engine._ShardEngine(config, window, metrics)
+        scheduled = _record_schedules(shard.loop)
+        shard.run()
+        out = shard.finalize(metrics)
+        offered, dropped = out["offered"], out["dropped"]
+        assert out["completed"] + dropped == offered
+        assert shard.in_flight == 0 and not shard._finishes
+        assert out["peak_in_flight"] <= cap
+        assert out["pool_peak"] <= out["peak_in_flight"]
+        # arrival + two bursts per admitted handshake; a closed-loop
+        # client also wakes at its finish time
+        per_served = 3 if shard.spec.closed else 2
+        assert len(scheduled) == offered + per_served * (offered - dropped)
+        for channel in (*shard.channels, *shard.resume_channels):
+            if channel is None or not channel.completed:
+                continue
+            profile = channel.profile
+            part_a, _, total, ttfb, _ = channel.histograms
+            assert part_a.min >= profile.part_a
+            assert total.min >= profile.total
+            assert ttfb.min >= profile.ttfb
+
+
+def test_a_completion_at_an_arrivals_instant_is_retired_first():
+    # the tie rule: at the cap, an arrival that lands exactly when a
+    # handshake completes is admitted, because the completion retires
+    # before the admission check
+    config = TrafficConfig(pairs=(PAIR,), duration=1.0, max_in_flight=1)
+    shard = engine._ShardEngine(config, shard_windows(config)[0], Metrics())
+    shard.loop.run(until=0.5)
+    shard._finishes.append((0.5, 1, engine._Conn()))
+    shard.in_flight = 1
+    shard._begin()
+    assert (shard.offered, shard.dropped, shard.completed) == (1, 0, 1)
+    assert shard.in_flight == 1 and shard.pool_peak == 1
