@@ -1,5 +1,8 @@
 """Testbed end-to-end: real handshakes, scripted replay, determinism."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.crypto.drbg import Drbg
@@ -190,3 +193,43 @@ def test_frames_on_the_wire_after_the_horizon_are_not_counted():
     # bytes in 16 frames)
     assert (trace.server_wire_bytes, trace.server_packets) == (2007, 5)
     assert trace.wall_end == pytest.approx(0.03192, abs=1e-9)
+
+
+def _wire_digest(kem, sig, policy, scenario, seed):
+    """sha256 over what the tap shows of one traced scripted handshake:
+    every ``wire-*`` instant (track, name, time, args) and the trace's
+    tap-derived fields."""
+    from repro.core.experiment import load_script
+
+    client, server = ScriptReplay(load_script(kem, sig, policy)).apps()
+    tracer = Tracer()
+    trace = run_simulated_handshake(
+        client, server, scenario=SCENARIOS[scenario], netem_drbg=Drbg(seed),
+        cost_model=CostModel(), tracer=tracer)
+    wire = [[i.track, i.name, i.time, list(i.args)] for i in tracer.instants
+            if i.track.startswith("wire-")]
+    fields = [trace.client_wire_bytes, trace.server_wire_bytes,
+              trace.client_packets, trace.server_packets,
+              list(trace.flight_labels), trace.t_ch, trace.t_sh, trace.t_fin,
+              trace.wall_end]
+    encoded = json.dumps([wire, fields]).encode()
+    return hashlib.sha256(encoded).hexdigest(), tracer
+
+
+# the wire as the tap records it, for a multi-flight lossy handshake with
+# retransmissions and for one coalesced default-policy server flight
+PINNED_WIRE = {
+    ("x25519", "sphincs128", BufferPolicy.OPTIMIZED, "lte-m"):
+        "1e6b0045b116b8fc89753f5361b58591dd4c4fc5b1349ae0e6883a55a4991649",
+    ("kyber512", "dilithium2", BufferPolicy.DEFAULT, "none"):
+        "072c59d31527f64670a4a561515893df09e896355c8c73c8fdf9d79c48f0f6fa",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_WIRE), ids=lambda c: "/".join(
+    part.value if isinstance(part, BufferPolicy) else part for part in c))
+def test_what_the_wire_shows_is_pinned(case):
+    digest, tracer = _wire_digest(*case, seed="wire-pin")
+    if case[3] == "lte-m":
+        assert any(i.name == "retransmit" for i in tracer.instants)
+    assert digest == PINNED_WIRE[case]
