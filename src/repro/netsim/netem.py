@@ -119,7 +119,7 @@ class Link:
         return Segment(segment.src, segment.dst, seq=segment.seq,
                        payload=bytes(payload), ack=segment.ack,
                        syn=segment.syn, push=segment.push,
-                       is_ack_only=segment.is_ack_only, labels=segment.labels)
+                       is_ack_only=segment.is_ack_only, label=segment.label)
 
     def transmit(self, segment: Segment, _is_dup: bool = False) -> None:
         """Send one frame: fault stages, maybe drop, serialize, propagate.

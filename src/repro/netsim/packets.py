@@ -23,7 +23,7 @@ class Segment:
     syn: bool = False
     push: bool = False
     is_ack_only: bool = False
-    labels: tuple[str, ...] = ()   # TLS flight labels carried (ground truth)
+    label: str = ""          # TLS flight label of the send() it came from
     # frame size on the wire: computed once here, read by TCP, the link
     # (serialization delay) and the tap (byte tally)
     wire_bytes: int = field(init=False)
@@ -38,4 +38,4 @@ class Segment:
             (("S", self.syn), ("P", self.push), ("A", True)) if on
         )
         return (f"<Seg {self.src}->{self.dst} seq={self.seq} len={len(self.payload)} "
-                f"{flags} {'/'.join(self.labels)}>")
+                f"{flags} {self.label}>")

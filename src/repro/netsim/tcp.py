@@ -27,7 +27,7 @@ flows never fill buffers).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from typing import Callable
 
 from repro.faults.errors import TransportError
@@ -61,13 +61,13 @@ class TcpEndpoint:
         self._track = f"tcp-{name}"
         self._link = None
         self.state = "closed"
-        # sender
-        self._snd_buffer = bytearray()
-        self._snd_base = 0          # seq of _snd_buffer[0]
+        # sender: the flights send() was given and not yet fully sent, as
+        # (seq of the first byte, data, label); sent segments live in
+        # _inflight until acked, so a flight leaves once it is cut up
+        self._unsent: deque[tuple[int, bytes, str]] = deque()
+        self._snd_end = 0           # seq just past the last queued byte
         self._snd_nxt = 0
         self._snd_una = 0
-        self._push_points: set[int] = set()
-        self._label_ranges: list[tuple[int, int, str]] = []
         self._inflight: dict[int, Segment] = {}
         # MSS and INIT_CWND are module attributes read at call time, so
         # tests and ablations can patch them
@@ -79,7 +79,6 @@ class TcpEndpoint:
         self._rttvar = 0.0
         self._send_times: dict[int, float] = {}
         self._retransmitted: set[int] = set()
-        self._last_retx_time: dict[int, float] = {}
         self._in_recovery = False
         self._recover_point = 0
         self._pto_token = 0
@@ -121,12 +120,8 @@ class TcpEndpoint:
         if not data:
             return
         self.flights.append(len(data))
-        start = self._snd_base + len(self._snd_buffer)
-        self._snd_buffer.extend(data)
-        end = start + len(data)
-        self._push_points.add(end)
-        if label:
-            self._label_ranges.append((start, end, label))
+        self._unsent.append((self._snd_end, data, label))
+        self._snd_end += len(data)
         if self.state == "established":
             self._pump()
 
@@ -136,37 +131,26 @@ class TcpEndpoint:
         self.tally["wire_bytes"] += segment.wire_bytes
         self._link.transmit(segment)
 
-    def _labels_for(self, start: int, end: int) -> tuple[str, ...]:
-        return tuple(
-            label for (s, e, label) in self._label_ranges if s < end and e > start
-        )
-
     def _pump(self) -> None:
         """Send as much queued data as the congestion window allows."""
-        while len(self._inflight) < int(self._cwnd):
-            offset = self._snd_nxt - self._snd_base
-            available = len(self._snd_buffer) - offset
-            if available <= 0:
-                break
-            length = min(MSS, available)
+        while self._unsent and len(self._inflight) < int(self._cwnd):
+            # segments are cut from one flight and never span a push
+            # boundary: each TLS flush goes out as its own segment train
+            # (as a real socket write does), which is what makes
+            # multi-push server flights exceed initcwnd
+            start, data, label = self._unsent[0]
             seq = self._snd_nxt
-            # segments never span a push boundary: each TLS flush goes out
-            # as its own segment train (as a real socket write does), which
-            # is what makes multi-push server flights exceed initcwnd
-            next_push = min((p for p in self._push_points if p > seq),
-                            default=None)
-            if next_push is not None and next_push - seq < length:
-                length = next_push - seq
-            end = seq + length
-            payload = bytes(self._snd_buffer[offset: offset + length])
-            push = end in self._push_points
-            segment = Segment(self.name, self.peer, seq=seq, payload=payload,
-                              ack=self._rcv_nxt, push=push,
-                              labels=self._labels_for(seq, end))
+            offset = seq - start
+            end = min(offset + MSS, len(data))
+            push = end == len(data)
+            if push:
+                self._unsent.popleft()
+            segment = Segment(self.name, self.peer, seq=seq,
+                              payload=data[offset:end], ack=self._rcv_nxt,
+                              push=push, label=label)
             self._inflight[seq] = segment
-            if seq not in self._send_times:
-                self._send_times[seq] = self._loop.now
-            self._snd_nxt = end
+            self._send_times[seq] = self._loop.now
+            self._snd_nxt = start + end
             self._transmit(segment)
         if self._inflight:
             self._arm_pto()
@@ -246,7 +230,6 @@ class TcpEndpoint:
     def _retransmit(self, seq: int) -> None:
         segment = self._inflight[seq]
         self._retransmitted.add(seq)
-        self._last_retx_time[seq] = self._loop.now
         if self._tracer.enabled:
             self._tracer.instant(self._track, "retransmit", self._loop.now,
                                  seq=seq, bytes=segment.wire_bytes)
@@ -331,15 +314,6 @@ class TcpEndpoint:
             self._dup_acks = 0
             self._last_ack_seen = ack
             self._retries = 0
-            # drop acknowledged bytes from the buffer
-            drop = ack - self._snd_base
-            if drop > 0:
-                del self._snd_buffer[:drop]
-                self._snd_base = ack
-                self._push_points = {p for p in self._push_points if p > ack}
-                self._label_ranges = [
-                    (s, e, label) for (s, e, label) in self._label_ranges if e > ack
-                ]
             if partial and self._inflight:
                 # NewReno partial ACK: the next in-flight segment is the
                 # next hole — repair it immediately, exactly once
@@ -365,11 +339,12 @@ class TcpEndpoint:
                 self._enter_recovery()
                 self._retransmit(min(self._inflight))
             else:
-                holes = sorted(seq for seq in self._inflight
-                               if seq < self._recover_point
-                               and seq not in self._retransmitted)
-                if holes:
-                    self._retransmit(holes[0])
+                # in-flight keys ascend, so the first match is the oldest hole
+                hole = next((seq for seq in self._inflight
+                             if seq < self._recover_point
+                             and seq not in self._retransmitted), None)
+                if hole is not None:
+                    self._retransmit(hole)
 
     def _handle_data(self, segment: Segment) -> None:
         seq = segment.seq

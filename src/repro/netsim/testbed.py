@@ -84,8 +84,8 @@ def _trace_wire(tracer, records) -> None:
         segment = record.segment
         if segment.syn:
             name = "SYN"
-        elif segment.labels:
-            name = "/".join(segment.labels)
+        elif segment.label:
+            name = segment.label
         elif segment.is_ack_only:
             name = "ACK"
         else:
@@ -196,16 +196,13 @@ def run_simulated_handshake(client_app: App, server_app: App, *,
             client_host, server_host,
             scenario_name=scenario.name, max_sim_seconds=max_sim_seconds)
 
+    reading = tap.read()
     # end of the handshake's wire activity (stale cancelled timers may have
     # advanced loop.now far beyond the last real packet)
-    wall_end = max((record.time for record in tap.records), default=loop.now)
-    labels = tuple(
-        "/".join(r.segment.labels) for r in tap.records
-        if r.direction == "s2c" and r.segment.labels
-    )
+    wall_end = reading.last_time if reading.last_time is not None else loop.now
     ttfb = 0.0
     if outcome.ok:
-        t_ch, t_sh, t_fin = tap.phase_times()
+        t_ch, t_sh, t_fin = reading.phase_times()
         ttfb = t_fin + first_byte_transit(scenario)
     else:
         t_ch = t_sh = t_fin = 0.0  # no complete handshake: no phase timings
@@ -222,10 +219,10 @@ def run_simulated_handshake(client_app: App, server_app: App, *,
         tracer.span("phases", "partB (SH..CliFin)", t_sh, t_fin, cat="phase")
         tracer.span("phases", "tail (trailing ACKs)", t_fin, wall_end, cat="phase")
         tracer.end("phases", wall_end)
-    client_wire_bytes = tap.bytes_in_direction("c2s")
-    server_wire_bytes = tap.bytes_in_direction("s2c")
-    client_packets = tap.packets_in_direction("c2s")
-    server_packets = tap.packets_in_direction("s2c")
+    client_wire_bytes = reading.wire_bytes["c2s"]
+    server_wire_bytes = reading.wire_bytes["s2c"]
+    client_packets = reading.packets["c2s"]
+    server_packets = reading.packets["s2c"]
     if metrics.enabled:
         for tcp in (client_tcp, server_tcp):
             for event, count in tcp.tally.items():
@@ -262,7 +259,7 @@ def run_simulated_handshake(client_app: App, server_app: App, *,
         server_packets=server_packets,
         client_cpu=client_host.cpu_by_library,
         server_cpu=server_host.cpu_by_library,
-        flight_labels=labels,
+        flight_labels=reading.server_labels,
         outcome=outcome,
         t_ch=t_ch,
         t_sh=t_sh,

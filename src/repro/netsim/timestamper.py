@@ -7,7 +7,9 @@ ServerHello, and the client's ChangeCipherSpec+Finished packet.
 
 The links call a tap when they send a frame, with the time the frame is
 on the wire, which may lie past the end of the run; :meth:`Timestamper.cut`
-then drops what the tap could not yet have seen.
+then drops what the tap could not yet have seen, and
+:meth:`Timestamper.read` takes what a handshake trace needs from the rest
+in one pass.
 """
 
 from __future__ import annotations
@@ -15,6 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.netsim.packets import Segment
+
+# The phase markers, each with its direction and '+'-components. Flight
+# labels are '+'-joined when the server's buffer coalesces messages
+# ("SH+EE+Cert+CV+Fin" under the default OpenSSL policy), so a marker
+# matches a label that has all of its components — mirroring the paper's
+# tap, which recognises the unencrypted ServerHello header wherever it
+# sits inside a packet.
+MARKERS = tuple((marker, direction, frozenset(marker.split("+")))
+                for marker, direction in (("ClientHello", "c2s"), ("SH", "s2c"),
+                                          ("CCS+Fin", "c2s")))
 
 
 class MissingMarker(RuntimeError):
@@ -27,6 +39,29 @@ class TapRecord:
     time: float
     direction: str  # "c2s" | "s2c"
     segment: Segment
+
+
+@dataclass(frozen=True)
+class TapReading:
+    """What a handshake trace takes from the tap (see :meth:`Timestamper.read`)."""
+
+    wire_bytes: dict           # direction -> frame bytes, headers included
+    packets: dict              # direction -> frames
+    server_labels: tuple       # labels of the labelled s2c frames, in order
+    last_time: float | None    # latest frame on the wire (None: no frames)
+    first: tuple               # first sighting of each MARKERS entry, or None
+
+    def phase_times(self) -> tuple[float, float, float]:
+        """(t_CH, t_SH, t_ClientFinished); raises if a marker never appeared."""
+        missing = [f"{marker} ({direction})"
+                   for (marker, direction, _), time in zip(MARKERS, self.first)
+                   if time is None]
+        if missing:
+            raise MissingMarker(
+                "handshake markers missing from the tap records: "
+                + ", ".join(missing)
+                + f" ({sum(self.packets.values())} frames tapped)")
+        return self.first
 
 
 @dataclass
@@ -43,42 +78,30 @@ class Timestamper:
         before the run ended that were not yet on the wire when it did)."""
         self.records = [r for r in self.records if r.time <= horizon]
 
-    # -- phase extraction (first sighting of each marker) ----------------------
-    # Flight labels are '+'-joined when the server's buffer coalesces
-    # messages ("SH+EE+Cert+CV+Fin" under the default OpenSSL policy), so a
-    # marker matches if it appears as a component — mirroring the paper's
-    # tap, which recognises the unencrypted ServerHello header wherever it
-    # sits inside a packet.
-    def _first(self, direction: str, marker: str) -> TapRecord | None:
-        marker_parts = set(marker.split("+"))
+    def read(self) -> TapReading:
+        """Bytes and frames per direction, the server's flight labels, the
+        last frame's time and each marker's first sighting."""
+        wire_bytes = {"c2s": 0, "s2c": 0}
+        packets = {"c2s": 0, "s2c": 0}
+        server_labels = []
+        first = [None] * len(MARKERS)
+        last_time = None
         for record in self.records:
-            if record.direction != direction:
+            direction, segment = record.direction, record.segment
+            wire_bytes[direction] += segment.wire_bytes
+            packets[direction] += 1
+            if last_time is None or record.time > last_time:
+                last_time = record.time
+            label = segment.label
+            if not label:
                 continue
-            for label in record.segment.labels:
-                if marker_parts <= set(label.split("+")):
-                    return record
-        return None
-
-    def phase_times(self) -> tuple[float, float, float]:
-        """(t_CH, t_SH, t_ClientFinished); raises if a marker never appeared."""
-        ch = self._first("c2s", "ClientHello")
-        sh = self._first("s2c", "SH")
-        fin = self._first("c2s", "CCS+Fin")
-        missing = [f"{marker} ({direction})"
-                   for record, marker, direction in
-                   ((ch, "ClientHello", "c2s"), (sh, "SH", "s2c"),
-                    (fin, "CCS+Fin", "c2s"))
-                   if record is None]
-        if missing:
-            raise MissingMarker(
-                "handshake markers missing from the tap records: "
-                + ", ".join(missing)
-                + f" ({len(self.records)} frames tapped)")
-        return ch.time, sh.time, fin.time
-
-    # -- byte / packet accounting ----------------------------------------------
-    def bytes_in_direction(self, direction: str) -> int:
-        return sum(r.segment.wire_bytes for r in self.records if r.direction == direction)
-
-    def packets_in_direction(self, direction: str) -> int:
-        return sum(1 for r in self.records if r.direction == direction)
+            if direction == "s2c":
+                server_labels.append(label)
+            if None in first:
+                parts = label.split("+")
+                for index, (_, want, components) in enumerate(MARKERS):
+                    if (first[index] is None and want == direction
+                            and components.issubset(parts)):
+                        first[index] = record.time
+        return TapReading(wire_bytes, packets, tuple(server_labels),
+                          last_time, tuple(first))

@@ -199,4 +199,4 @@ def test_labels_attached_to_segments():
     client.send(b"hello", label="Greeting")
     loop.run(until=1.0)
     data_segments = [s for s in collected if s.payload]
-    assert data_segments and data_segments[0].labels == ("Greeting",)
+    assert data_segments and data_segments[0].label == "Greeting"

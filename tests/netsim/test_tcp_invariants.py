@@ -94,8 +94,8 @@ class _WireRules:
         owner = [r for r in self.sends.get(endpoint, ()) if r[0] <= seq < r[1]]
         if not owner or end > owner[0][1]:
             self.violations.append(f"{where} is not inside one send() range")
-        elif segment.labels != ((owner[0][2],) if owner[0][2] else ()):
-            self.violations.append(f"{where} carries {segment.labels!r}, its "
+        elif segment.label != owner[0][2]:
+            self.violations.append(f"{where} carries {segment.label!r}, its "
                                    f"send() was labelled {owner[0][2]!r}")
         sent = self.first_sent.setdefault(endpoint, set())
         if seq not in sent:
@@ -176,10 +176,10 @@ def test_the_wire_rules_catch_segments_that_break_them():
     rules.sends[endpoint] = [(0, 10, "ClientHello"), (10, 20, "")]
     # spans two sends, then carries the wrong label; both past cwnd
     rules.check(endpoint, Segment("client", "server", seq=5, payload=b"x" * 10,
-                                  ack=0, labels=("ClientHello",)))
+                                  ack=0, label="ClientHello"))
     rules.check(endpoint, Segment("client", "server", seq=10, payload=b"x" * 10,
-                                  ack=0, labels=("ClientHello",)))
+                                  ack=0, label="ClientHello"))
     assert len(rules.violations) == 4
     assert "not inside one send() range" in rules.violations[0]
-    assert "carries ('ClientHello',)" in rules.violations[2]
+    assert "carries 'ClientHello'" in rules.violations[2]
     assert all("past cwnd" in v for v in rules.violations[1::2])
