@@ -15,16 +15,26 @@ class EventLoopRunaway(RuntimeError):
 class EventLoop:
     def __init__(self):
         self.now = 0.0
-        self._queue: list[tuple[float, int, Callable[[], None]]] = []
+        # [time, sequence, callback] entries; cancel() clears the callback
+        self._queue: list[list] = []
         self._sequence = 0
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> int:
-        """Schedule *callback* after *delay* seconds; returns a token."""
+    def schedule(self, delay: float, callback: Callable[[], None]) -> list:
+        """Schedule *callback* after *delay* seconds; returns a handle for
+        :meth:`cancel`."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
         self._sequence += 1
-        heapq.heappush(self._queue, (self.now + delay, self._sequence, callback))
-        return self._sequence
+        event = [self.now + delay, self._sequence, callback]
+        heapq.heappush(self._queue, event)
+        return event
+
+    def cancel(self, event: list | None) -> None:
+        """Keep a scheduled callback from running; a no-op on ``None`` or
+        on an event that already ran. The entry stays in the queue until
+        ``run`` pops it, and then neither moves the clock nor counts."""
+        if event is not None:
+            event[2] = None
 
     def run(self, until: float | None = None, max_events: int = 10_000_000) -> None:
         """Run until the queue drains (or simulated time passes *until*)."""
@@ -34,6 +44,8 @@ class EventLoop:
         events = 0
         while queue and queue[0][0] <= horizon:
             at, _, callback = pop(queue)
+            if callback is None:
+                continue
             if at > self.now:
                 self.now = at
             callback()
@@ -45,6 +57,3 @@ class EventLoop:
             # callers interleaving run(until=...) with direct calls (tests,
             # interactive drivers) get consistent timestamps
             self.now = until
-
-    def idle(self) -> bool:
-        return not self._queue

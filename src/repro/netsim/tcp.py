@@ -9,10 +9,12 @@
   in-order segment, otherwise a short delayed-ACK — matching a 10 Gbit/s
   receiver that coalesces segment trains (this is what keeps the client's
   byte count low and the paper's §5.5 amplification factors high),
-- NewReno recovery episodes: three duplicate ACKs open an episode that
-  cuts the window to 0.7 × the segments in flight and retransmits the
-  oldest hole; each partial ACK inside the episode repairs exactly the
-  next hole (no duplicate retransmissions into a fat bottleneck queue);
+- NewReno recovery episodes: the first duplicate ACK opens an episode
+  that cuts the window to 0.7 × the segments in flight and retransmits
+  the oldest in-flight segment; each further duplicate ACK resends the
+  next not-yet-retransmitted segment below the recovery point, and each
+  partial ACK the next unacked one, at most once each (the repair is
+  blind: the sender does not know which segments the receiver holds);
   a tail-loss-probe timer with exponential backoff is the last resort.
   This is what keeps the paper's lossy-scenario medians within a few
   RTTs.
@@ -73,7 +75,6 @@ class TcpEndpoint:
         # tests and ablations can patch them
         self._cwnd = float(INIT_CWND)
         self._ssthresh = float("inf")
-        self._dup_acks = 0
         self._last_ack_seen = -1
         self._srtt: float | None = None
         self._rttvar = 0.0
@@ -81,13 +82,13 @@ class TcpEndpoint:
         self._retransmitted: set[int] = set()
         self._in_recovery = False
         self._recover_point = 0
-        self._pto_token = 0
+        self._pto_event = None      # the pending retransmission timer
         self._retries = 0
         # receiver
         self._rcv_nxt = 0
         self._ooo: dict[int, Segment] = {}
         self._segs_since_ack = 0
-        self._delack_token = 0
+        self._delack_event = None   # the pending delayed ACK
         # the connection's facts, keyed by event (segments_sent, wire_bytes
         # including headers, retransmits, ...), and the length of each
         # send(); the caller names and records them
@@ -154,10 +155,10 @@ class TcpEndpoint:
             self._transmit(segment)
         if self._inflight:
             self._arm_pto()
+        else:
+            self._loop.cancel(self._pto_event)
 
     def _arm_pto(self, override: float | None = None) -> None:
-        self._pto_token += 1
-        token = self._pto_token
         if override is not None:
             delay = override
         elif self._srtt is None:
@@ -168,7 +169,8 @@ class TcpEndpoint:
         # safety margin: a timer must never tie with the ACK it guards
         # (ties resolve in schedule order and would fire spuriously)
         delay = delay * 1.1 + 0.002
-        self._loop.schedule(delay, lambda: self._on_pto(token))
+        self._loop.cancel(self._pto_event)
+        self._pto_event = self._loop.schedule(delay, self._on_pto)
 
     def _fail(self, reason: str) -> None:
         """Give up on the connection: terminal state, typed failure recorded.
@@ -179,16 +181,15 @@ class TcpEndpoint:
         """
         self.failure = TransportError(reason)
         self.state = "failed"
-        self._pto_token += 1     # cancel the retransmission timer
-        self._delack_token += 1  # and any pending delayed ACK
+        # only the timer that just fired calls this, so only a delayed ACK
+        # can still be pending
+        self._loop.cancel(self._delack_event)
         self.tally["failed"] += 1
         if self._tracer.enabled:
             self._tracer.instant(self._track, "transport-failed", self._loop.now,
                                  reason=reason, retries=self._retries)
 
-    def _on_pto(self, token: int) -> None:
-        if token != self._pto_token:
-            return
+    def _on_pto(self) -> None:
         if self.state == "syn-sent":
             self._retries += 1
             if self._retries > MAX_RETRIES:
@@ -201,8 +202,6 @@ class TcpEndpoint:
             self._transmit(Segment(self.name, self.peer, seq=0, payload=b"",
                                    ack=0, syn=True))
             self._arm_pto(INITIAL_RTO)
-            return
-        if not self._inflight:
             return
         self._retries += 1
         if self._retries > MAX_RETRIES:
@@ -258,7 +257,6 @@ class TcpEndpoint:
             self.state = "syn-rcvd"
             self._transmit(Segment(self.name, self.peer, seq=0, payload=b"",
                                    ack=0, syn=True))
-            self._arm_pto(INITIAL_RTO)
         elif self.state == "syn-sent":
             # SYN-ACK: complete the handshake (and take an RTT sample)
             if self._retries == 0:
@@ -267,7 +265,7 @@ class TcpEndpoint:
             self._send_ack()
             if self._on_established is not None:
                 self._on_established()
-            self._pump()
+            self._pump()  # replaces the SYN timer, or cancels it
         elif self.state == "syn-rcvd":
             # duplicate SYN (our SYN-ACK was lost): resend SYN-ACK
             self._transmit(Segment(self.name, self.peer, seq=0, payload=b"",
@@ -276,7 +274,6 @@ class TcpEndpoint:
     def _become_established(self) -> None:
         self.state = "established"
         self._retries = 0
-        self._pto_token += 1  # cancel handshake timer
 
     def _handle_ack(self, ack: int) -> None:
         if ack > self._snd_una:
@@ -311,7 +308,6 @@ class TcpEndpoint:
                 self._tracer.counter(self._track, "cwnd", self._loop.now, self._cwnd)
             self._snd_una = ack
             self._retransmitted = {r for r in self._retransmitted if r >= ack}
-            self._dup_acks = 0
             self._last_ack_seen = ack
             self._retries = 0
             if partial and self._inflight:
@@ -320,19 +316,13 @@ class TcpEndpoint:
                 hole = min(self._inflight)
                 if hole not in self._retransmitted:
                     self._retransmit(hole)
-            if self._inflight:
-                self._arm_pto()
-            else:
-                self._pto_token += 1  # nothing outstanding: cancel timer
-            self._pump()
+            self._pump()  # re-arms the timer, or cancels it if all is acked
         elif ack == self._last_ack_seen and self._inflight:
-            # Duplicate ACK: the receiver holds out-of-order data. The only
-            # reordering source in this simulator is loss, so the first
-            # dup-ACK already identifies a hole (RACK with a zero reorder
-            # window). Inside the episode, each further dup-ACK repairs the
-            # next not-yet-retransmitted hole — approximating SACK's
-            # one-RTT multi-hole recovery.
-            self._dup_acks += 1
+            # Duplicate ACK: the receiver holds out-of-order data. The
+            # first one is taken as a loss (a zero reorder window). Inside
+            # the episode, each further one resends the next segment below
+            # the recovery point not yet retransmitted, blindly: the ACK
+            # does not say which segments the receiver holds.
             if not self._in_recovery:
                 self._in_recovery = True
                 self._recover_point = self._snd_nxt
@@ -368,16 +358,13 @@ class TcpEndpoint:
             self._send_ack()  # duplicate data: re-ack
 
     def _arm_delayed_ack(self) -> None:
-        self._delack_token += 1
-        token = self._delack_token
-        self._loop.schedule(DELAYED_ACK, lambda: self._on_delayed_ack(token))
-
-    def _on_delayed_ack(self, token: int) -> None:
-        if token == self._delack_token and self._segs_since_ack:
-            self._send_ack()
+        # a pending delayed ACK always has segments to acknowledge:
+        # _send_ack cancels it when it zeroes the count
+        self._loop.cancel(self._delack_event)
+        self._delack_event = self._loop.schedule(DELAYED_ACK, self._send_ack)
 
     def _send_ack(self) -> None:
         self._segs_since_ack = 0
-        self._delack_token += 1  # cancel any pending delayed ACK
+        self._loop.cancel(self._delack_event)
         self._transmit(Segment(self.name, self.peer, seq=self._snd_nxt, payload=b"",
                                ack=self._rcv_nxt, is_ack_only=True))

@@ -197,8 +197,8 @@ def run_simulated_handshake(client_app: App, server_app: App, *,
             scenario_name=scenario.name, max_sim_seconds=max_sim_seconds)
 
     reading = tap.read()
-    # end of the handshake's wire activity (stale cancelled timers may have
-    # advanced loop.now far beyond the last real packet)
+    # end of the handshake's wire activity (run(until=...) leaves loop.now
+    # at the horizon, far beyond the last real packet)
     wall_end = reading.last_time if reading.last_time is not None else loop.now
     ttfb = 0.0
     if outcome.ok:

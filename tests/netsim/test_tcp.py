@@ -1,7 +1,9 @@
 """Simplified TCP: handshake, segmentation, slow start, loss recovery."""
 
+import pytest
+
 from repro.netsim.eventloop import EventLoop
-from repro.netsim.tcp import INIT_CWND, MSS, TcpEndpoint
+from repro.netsim.tcp import INIT_CWND, MAX_RETRIES, MSS, TcpEndpoint
 
 
 class _Loss:
@@ -31,6 +33,8 @@ def make_pair(loss_c2s=(), rtt=0.01, tap=None):
         server.on_segment(seg)
 
     def c2s_transmit(seg):
+        if tap is not None:
+            tap(loop.now, seg)
         index = loss.count
         loss.count += 1
         if index in loss.drop:
@@ -200,3 +204,27 @@ def test_labels_attached_to_segments():
     loop.run(until=1.0)
     data_segments = [s for s in collected if s.payload]
     assert data_segments and data_segments[0].label == "Greeting"
+
+
+def test_timer_backs_off_to_its_cap_then_gives_up():
+    """Every c2s data frame dropped: the timer alone retransmits. Its
+    delays (less the 2 ms margin) double up to 2^6 times the first, stay
+    there, and the retry after the last allowed one fails the connection."""
+    sent = []
+    # the SYN and the handshake ACK are frames 0 and 1; drop everything after
+    loop, client, _, received, established = make_pair(
+        loss_c2s=range(2, 10 * MAX_RETRIES),
+        tap=lambda now, seg: sent.append(now) if seg.payload else None)
+    loop.run(until=0.1)
+    assert established == [True]
+    client.send(b"x" * 100)
+    loop.run(until=300.0)
+    assert len(sent) == 1 + MAX_RETRIES          # first send + each retry
+    gaps = [later - earlier - 0.002 for earlier, later in zip(sent, sent[1:])]
+    ratios = [later / earlier for earlier, later in zip(gaps, gaps[1:])]
+    assert ratios[:6] == pytest.approx([2.0] * 6, rel=1e-9)
+    assert ratios[6:] == pytest.approx([1.0] * (len(ratios) - 6), rel=1e-9)
+    assert gaps[-1] == pytest.approx(64 * gaps[0], rel=1e-9)
+    assert client.state == "failed"
+    assert str(client.failure) == "retransmission limit reached"
+    assert received["server"] == b""

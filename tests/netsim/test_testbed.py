@@ -100,6 +100,29 @@ def test_scripted_replay_matches_real(rsa_creds):
     assert replay.client_packets == real.client_packets
 
 
+@pytest.mark.parametrize("kem,sig", [("kyber512", "dilithium2"),
+                                     ("x25519", "rsa:1024")])
+@pytest.mark.parametrize("scenario", ["lte-m", "high-loss", "5g"])
+def test_scripted_replay_matches_real_under_loss(kem, sig, scenario):
+    """Record once, replay: on the same netem randomness, replaying the
+    recorded script gives the real-TLS trace field for field, through
+    drops, recovery episodes and timer expiries."""
+    from repro.core.experiment import load_script
+    from repro.netsim.scripted import load_credentials
+
+    label = f"script:{kem}:{sig}:optimized:paper"
+    bed = Testbed(kem, sig, *load_credentials(sig), scenario=scenario,
+                  drbg=Drbg(label))
+    replay = ScriptReplay(load_script(kem, sig, BufferPolicy.OPTIMIZED))
+    for i in range(2):
+        real = bed.run_handshake()
+        client, server = replay.apps()
+        assert run_simulated_handshake(
+            client, server, scenario=SCENARIOS[scenario],
+            netem_drbg=Drbg(label).fork(f"netem:{i}"),
+            cost_model=CostModel()) == real
+
+
 def test_scripted_replay_under_loss_completes():
     replay = ScriptReplay(record_script("x25519", "rsa:1024"))
     for i in range(10):
