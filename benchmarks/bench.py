@@ -388,7 +388,6 @@ def bench_streaming_spill() -> dict:
         "observe_s": round(elapsed, 4),
         "observe_many_s": round(elapsed_many, 4),
         "retained_buckets": len(streaming["sketch"]["buckets"]),
-        "reservoir_k": len(streaming["reservoir"]),
         **errors,
     }
 

@@ -12,13 +12,16 @@ Everything is zero-overhead when disabled: the default
 :data:`NULL_TRACER` / :data:`NULL_METRICS` singletons answer ``enabled ==
 False`` and hot paths guard on that flag, so a simulation run without
 observability executes exactly the code it did before this package
-existed (results are bit-identical; cache keys do not change).
+existed, so its results are bit-identical. Cache keys are not: the
+experiment digest (``repro.cache.CODE_PATHS``) covers every file under
+``obs/``, so after an edit here cached experiments re-render (to the
+same results).
 """
 
 from repro.obs.metrics import NULL_METRICS, Counter, Gauge, Histogram, Metrics, NullMetrics
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.recorder import NULL_RECORDER, FlightRecorder, NullRecorder, walltime
-from repro.obs.sketch import QuantileSketch, ReservoirSample
+from repro.obs.sketch import QuantileSketch
 from repro.obs.tracer import (
     NULL_TRACER,
     CounterSample,
@@ -42,7 +45,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "QuantileSketch",
-    "ReservoirSample",
     "SamplingProfiler",
     "FlightRecorder",
     "NullRecorder",

@@ -15,9 +15,8 @@ sorted view, so repeated ``quantile`` calls don't re-sort), and beyond
 that the histogram *spills* — raw samples are dropped and every further
 observation feeds a constant-memory
 :class:`~repro.obs.sketch.QuantileSketch` (quantiles within a documented
-relative-error bound) plus a deterministic
-:class:`~repro.obs.sketch.ReservoirSample` (raw-value peeks). Both
-structures merge associatively, so worker→leader snapshot shipping in
+relative-error bound). Sketch counts depend only on the observed
+multiset and merge associatively, so worker→leader snapshot shipping in
 ``repro.core.executor`` is bit-identical at any ``--jobs`` and a
 million-handshake campaign holds O(retention) memory per histogram.
 
@@ -32,12 +31,12 @@ and the samples extend at once — spilling at the same sample scalar
 Streaming observations are *folded* in chunks: after the spill, scalar
 ``observe`` appends to a pending buffer of at most :data:`FOLD_CHUNK`
 values, and ``observe_many`` hands a whole batch over at once. One fold
-(numpy, imported on first use) feeds a chunk to the sketch and the
-reservoir; it serves the spill itself, the pending buffer, batches,
-merges of unspilled histograms and snapshot restores. Sketch counts and
-reservoir priorities do not depend on how a stream was chunked, so
-batching is invisible in every snapshot. The buffer is folded before
-any read of streaming state, before a merge and before a snapshot.
+(numpy, imported on first use) feeds a chunk to the sketch; it serves
+the spill itself, the pending buffer, batches, merges of unspilled
+histograms and snapshot restores. Sketch counts do not depend on how a
+stream was chunked or ordered, so batching is invisible in every
+snapshot. The buffer is folded before any read of streaming state,
+before a merge and before a snapshot.
 
 :data:`NULL_METRICS` mirrors :data:`repro.obs.tracer.NULL_TRACER`:
 ``enabled`` is False and the instruments it hands out swallow updates, so
@@ -51,11 +50,7 @@ import operator
 import statistics
 from dataclasses import dataclass
 
-from repro.obs.sketch import (
-    DEFAULT_RELATIVE_ACCURACY,
-    QuantileSketch,
-    ReservoirSample,
-)
+from repro.obs.sketch import QuantileSketch
 
 # Raw samples retained per histogram before it spills to streaming mode.
 # Sized so every per-experiment histogram of the paper's campaigns (≤151
@@ -107,13 +102,11 @@ class Histogram:
         self.retention = retention
         self.samples: list[float] = []
         self._sketch: QuantileSketch | None = None
-        self._reservoir: ReservoirSample | None = None
         self._pending: list[float] = []   # streaming values not yet folded
         self._count = 0
         self._sum = 0.0
         self._min: float | None = None
         self._max: float | None = None
-        self._next_index = 0          # stream position of the next fold
         self._sorted: list[float] | None = None   # cached sorted view
 
     # -- writes --------------------------------------------------------------
@@ -128,7 +121,6 @@ class Histogram:
         if self._sketch is None:
             self.samples.append(value)
             self._sorted = None
-            self._next_index += 1
             if len(self.samples) > self.retention:
                 self._spill()
         else:
@@ -154,7 +146,6 @@ class Histogram:
                               min(head), max(head))
                 self.samples.extend(head)
                 self._sorted = None
-                self._next_index += len(head)
                 if len(self.samples) > self.retention:
                     self._spill()
             if len(values) <= room:
@@ -172,8 +163,7 @@ class Histogram:
             float(chunk[(chunk == chunk.min()).argmax()]),
             float(chunk[(chunk == chunk.max()).argmax()]))
         self._flush()
-        self._fold(chunk, self._next_index)
-        self._next_index += chunk.size
+        self._sketch.add_many(chunk)
 
     def _account(self, count: int, total: float, low: float,
                  high: float) -> None:
@@ -185,31 +175,21 @@ class Histogram:
         if self._max is None or high > self._max:
             self._max = high
 
-    def _fold(self, values, start: int) -> None:
-        """Feed values observed at stream positions ``start, start+1, ...``."""
-        import numpy as np
-
-        values = np.asarray(values, dtype=np.float64)
-        self._sketch.add_many(values)
-        self._reservoir.add_many(start, values)
-
     def _flush(self) -> None:
         if self._pending:
             pending, self._pending = self._pending, []
-            self._fold(pending, self._next_index)
-            self._next_index += len(pending)
+            self._sketch.add_many(pending)
 
     def _spill(self) -> None:
-        """Hand the retained stream to the streaming structures.
+        """Hand the retained samples to the sketch.
 
-        Samples are folded at their stream positions, so a spilled
-        histogram's state is a pure function of the observation stream —
-        whichever process, merge order, or snapshot round-trip produced
-        it (the ``--jobs`` bit-identity contract).
+        Sketch counts depend only on the observed multiset, so a spilled
+        histogram's state is the same whichever process, merge order, or
+        snapshot round-trip produced it (the ``--jobs`` bit-identity
+        contract).
         """
         self._sketch = QuantileSketch()
-        self._reservoir = ReservoirSample()
-        self._fold(self.samples, 0)
+        self._sketch.add_many(self.samples)
         self.samples.clear()
         self._sorted = None
 
@@ -222,11 +202,6 @@ class Histogram:
     def sketch(self) -> QuantileSketch | None:
         self._flush()
         return self._sketch
-
-    @property
-    def reservoir(self) -> ReservoirSample | None:
-        self._flush()
-        return self._reservoir
 
     @property
     def count(self) -> int:
@@ -292,18 +267,14 @@ class Histogram:
         if (not self.spilled and not other.spilled
                 and len(self.samples) + len(other.samples) <= self.retention):
             self.samples.extend(other.samples)
-            self._next_index = len(self.samples)
             self._sorted = None
             return
         if not self.spilled:
             self._spill()
         if not other.spilled:
-            # feed at *other's* stream positions: identical to merging the
-            # histogram a snapshot round-trip would reconstruct
-            self._fold(other.samples, 0)
+            self._sketch.add_many(other.samples)
         else:
             self._sketch.merge(other._sketch)
-            self._reservoir.merge(other._reservoir)
 
     def snapshot_entry(self) -> dict:
         """Plain-dict dump; lossless (see :meth:`from_snapshot_entry`)."""
@@ -319,12 +290,7 @@ class Histogram:
             "samples": list(self.samples),
         }
         if self.spilled:
-            entry["streaming"] = {
-                "observed": self._count,
-                "relative_accuracy": DEFAULT_RELATIVE_ACCURACY,
-                "sketch": self.sketch.state(),
-                "reservoir": self.reservoir.state(),
-            }
+            entry["streaming"] = {"sketch": self.sketch.state()}
         return entry
 
     @classmethod
@@ -341,14 +307,11 @@ class Histogram:
             histogram.observe_many(entry["samples"])
             return histogram
         histogram._sketch = QuantileSketch.from_state(streaming["sketch"])
-        histogram._reservoir = ReservoirSample.from_state(
-            streaming["reservoir"])
         histogram._count = int(entry["count"])
         histogram._sum = float(entry["sum"])
         if histogram._count:
             histogram._min = float(entry["min"])
             histogram._max = float(entry["max"])
-        histogram._next_index = int(streaming["observed"])
         return histogram
 
 
@@ -425,9 +388,8 @@ class Metrics:
 
         The inverse of :meth:`snapshot`: ``a.merge_snapshot(b.snapshot())``
         leaves ``a`` exactly as ``a.merge(b)`` would — including streaming
-        (sketch + reservoir) state, so cache-hit restores and parallel
-        workers replay their metrics bit-identically to an in-process
-        run.
+        (sketch) state, so cache-hit restores and parallel workers replay
+        their metrics bit-identically to an in-process run.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.inc(name, value)
@@ -441,9 +403,9 @@ class Metrics:
         """Plain-dict dump, stable across runs, ready for ``json.dump``.
 
         Lossless: unspilled histograms carry their raw ``samples``,
-        spilled ones their ``streaming`` sketch/reservoir state, so
-        :meth:`merge_snapshot` reconstructs the full instrument
-        (cache-hit restore, cross-process aggregation).
+        spilled ones their ``streaming`` sketch state, so
+        :meth:`merge_snapshot` reconstructs the full instrument (cache-hit
+        restore, cross-process aggregation).
         """
         out: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
         for name in sorted(self._counters):

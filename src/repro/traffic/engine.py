@@ -25,8 +25,8 @@ The five latencies of a handshake are its profile's constants plus its
 two waits, so each channel keeps only (wait_a, wait_b); every
 :data:`OBSERVE_CHUNK` handshakes, and at the shard's end, it computes
 the latencies as numpy arrays and hands them to its histograms'
-``observe_many`` (exact to the retention window, constant-memory sketch
-+ reservoir beyond), so memory is flat in the handshake count.
+``observe_many`` (exact to the retention window, a constant-memory
+quantile sketch beyond), so memory is flat in the handshake count.
 
 Determinism contract (`--jobs` bit-identity): the shard layout depends
 only on the config (never on the worker count), each shard forks its

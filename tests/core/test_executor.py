@@ -174,7 +174,7 @@ def test_parallel_equals_serial_with_streaming_instruments(
     """Bit-identity holds when campaign histograms spill to sketches.
 
     A retention of 8 forces every campaign-level latency histogram into
-    streaming (sketch + reservoir) mode; worker snapshot shipping must
+    streaming (sketch) mode; worker snapshot shipping must
     still reconstruct the exact leader state.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))

@@ -1,6 +1,7 @@
 """Metrics registry: instruments, prefix reads, merging, snapshots."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -210,15 +211,42 @@ def test_merge_snapshot_gauge_last_write_wins_ordering():
     assert target.value("cwnd") == 7
 
 
-def test_streaming_snapshot_round_trips_sketch_and_reservoir():
+def test_streaming_snapshot_round_trips_the_sketch():
     source = Metrics(retention=16)
     for v in synthetic_latencies(200):
         source.observe("lat", v)
     entry = source.snapshot()["histograms"]["lat"]
     assert entry["samples"] == []
-    assert entry["streaming"]["observed"] == 200
+    # a spilled entry carries the sketch's counts and nothing else
+    assert sorted(entry) == ["count", "max", "mean", "median", "min", "p90",
+                             "p99", "samples", "streaming", "sum"]
+    assert list(entry["streaming"]) == ["sketch"]
+    assert sorted(entry["streaming"]["sketch"]) == [
+        "buckets", "negative", "zeros"]
     clone = Histogram.from_snapshot_entry("lat", entry, retention=16)
     assert clone.snapshot_entry() == entry
+
+
+def test_spilled_state_is_blind_to_stream_order():
+    # sketch counts depend only on the observed multiset; sum and mean
+    # are left out, as they accumulate in stream order
+    values = synthetic_latencies(3 * FOLD_CHUNK + 37) + [0.0, -0.5, 0.0]
+    shuffled = list(values)
+    random.Random(7).shuffle(shuffled)
+    forward, permuted = Histogram("lat"), Histogram("lat")
+    for value in values:
+        forward.observe(value)
+    for value in shuffled:
+        permuted.observe(value)
+    assert forward.spilled and permuted.spilled
+    assert (forward.snapshot_entry()["streaming"]
+            == permuted.snapshot_entry()["streaming"])
+
+    def stats(h):
+        return (h.count, h.min, h.max, h.median, h.quantile(0.9),
+                h.quantile(0.99))
+
+    assert stats(forward) == stats(permuted)
 
 
 def test_synthetic_100k_campaign_streams_bit_identically_across_jobs():
@@ -279,7 +307,7 @@ def test_null_metrics_swallows_everything():
 
 # -- batched observation -----------------------------------------------------
 # observe_many and the post-spill pending buffer change how values reach
-# the sketch and reservoir, never the state they leave behind.
+# the sketch, never the state they leave behind.
 
 def _scalar(retention, values):
     metrics = Metrics(retention=retention)
@@ -361,7 +389,6 @@ def _pending_histogram(retention=8, extra=5):
 
 READS = {
     "sketch": lambda h: h.sketch,
-    "reservoir": lambda h: h.reservoir,
     "median": lambda h: h.median,
     "quantile": lambda h: h.quantile(0.99),
     "snapshot_entry": lambda h: h.snapshot_entry(),

@@ -209,7 +209,7 @@ def test_resume_mix_jobs_bit_identity(multicore):
 
 def test_jobs_bit_identity_with_spilled_shards(multicore):
     # >4096 handshakes per shard per channel: every worker ships spilled
-    # (sketch + reservoir) histograms, not raw samples
+    # (sketch) histograms, not raw samples
     config = TrafficConfig(arrival="poisson:2500/s", duration=6.0,
                            pairs=(PAIR,), shard_seconds=2.0, server_cores=4)
     serial, parallel = Metrics(), Metrics()
@@ -260,7 +260,7 @@ def test_run_is_reproducible_and_seed_sensitive():
 # -- constant memory ---------------------------------------------------------
 
 def test_memory_is_flat_in_the_handshake_count():
-    # past the retention window histograms spill to sketch + reservoir;
+    # past the retention window histograms spill to a quantile sketch;
     # sample lists stay capped no matter how many handshakes stream in
     metrics = Metrics(retention=256)
     _, summary = _run(arrival="poisson:2000/s", duration=1.0,
@@ -308,14 +308,14 @@ PINS = {
     "perfbench-open": (
         dict(arrival="poisson:25200/s", duration=2.0, pairs=(PAIR,),
              server_cores=32, shard_seconds=1.0, seed="bench"),
-        "6ac61cafbf265b25df0df161a2ea5912441f2208a66fae287f47a682de0e2115",
+        "7047e00dbd5134bb3c3644fdd1005f97245f11df80a457428499d59799cda9f8",
         (50699, 50699, 0, 75, 75)),
     "perfbench-flash": (
         dict(arrival="flash:15000/s,peak=60000/s,at=1.5,width=1",
              duration=4.0, pairs=FLASH_PAIRS, resume=(0.5, 0.5),
              server_cores=32, shard_seconds=1.0, max_in_flight=20_000,
              seed="bench"),
-        "6232606bfb72e39b84d6704a5809f113e1844828d75f1c722412a4ff39bebd90",
+        "a051ce61d55c44a4dadfcdfb01c7aa283d5fafac31be55fd5a62acde9df28311",
         (105116, 101712, 3404, 20000, 20000)),
     "admission-cap": (
         dict(arrival="poisson:3000/s", duration=2.0, pairs=(PAIR,),
