@@ -2,24 +2,28 @@
 
 One *shard* simulates a contiguous time-slice of the arrival timeline
 against its own :class:`~repro.traffic.server.ServerCores` and a fresh
-:class:`~repro.obs.metrics.Metrics` registry. An open-loop handshake
-takes three event-loop callbacks — arrival, burst-A enqueue, burst-B
-enqueue (where the two queueing waits are kept) — and allocates two
-`partial` thunks and one finish-heap entry: connection state lives in a
-pooled free-list. Completion is bookkeeping, not an event: burst B
+:class:`~repro.obs.metrics.Metrics` registry. Open-loop arrivals are
+not events: the shard pulls each arrival time from its
+:class:`~repro.traffic.arrivals.ThinnedArrivals` (already in order),
+runs the event loop up to that instant, then admits the arrival. An
+open-loop handshake takes two event-loop callbacks — burst-A enqueue,
+burst-B enqueue (where the two queueing waits are kept) — and allocates
+two `partial` thunks and one finish-heap entry: connection state lives
+in a pooled free-list. Completion is bookkeeping, not an event: burst B
 pushes ``(finish, n, conn)`` onto a shard-local min-heap (``n`` is a
 shard counter, so two conns are never compared), and the next arrival
 *retires* every entry with ``finish <= now`` (in-flight count,
 completion count, the conn back to the pool, heartbeat check) before
 its admission check; the shard retires the rest once the loop drains.
-Tie rule: a completion at exactly an arrival's instant is retired
-before that arrival is admitted. A closed-loop client starts thinking
-at its finish time, so closed-loop shards also schedule a wake-up at
-that instant; it retires every due entry through the same path, then
-schedules the client's next handshake. The pool grows only at
-retirement and shrinks only at admission, so its length at every
-admission — and ``pool_peak`` — is what a completion event per
-handshake would give.
+Tie rules: an event due at exactly an arrival's instant runs before
+that arrival, and a completion at that instant is retired before the
+arrival is admitted. A closed-loop client starts thinking at its finish
+time, so closed-loop shards schedule each handshake as an event and
+also schedule a wake-up at that instant; it retires every due entry
+through the same path, then schedules the client's next handshake. The
+pool grows only at retirement and shrinks only at admission, so its
+length at every admission — and ``pool_peak`` — is what a completion
+event per handshake would give.
 
 The five latencies of a handshake are its profile's constants plus its
 two waits, so each channel keeps only (wait_a, wait_b); every
@@ -242,7 +246,6 @@ class _ShardEngine:
         self.offered = 0
         self.completed = 0
         self.dropped = 0
-        self._arrivals = None
         # heartbeat bookkeeping (host clock; observation only)
         self._recorder = recorder
         self._beat = recorder.enabled
@@ -251,26 +254,23 @@ class _ShardEngine:
 
     # -- arrival drivers ----------------------------------------------------
     def run(self) -> None:
+        loop = self.loop
         if self._closed:
             self._start_closed()
         else:
-            self._arrivals = open_arrivals(self.spec, self.window,
-                                           self.drbg.fork("arrivals"))
-            self._chain_arrival()
-        # arrivals stop at the window's end, so the queue always drains:
-        # in-flight handshakes complete past the boundary, then the loop
-        # goes idle (no budget cap — 1M handshakes is ~3M events)
-        self.loop.run(max_events=1 << 62)
+            # arrivals are not events: the loop runs every event due by
+            # an arrival's instant (ties included), then it is admitted
+            arrivals = open_arrivals(self.spec, self.window,
+                                     self.drbg.fork("arrivals"))
+            at = arrivals.next_time()
+            while at is not None:
+                loop.run(until=at)
+                self._begin()
+                at = arrivals.next_time()
+        # in-flight handshakes complete past the window's end, then the
+        # loop goes idle (no budget cap — 1M handshakes is ~2M events)
+        loop.run(max_events=1 << 62)
         self._retire(math.inf)
-
-    def _chain_arrival(self) -> None:
-        at = self._arrivals.next_time()
-        if at is not None:
-            self.loop.schedule(at - self.loop.now, self._open_arrival)
-
-    def _open_arrival(self) -> None:
-        self._chain_arrival()
-        self._begin()
 
     def _start_closed(self) -> None:
         # clients ramp in uniformly over one think time (10 ms minimum)
@@ -281,7 +281,7 @@ class _ShardEngine:
         for _ in range(self.spec.clients):
             self.loop.schedule(start + stagger.random() * ramp, self._begin)
 
-    # -- per-handshake hot path (3 events open loop, 4 closed loop) ----------
+    # -- per-handshake hot path (2 events open loop, 4 closed loop) ----------
     def _begin(self) -> None:
         finishes = self._finishes
         if finishes and finishes[0][0] <= self.loop.now:

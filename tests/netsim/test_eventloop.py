@@ -137,3 +137,46 @@ def test_cancelling_keeps_the_schedule_order_of_remaining_ties():
     loop.cancel(events[3])
     loop.run()
     assert fired == ["a", "c", "e"]
+
+
+def test_handles_are_distinct_across_schedules():
+    loop = EventLoop()
+    handles = [loop.schedule(0.5, lambda: None) for _ in range(3)]
+    loop.run()
+    handles.append(loop.schedule(0.0, lambda: None))
+    assert len(set(handles)) == len(handles)
+
+
+def test_a_drained_run_leaves_no_cancelled_handles():
+    loop = EventLoop()
+    fired = []
+    ran = loop.schedule(1.0, lambda: fired.append(1))
+    loop.cancel(loop.schedule(2.0, lambda: fired.append(2)))
+    loop.run()
+    assert fired == [1] and not loop._cancelled
+    # a cancel of an event that already ran leaves nothing behind either
+    pending = loop.schedule(1.0, lambda: fired.append(3))
+    loop.cancel(ran)
+    loop.run()
+    loop.cancel(pending)
+    assert fired == [1, 3] and not loop._cancelled
+
+
+def test_a_cancelled_tie_at_the_horizon_neither_fires_nor_moves_the_clock():
+    loop = EventLoop()
+    fired = []
+    loop.schedule(1.0, lambda: fired.append(loop.now))
+    loop.cancel(loop.schedule(2.0, lambda: fired.append("cancelled")))
+    loop.schedule(2.0, lambda: fired.append(loop.now))
+    loop.cancel(loop.schedule(2.0, lambda: fired.append("cancelled")))
+    loop.run(until=2.0)
+    assert fired == [1.0, 2.0]
+    assert loop.now == 2.0 and not loop._queue and not loop._cancelled
+    # alone at the horizon, with a live event past it: skipped, and the
+    # clock reads the horizon, not the next event
+    loop.cancel(loop.schedule(1.0, lambda: fired.append("cancelled")))
+    loop.schedule(1.5, lambda: fired.append(loop.now))
+    loop.run(until=3.0)
+    assert fired == [1.0, 2.0] and loop.now == 3.0
+    loop.run()
+    assert fired == [1.0, 2.0, 3.5] and not loop._cancelled

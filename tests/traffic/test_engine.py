@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -366,7 +367,9 @@ def _record_schedules(loop):
     schedule = loop.schedule
 
     def recorded(delay, callback):
-        calls.append(schedule(delay, callback))
+        handle = schedule(delay, callback)
+        calls.append(handle)
+        return handle
 
     loop.schedule = recorded
     return calls
@@ -393,10 +396,14 @@ def test_engine_invariants_hold_for_every_arrival_shape(
         assert shard.in_flight == 0 and not shard._finishes
         assert out["peak_in_flight"] <= cap
         assert out["pool_peak"] <= out["peak_in_flight"]
-        # arrival + two bursts per admitted handshake; a closed-loop
-        # client also wakes at its finish time
-        per_served = 3 if shard.spec.closed else 2
-        assert len(scheduled) == offered + per_served * (offered - dropped)
+        # open-loop arrivals are not events: two bursts per admitted
+        # handshake; a closed-loop client's handshake is also scheduled,
+        # and it wakes at its finish time
+        served = offered - dropped
+        if shard.spec.closed:
+            assert len(scheduled) == offered + 3 * served
+        else:
+            assert len(scheduled) == 2 * served
         for channel in (*shard.channels, *shard.resume_channels):
             if channel is None or not channel.completed:
                 continue
@@ -419,3 +426,31 @@ def test_a_completion_at_an_arrivals_instant_is_retired_first():
     shard._begin()
     assert (shard.offered, shard.dropped, shard.completed) == (1, 0, 1)
     assert shard.in_flight == 1 and shard.pool_peak == 1
+
+
+def test_an_event_at_an_arrivals_instant_runs_first(monkeypatch):
+    # the tie rule for events: a callback due exactly at an arrival's
+    # instant runs before that arrival's _begin, even when it was
+    # scheduled (by an earlier callback) after the previous arrival
+    stub = SimpleNamespace(next_time=iter([0.125, 0.5, None]).__next__)
+    monkeypatch.setattr(engine, "open_arrivals", lambda *args: stub)
+    config = TrafficConfig(pairs=(PAIR,), duration=1.0)
+    shard = engine._ShardEngine(config, shard_windows(config)[0], Metrics())
+    loop = shard.loop
+    log = []
+    begin = shard._begin
+
+    def logged_begin():
+        log.append(("begin", loop.now))
+        begin()
+
+    def earlier():
+        log.append(("earlier", loop.now))
+        loop.schedule(0.25, lambda: log.append(("tie", loop.now)))
+
+    shard._begin = logged_begin
+    loop.schedule(0.25, earlier)
+    shard.run()
+    assert log == [("begin", 0.125), ("earlier", 0.25), ("tie", 0.5),
+                   ("begin", 0.5)]
+    assert (shard.offered, shard.completed) == (2, 2)
