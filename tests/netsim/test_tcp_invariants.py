@@ -24,6 +24,9 @@ multi-flight SPHINCS+ handshake, and checks every run against:
 * after every loss signal (a recovery episode or a timer expiry), cwnd
   is ``max(0.7 * segments in flight at the signal, 2)``.
 
+A run whose client never sees a SYN-ACK sends no data and handles no
+ACK; it must time out after backed-off SYN retransmissions only.
+
 The rules are observed through wrappers of ``TcpEndpoint.send``,
 ``_transmit``, ``_handle_ack``, ``_arm_pto``, ``_on_pto``,
 ``_enter_recovery`` and ``EventLoop.schedule``, so they hold the model
@@ -35,7 +38,7 @@ import math
 from collections import Counter
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.experiment import load_script
 from repro.crypto.drbg import Drbg
@@ -260,12 +263,26 @@ def _count(counters, suffix: str) -> int:
        loss=st.floats(min_value=0.0, max_value=0.2),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
        plan=st.sampled_from(PLANS))
+# every SYN-ACK the server sends is dropped: the client never establishes
+@example(pair=("kyber512", "dilithium2"), shape="high-loss", loss=0.1875,
+         seed=3_180_542_454, plan="dup")
 def test_inflight_stays_contiguous_and_drop_free_runs_never_retransmit(
         pair, shape, loss, seed, plan):
-    counters, checked, segments, _, violations = _run_checked(
+    counters, checked, segments, timers, violations = _run_checked(
         pair, shape, loss, seed, plan)
-    assert checked > 0 and segments > 0
     assert violations == []
+    if segments == 0:
+        # no data segment left the client, so it never saw a SYN-ACK: the
+        # run times out with only backed-off SYN timers, and those are checked
+        syn_retransmits = _count(counters, "syn_retransmits")
+        assert checked == 0
+        assert counters.get("handshake.failures.timeout") == 1
+        assert _count(counters, ".dropped") > 0
+        assert syn_retransmits > 0
+        assert timers["timer retransmissions"] == syn_retransmits
+        assert timers["backoff pairs"] == syn_retransmits - 1
+    else:
+        assert checked > 0
     if plan == "none" and _count(counters, ".dropped") == 0:
         assert _count(counters, "retransmits") == 0
 
