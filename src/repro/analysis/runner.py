@@ -143,7 +143,6 @@ def _pragma_table(record: dict) -> dict[int, dict[str, list[int]]]:
 def analyze(paths: list[Path], project_root: Path | None = None,
             select: list[str] | None = None,
             baseline: Baseline | None = None,
-            checkers: list[Checker] | None = None,
             jobs: int = 1, use_cache: bool = True,
             check_pragmas: bool = False) -> Report:
     """Run checkers over *paths* and return the filtered report.
@@ -156,16 +155,13 @@ def analyze(paths: list[Path], project_root: Path | None = None,
     *jobs* fans per-file checking over spawned workers; *use_cache*
     serves unchanged files from ``.cache/lint``; *check_pragmas* adds
     ANA001/ANA002 findings for pragmas and baseline entries that
-    suppressed nothing. Passing explicit checker *instances* bypasses
-    both the cache and the pool (records would not be reusable, and the
-    instances need not pickle).
+    suppressed nothing.
     """
     if project_root is None:
         anchor = paths[0] if paths else Path.cwd()
         project_root = find_project_root(anchor)
-    explicit = checkers is not None
-    selected = checkers if explicit else all_checkers(select)
-    cache = LintCache(project_root) if use_cache and not explicit else None
+    selected = all_checkers(select)
+    cache = LintCache(project_root) if use_cache else None
     # cache-backed records must be selection-independent: run everything,
     # filter at assembly
     active = all_checkers() if cache is not None else selected
@@ -176,7 +172,7 @@ def analyze(paths: list[Path], project_root: Path | None = None,
     report = Report()
     unit = partial(parallel.check_unit, project_root=project_root,
                    cache=cache, checkers=file_scope)
-    pairs = run_sharded(unit, files, jobs=1 if explicit else jobs)
+    pairs = run_sharded(unit, files, jobs=jobs)
     records = [record for record, _ in pairs]
     contexts = {record["relpath"]: ctx for record, ctx in pairs
                 if ctx is not None}

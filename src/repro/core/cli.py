@@ -288,8 +288,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {path}", file=sys.stderr)
     if args.metrics:
         merged = Metrics()
-        merged.merge(cache.metrics)   # hit/miss counts from this process
-        merged.merge(metrics)
+        # hit/miss counts from this process
+        merged.merge_snapshot(cache.metrics.snapshot())
+        merged.merge_snapshot(metrics.snapshot())
         path = write_metrics_json(merged, args.metrics)
         print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -44,7 +44,6 @@ from repro import cache
 from repro.core.experiment import (
     ExperimentConfig,
     ExperimentResult,
-    merge_result_metrics,
     run_experiment,
     script_key,
 )
@@ -376,7 +375,7 @@ def run_campaign(configs: list[ExperimentConfig], *, jobs: int | None = 1,
     # -- merge in original order: counter sums and histogram sample order
     # then match at any jobs, whatever order units finished in ------------
     for config in configs:
-        merge_result_metrics(resolved[config.key], metrics)
+        metrics.merge_snapshot(resolved[config.key].metrics)
     if trace_records is not None:
         tracer.absorb(*trace_records)
     recorder.event("campaign_end", set=set_name, experiments=total,

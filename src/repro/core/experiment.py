@@ -142,18 +142,6 @@ def load_script(kem: str, sig: str, policy: BufferPolicy,
                               chain=chain))
 
 
-def merge_result_metrics(result: ExperimentResult, metrics) -> None:
-    """Replay a result's recorded metrics snapshot into ``metrics``.
-
-    Used on cache hits and when folding parallel-worker results into the
-    campaign registry, so an aggregated registry is identical whether the
-    experiment ran here, in a worker, or was loaded from disk. Counters,
-    gauges, *and* histograms are restored (snapshots carry raw samples).
-    """
-    if metrics.enabled and result.metrics:
-        metrics.merge_snapshot(result.metrics)
-
-
 def run_experiment(config: ExperimentConfig, use_cache: bool = True,
                    tracer=NULL_TRACER, metrics=NULL_METRICS) -> ExperimentResult:
     """Execute (or load) one experiment.
@@ -161,8 +149,11 @@ def run_experiment(config: ExperimentConfig, use_cache: bool = True,
     ``tracer`` records spans for the *first* handshake of the run (they all
     replay the same script, so one trace represents the run); a traced run
     bypasses the result cache both ways, keeping cached artifacts identical
-    to untraced runs. ``metrics`` receives the run's counters/histograms;
-    the same numbers are always snapshot onto ``ExperimentResult.metrics``.
+    to untraced runs. The run's counters and histograms are always
+    snapshot onto ``ExperimentResult.metrics``, and ``metrics`` receives
+    that snapshot through ``merge_snapshot`` whether the result was
+    computed or loaded, so a registry aggregates the same numbers either
+    way (and in a worker, which ships the result back).
     """
     if config.duration <= 0:
         raise ValueError(
@@ -181,7 +172,7 @@ def run_experiment(config: ExperimentConfig, use_cache: bool = True,
     if use_cache and not tracing:
         cached = cache.load("experiment", config.key)
         if cached is not None:
-            merge_result_metrics(cached, metrics)
+            metrics.merge_snapshot(cached.metrics)
             return cached
     policy = BufferPolicy(config.policy)
     script = load_script(config.kem, config.sig, policy, config.seed,
@@ -274,8 +265,7 @@ def run_experiment(config: ExperimentConfig, use_cache: bool = True,
         outcomes=outcomes,
         ttfb_samples=ttfbs,
     )
-    if metrics.enabled:
-        metrics.merge(run_metrics)
+    metrics.merge_snapshot(result.metrics)
     if use_cache and not tracing:
         cache.store("experiment", config.key, result)
     return result

@@ -6,7 +6,7 @@ equivalent. A :class:`Tracer` records nested spans on the **simulated
 clock** — handshake phases, per-TLS-message work, per-crypto-op CPU time,
 TCP events — and exports them as JSONL or Chrome ``trace_event`` JSON
 (loadable in Perfetto / ``chrome://tracing``). A :class:`Metrics` registry
-replaces ad-hoc stat dicts with named counters, gauges, and histograms.
+replaces ad-hoc stat dicts with named counters and histograms.
 
 Everything is zero-overhead when disabled: the default
 :data:`NULL_TRACER` / :data:`NULL_METRICS` singletons answer ``enabled ==
@@ -18,7 +18,7 @@ experiment digest (``repro.cache.CODE_PATHS``) covers every file under
 same results).
 """
 
-from repro.obs.metrics import NULL_METRICS, Counter, Gauge, Histogram, Metrics, NullMetrics
+from repro.obs.metrics import NULL_METRICS, Histogram, Metrics, NullMetrics
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.recorder import NULL_RECORDER, FlightRecorder, NullRecorder, walltime
 from repro.obs.sketch import QuantileSketch
@@ -41,8 +41,6 @@ __all__ = [
     "Metrics",
     "NullMetrics",
     "NULL_METRICS",
-    "Counter",
-    "Gauge",
     "Histogram",
     "QuantileSketch",
     "SamplingProfiler",

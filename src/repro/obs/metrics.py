@@ -1,13 +1,17 @@
-"""Named counters, gauges, and histograms for the simulator.
+"""Named counters and histograms for the simulator.
 
 The seed code accumulated its statistics in ad-hoc dicts scattered across
 ``ExperimentResult`` and the TCP endpoints; this registry gives every
 quantity a stable dotted name (``tcp.client.retransmits``,
 ``cpu.server.libcrypto``, ``cache.hit``) so campaign code, the CLI, and
-tests all read the same instrument. Instruments are created lazily on
-first access and snapshot to plain dicts for JSON export. Instrument
-names are dotted lowercase ``[a-z0-9_.]`` by contract (pqtls-lint
-OBS001), so prefix reads and cross-run diffs never fight naming drift.
+tests all read the same instrument. A counter is a float that only goes
+up; a histogram is a sample distribution. A counter appears on its first
+``inc``, a histogram on first access; both snapshot to plain dicts for
+JSON export, and a snapshot is the one thing registries merge:
+``merge_snapshot`` folds one in, whether it came from this process, a
+worker, a traffic shard or the result cache. Instrument names are dotted
+lowercase ``[a-z0-9_.]`` by contract (pqtls-lint OBS001), so prefix
+reads and cross-run diffs never fight naming drift.
 
 Histograms are **exact below, streaming above** a retention threshold:
 up to :data:`DEFAULT_RETENTION` raw samples are kept (with a cached
@@ -39,8 +43,9 @@ snapshot. The buffer is folded before any read of streaming state,
 before a merge and before a snapshot.
 
 :data:`NULL_METRICS` mirrors :data:`repro.obs.tracer.NULL_TRACER`:
-``enabled`` is False and the instruments it hands out swallow updates, so
-un-observed runs pay nothing beyond an attribute check.
+``enabled`` is False, writes are dropped and the histogram it hands out
+swallows observations, so un-observed runs pay nothing beyond an
+attribute check.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from __future__ import annotations
 import functools
 import operator
 import statistics
-from dataclasses import dataclass
 
 from repro.obs.sketch import QuantileSketch
 
@@ -60,30 +64,6 @@ DEFAULT_RETENTION = 4096
 
 # Streaming values buffered per histogram before one numpy fold.
 FOLD_CHUNK = 4096
-
-
-@dataclass
-class Counter:
-    """Monotonic count (events, bytes, hits)."""
-
-    name: str
-    value: float = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
-
-
-@dataclass
-class Gauge:
-    """Last-write-wins scalar (cwnd, bytes in flight)."""
-
-    name: str
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 class Histogram:
@@ -299,44 +279,33 @@ class Histogram:
         """Rebuild the histogram a snapshot came from.
 
         Unspilled snapshots carry the full ordered stream and replay
-        exactly; spilled ones import their streaming state.
+        exactly; spilled ones import their streaming state. Both keep the
+        recorded ``sum``: a merged histogram's sum adds its parts' sums,
+        which need not equal its samples added in stream order.
         """
         histogram = cls(name, retention=retention)
         streaming = entry.get("streaming")
         if streaming is None:
             histogram.observe_many(entry["samples"])
-            return histogram
-        histogram._sketch = QuantileSketch.from_state(streaming["sketch"])
-        histogram._count = int(entry["count"])
+        else:
+            histogram._sketch = QuantileSketch.from_state(streaming["sketch"])
+            histogram._count = int(entry["count"])
+            if histogram._count:
+                histogram._min = float(entry["min"])
+                histogram._max = float(entry["max"])
         histogram._sum = float(entry["sum"])
-        if histogram._count:
-            histogram._min = float(entry["min"])
-            histogram._max = float(entry["max"])
         return histogram
 
 
 class Metrics:
-    """Registry: one flat namespace of instruments, created on demand."""
+    """Registry: float counters and histograms in one flat namespace."""
 
     enabled = True
 
     def __init__(self, retention: int = DEFAULT_RETENTION):
         self.retention = retention
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
+        self._counters: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
-        return instrument
 
     def histogram(self, name: str) -> Histogram:
         instrument = self._histograms.get(name)
@@ -345,12 +314,12 @@ class Metrics:
                 name, retention=self.retention)
         return instrument
 
-    # -- convenience write paths (read like statsd calls) -------------------
+    # -- write paths (read like statsd calls) --------------------------------
     def inc(self, name: str, amount: float = 1.0) -> None:
-        self.counter(name).inc(amount)
-
-    def set(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
+        """Add ``amount`` to a counter; counters only go up."""
+        if amount < 0:
+            raise ValueError("counters only go up")
+        self._counters[name] = self._counters.get(name, 0.0) + amount
 
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
@@ -358,43 +327,30 @@ class Metrics:
     # -- reads -------------------------------------------------------------
     def value(self, name: str) -> float:
         if name in self._counters:
-            return self._counters[name].value
-        if name in self._gauges:
-            return self._gauges[name].value
-        raise KeyError(f"no counter or gauge named {name!r}")
+            return self._counters[name]
+        raise KeyError(f"no counter named {name!r}")
 
     def names(self) -> list[str]:
-        return sorted([*self._counters, *self._gauges, *self._histograms])
+        return sorted([*self._counters, *self._histograms])
 
     def counters_with_prefix(self, prefix: str) -> dict[str, float]:
         """``{suffix: value}`` for every counter named ``prefix + suffix``."""
         return {
-            name[len(prefix):]: instrument.value
-            for name, instrument in self._counters.items()
+            name[len(prefix):]: value
+            for name, value in self._counters.items()
             if name.startswith(prefix)
         }
-
-    def merge(self, other: "Metrics") -> None:
-        """Fold another registry into this one (campaign aggregation)."""
-        for name, instrument in other._counters.items():
-            self.counter(name).inc(instrument.value)
-        for name, instrument in other._gauges.items():
-            self.gauge(name).set(instrument.value)
-        for name, instrument in other._histograms.items():
-            self.histogram(name).merge(instrument)
 
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` dict into this registry.
 
-        The inverse of :meth:`snapshot`: ``a.merge_snapshot(b.snapshot())``
-        leaves ``a`` exactly as ``a.merge(b)`` would — including streaming
-        (sketch) state, so cache-hit restores and parallel workers replay
-        their metrics bit-identically to an in-process run.
+        Counters add; each histogram is rebuilt from its entry and folded
+        in with :meth:`Histogram.merge`, streaming (sketch) state
+        included, so cache-hit restores, parallel workers and traffic
+        shards aggregate bit-identically to observing every stream here.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.inc(name, value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.set(name, value)
         for name, entry in snapshot.get("histograms", {}).items():
             self.histogram(name).merge(Histogram.from_snapshot_entry(
                 name, entry, retention=self.retention))
@@ -407,21 +363,18 @@ class Metrics:
         :meth:`merge_snapshot` reconstructs the full instrument (cache-hit
         restore, cross-process aggregation).
         """
-        out: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-        for name in sorted(self._counters):
-            out["counters"][name] = self._counters[name].value
-        for name in sorted(self._gauges):
-            out["gauges"][name] = self._gauges[name].value
-        for name in sorted(self._histograms):
-            out["histograms"][name] = self._histograms[name].snapshot_entry()
-        return out
+        return {
+            "counters": {name: self._counters[name]
+                         for name in sorted(self._counters)},
+            "histograms": {name: self._histograms[name].snapshot_entry()
+                           for name in sorted(self._histograms)},
+        }
 
 
 class _NullInstrument:
-    """Accepts every update, keeps nothing."""
+    """Accepts every observation, keeps nothing."""
 
     name = ""
-    value = 0.0
     samples: tuple = ()
     count = 0
     sum = 0.0
@@ -430,12 +383,6 @@ class _NullInstrument:
     min = 0.0
     max = 0.0
     spilled = False
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
 
     def observe(self, value: float) -> None:
         pass
@@ -451,23 +398,14 @@ _NULL_INSTRUMENT = _NullInstrument()
 
 
 class NullMetrics:
-    """Disabled registry: hands out one shared no-op instrument."""
+    """Disabled registry: hands out one shared no-op histogram."""
 
     enabled = False
-
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
 
     def histogram(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
     def inc(self, name: str, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, name: str, value: float) -> None:
         pass
 
     def observe(self, name: str, value: float) -> None:
@@ -479,14 +417,11 @@ class NullMetrics:
     def counters_with_prefix(self, prefix: str) -> dict:
         return {}
 
-    def merge(self, other) -> None:
-        pass
-
     def merge_snapshot(self, snapshot: dict) -> None:
         pass
 
     def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
+        return {"counters": {}, "histograms": {}}
 
 
 NULL_METRICS = NullMetrics()

@@ -62,8 +62,8 @@ from repro.netsim.eventloop import EventLoop
 from repro.obs.hostmeta import rss_bytes
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.obs.recorder import NULL_RECORDER, walltime
-from repro.traffic.arrivals import (DRAW_CHUNK, Window, open_arrivals,
-                                    parse_arrival)
+from repro.traffic.arrivals import (DRAW_CHUNK, Window, finite,
+                                    open_arrivals, parse_arrival)
 from repro.traffic.profile import handshake_profile
 from repro.traffic.server import ServerCores
 
@@ -139,10 +139,10 @@ class TrafficSummary:
 
 def shard_windows(config: TrafficConfig) -> list[Window]:
     """The run's deterministic shard layout (independent of ``--jobs``)."""
-    duration = config.duration
+    duration = finite(config.duration, "duration")
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration!r}")
-    size = config.shard_seconds
+    size = finite(config.shard_seconds, "shard_seconds")
     if size <= 0:
         raise ValueError(f"shard_seconds must be positive, got {size!r}")
     count = max(1, math.ceil(duration / size - 1e-12))
@@ -435,7 +435,9 @@ def run_traffic(config: TrafficConfig, *, jobs: int | None = 1,
     in shard-index order; only wall-clock time changes. ``recorder``
     observes (shard progress, heartbeats) and never alters results.
     """
-    parse_arrival(config.arrival, config.duration)  # fail fast on bad specs
+    # fail fast on bad timing or specs, before calibrating profiles
+    windows = shard_windows(config)
+    parse_arrival(config.arrival, config.duration)
     if config.resume:
         if len(config.resume) != len(config.pairs):
             raise ValueError(
@@ -453,7 +455,6 @@ def run_traffic(config: TrafficConfig, *, jobs: int | None = 1,
             handshake_profile(kem, sig, scenario=config.scenario,
                               policy=config.policy, seed=config.seed,
                               session="resume")
-    windows = shard_windows(config)
     jobs = fanout.resolve_jobs(jobs)
     flight = recorder.enabled
     started = walltime() if flight else 0.0

@@ -109,7 +109,7 @@ def test_cache_round_trip(tmp_path, monkeypatch):
 
 def test_cache_hit_merges_same_metrics_as_cold_run(tmp_path, monkeypatch):
     """A cache hit must replay the *whole* snapshot into the caller's
-    registry — counters, gauges, and histograms — so campaign aggregation
+    registry — counters and histograms — so campaign aggregation
     is identical whether the result was computed or loaded."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     config = ExperimentConfig(kem="x25519", sig="rsa:1024", duration=5.0)
@@ -253,17 +253,17 @@ def test_scenario_latency_ordering():
 # other two lossy scenarios, and kyber1024/dilithium5 a server flight
 # past the initial window.
 PINNED_METRICS = {
-    "plain": ({}, "48d5261b21f73ed7133b8eace30f61335f4a2d2d6a0719b05b19699c98aec920"),
+    "plain": ({}, "37dc15d1cd11ad26cb47109a3a858e4b78130284f08b27cd442cde335e58e966"),
     "chaos": ({"faults": "chaos"},
-              "f1525342c3c6279e960857876661c755f9210f46c8cb6fca136f64dd48e9d5fb"),
+              "b5af9bca8e5ce8c475cc555ce67e809073537cdb6c92f355b12b86c0a9db98fc"),
     "timeouts": ({"handshake_timeout": 1.6, "failure_quota": 100000},
-                 "03cbd6dbb97893e21a8351e4115a94e85a9eb7050c1cd72c5a9e9a368d8311fb"),
+                 "567c2cb273d32b2edbeec06331008bcbf9601fcf6b230ef67b42b1fd4fa7279e"),
     "5g": ({"scenario": "5g"},
-           "ee6523fd00c3226275a5fb0fe33b97f2bd0830c7cc73f0e207f5a1897597be18"),
+           "2678f405ccb999d014abfa5da47494dd400f89d731f3b994a739f0a24e55a66d"),
     "high-loss": ({"scenario": "high-loss"},
-                  "c851a7b59ebb006f463d9d7115ce87d37cc07b0f5a14e729923a003c08ac036d"),
+                  "97a17e4752324303ff86d0d018dfa25032322dd1c63db68208f360e4ea04c421"),
     "multi-flight": ({"kem": "kyber1024", "sig": "dilithium5"},
-                     "bdbe9cb3efc433c2f8fccfcce3fecbde2a6ccdf4134f0190df4dcb0e5fca45b4"),
+                     "bf2f2409f154f7b0b8b8d8a0f12062e934179fd0b26ebf649273011dcffc7271"),
 }
 
 

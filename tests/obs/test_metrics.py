@@ -14,6 +14,15 @@ from repro.obs.metrics import FOLD_CHUNK, NULL_METRICS, Histogram, Metrics
 from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY
 
 
+def fold(target, source):
+    """The in-process oracle for ``target.merge_snapshot(source.snapshot())``:
+    counters add, and each histogram folds in with ``Histogram.merge``."""
+    for name, value in source._counters.items():
+        target.inc(name, value)
+    for name, histogram in source._histograms.items():
+        target.histogram(name).merge(histogram)
+
+
 def synthetic_latencies(n, worker=0):
     out = []
     for i in range(n):
@@ -29,13 +38,6 @@ def test_counter_accumulates_and_rejects_negative():
     assert metrics.value("tcp.retransmits") == 3
     with pytest.raises(ValueError):
         metrics.inc("tcp.retransmits", -1)
-
-
-def test_gauge_last_write_wins():
-    metrics = Metrics()
-    metrics.set("cwnd", 10)
-    metrics.set("cwnd", 4)
-    assert metrics.value("cwnd") == 4
 
 
 def test_histogram_statistics():
@@ -54,8 +56,10 @@ def test_histogram_statistics():
 
 def test_instruments_are_lazily_created_and_stable():
     metrics = Metrics()
-    assert metrics.counter("a") is metrics.counter("a")
-    assert metrics.names() == ["a"]
+    assert metrics.histogram("b") is metrics.histogram("b")
+    metrics.inc("a", 0)
+    assert metrics.names() == ["a", "b"]
+    assert metrics.snapshot()["counters"] == {"a": 0.0}
 
 
 def test_value_raises_on_unknown_name():
@@ -76,12 +80,16 @@ def test_merge_folds_all_instrument_kinds():
     a, b = Metrics(), Metrics()
     a.inc("hits", 1)
     b.inc("hits", 2)
-    b.set("cwnd", 7)
     b.observe("lat", 0.5)
-    a.merge(b)
+    a.merge_snapshot(b.snapshot())
     assert a.value("hits") == 3
-    assert a.value("cwnd") == 7
     assert a.histogram("lat").samples == [0.5]
+    assert list(a.snapshot()) == ["counters", "histograms"]
+
+
+def test_merge_snapshot_rejects_a_negative_counter():
+    with pytest.raises(ValueError, match="only go up"):
+        Metrics().merge_snapshot({"counters": {"hits": -1.0}})
 
 
 def test_snapshot_shape_and_sorting():
@@ -100,14 +108,13 @@ def test_snapshot_shape_and_sorting():
 def test_merge_snapshot_is_inverse_of_snapshot():
     source = Metrics()
     source.inc("hits", 3)
-    source.set("cwnd", 9)
     source.observe("lat", 0.5)
     source.observe("lat", 1.5)
 
     via_merge, via_snapshot = Metrics(), Metrics()
     via_merge.inc("hits", 1)
     via_snapshot.inc("hits", 1)
-    via_merge.merge(source)
+    fold(via_merge, source)
     via_snapshot.merge_snapshot(source.snapshot())
     assert via_snapshot.snapshot() == via_merge.snapshot()
     assert via_snapshot.histogram("lat").samples == [0.5, 1.5]
@@ -170,8 +177,8 @@ def test_histogram_merge_spills_when_combined_exceeds_retention():
 
 def test_merge_equals_merge_snapshot_when_spilled():
     # the --jobs bit-identity contract: shipping a spilled histogram as a
-    # snapshot and re-merging reconstructs the exact same state as an
-    # in-process merge
+    # snapshot and re-merging reconstructs the exact same state as
+    # Histogram.merge in-process
     def build(worker):
         metrics = Metrics(retention=64)
         for v in synthetic_latencies(300, worker=worker):
@@ -181,7 +188,7 @@ def test_merge_equals_merge_snapshot_when_spilled():
 
     via_merge, via_snapshot = Metrics(retention=64), Metrics(retention=64)
     for worker in range(3):
-        via_merge.merge(build(worker))
+        fold(via_merge, build(worker))
         via_snapshot.merge_snapshot(build(worker).snapshot())
     assert via_merge.snapshot() == via_snapshot.snapshot()
     assert via_merge.histogram("lat").spilled
@@ -198,17 +205,20 @@ def test_merge_snapshot_empty_histograms():
     assert target.snapshot()["histograms"]["lat"]["count"] == 0
 
 
-def test_merge_snapshot_gauge_last_write_wins_ordering():
-    target = Metrics()
-    target.set("cwnd", 3)
-    first, second = Metrics(), Metrics()
-    first.set("cwnd", 7)
-    second.set("cwnd", 11)
-    target.merge_snapshot(first.snapshot())
-    target.merge_snapshot(second.snapshot())
-    assert target.value("cwnd") == 11   # last snapshot applied wins
-    target.merge_snapshot(first.snapshot())
-    assert target.value("cwnd") == 7
+def test_snapshot_of_a_merged_registry_round_trips():
+    # a merged histogram's sum adds its parts' sums, which need not equal
+    # its samples added in order: a re-shipped aggregate (the CLI's
+    # --metrics file) must keep it
+    rng = random.Random(3)
+    aggregate = Metrics()
+    for _ in range(5):
+        part = Metrics()
+        for _ in range(rng.randrange(1, 60)):
+            part.observe("lat", rng.random() * 0.3 + rng.choice([0, 1e3, 1e-6]))
+        aggregate.merge_snapshot(part.snapshot())
+    shipped = Metrics()
+    shipped.merge_snapshot(aggregate.snapshot())
+    assert shipped.snapshot() == aggregate.snapshot()
 
 
 def test_streaming_snapshot_round_trips_the_sketch():
@@ -252,10 +262,10 @@ def test_spilled_state_is_blind_to_stream_order():
 def test_synthetic_100k_campaign_streams_bit_identically_across_jobs():
     """Acceptance: 100k handshakes, O(1) memory, jobs=1 == jobs=4.
 
-    Simulates the executor's two aggregation paths over the same 100k
-    observations: one leader observing everything (jobs=1) vs four
-    worker registries shipped as snapshots and merged in config order
-    (jobs=4). Quantiles must agree bit-for-bit between the paths and
+    Checks the executor's aggregation over the same 100k observations:
+    four worker registries folded in config order with Histogram.merge
+    in-process (the oracle) vs shipped as snapshots and merged with
+    merge_snapshot (jobs=4). Quantiles must agree bit-for-bit between the paths and
     with the exact sorted-list answer within the sketch's error bound.
     """
     retention = 4096
@@ -267,7 +277,7 @@ def test_synthetic_100k_campaign_streams_bit_identically_across_jobs():
         worker = Metrics(retention=retention)
         for v in stream:
             worker.observe("handshake.total", v)
-        serial.merge(worker)
+        fold(serial, worker)
 
     parallel = Metrics(retention=retention)
     snapshots = []
@@ -294,15 +304,13 @@ def test_synthetic_100k_campaign_streams_bit_identically_across_jobs():
 def test_null_metrics_swallows_everything():
     assert NULL_METRICS.enabled is False
     NULL_METRICS.inc("x")
-    NULL_METRICS.set("y", 1)
     NULL_METRICS.observe("z", 2)
     NULL_METRICS.histogram("z").observe_many([1.0, 2.0])
-    NULL_METRICS.counter("x").inc(5)
-    assert NULL_METRICS.counter("x").value == 0.0
+    NULL_METRICS.merge_snapshot({"counters": {"x": 5.0}})
+    assert NULL_METRICS.histogram("z").count == 0
     assert NULL_METRICS.names() == []
     assert NULL_METRICS.counters_with_prefix("x") == {}
-    assert NULL_METRICS.snapshot() == {
-        "counters": {}, "gauges": {}, "histograms": {}}
+    assert NULL_METRICS.snapshot() == {"counters": {}, "histograms": {}}
 
 
 # -- batched observation -----------------------------------------------------
@@ -368,7 +376,7 @@ def test_batching_is_invisible_in_the_snapshot(pool, length, sizes, cut,
     for build in (lambda v: _scalar(retention, v),
                   lambda v: _batched(retention, v, sizes, as_array)):
         first, second = (build(half) for half in halves)
-        first.merge(second)
+        fold(first, second)
         merged.append(_dump(first))
         first, second = (build(half) for half in halves)
         first.merge_snapshot(second.snapshot())

@@ -15,6 +15,7 @@ from repro.traffic.arrivals import (
     open_arrivals,
     parse_arrival,
 )
+from repro.traffic.engine import TrafficConfig, shard_windows
 
 
 def _drain(spec, window, label="arrivals"):
@@ -70,6 +71,35 @@ def test_parse_closed():
 def test_parse_rejects_bad_specs(bad):
     with pytest.raises(ValueError):
         parse_arrival(bad, duration=60.0)
+
+
+# a NaN or infinite number would hang the arrival timeline (a NaN time
+# never reaches the window's end) or run it empty, so each field refuses
+# one by name; nothing here starts an engine run
+@pytest.mark.parametrize("field, spec", [
+    ("rate", "poisson:{}/s"),
+    ("rate", "diurnal:{}/s"),
+    ("amp", "diurnal:100/s,amp={}"),
+    ("period", "diurnal:100/s,period={}"),
+    ("rate", "flash:{}/s"),
+    ("peak", "flash:100/s,peak={}/s"),
+    ("at", "flash:100/s,at={}"),
+    ("width", "flash:100/s,width={}"),
+    ("think", "closed:2,think={}"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_numbers(field, spec, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        parse_arrival(spec.format(value), duration=60.0)
+
+
+@pytest.mark.parametrize("field", ["duration", "shard_seconds"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_shard_windows_reject_non_finite_timing(field, value):
+    config = TrafficConfig(**{"duration": 2.0, "shard_seconds": 1.0,
+                              field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        shard_windows(config)
 
 
 def test_open_arrivals_rejects_closed_spec():

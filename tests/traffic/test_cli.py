@@ -45,3 +45,9 @@ def test_main_rejects_bad_arrival_spec(tmp_path, capsys):
 def test_main_rejects_bad_duration(capsys):
     assert main(["--duration", "0"]) == 2
     assert "duration" in capsys.readouterr().err
+
+
+def test_main_rejects_infinite_duration(capsys):
+    # math.ceil(inf) used to end the run in an OverflowError traceback
+    assert main(["--duration", "inf"]) == 2
+    assert "duration must be finite" in capsys.readouterr().err

@@ -309,29 +309,29 @@ PINS = {
     "perfbench-open": (
         dict(arrival="poisson:25200/s", duration=2.0, pairs=(PAIR,),
              server_cores=32, shard_seconds=1.0, seed="bench"),
-        "7047e00dbd5134bb3c3644fdd1005f97245f11df80a457428499d59799cda9f8",
+        "55648f2379e6ed8da4b3f3a03b4f513435f2e7427e682c10d72f6cfa4564143e",
         (50699, 50699, 0, 75, 75)),
     "perfbench-flash": (
         dict(arrival="flash:15000/s,peak=60000/s,at=1.5,width=1",
              duration=4.0, pairs=FLASH_PAIRS, resume=(0.5, 0.5),
              server_cores=32, shard_seconds=1.0, max_in_flight=20_000,
              seed="bench"),
-        "a051ce61d55c44a4dadfcdfb01c7aa283d5fafac31be55fd5a62acde9df28311",
+        "6be0811cc0e1f9e4ecea7c100501fda59692367bc65713aa4807b2c934719cd4",
         (105116, 101712, 3404, 20000, 20000)),
     "admission-cap": (
         dict(arrival="poisson:3000/s", duration=2.0, pairs=(PAIR,),
              server_cores=1, max_in_flight=50, seed="x"),
-        "a34c2179d4daf32076148cd3e8e452b63772373d7be7a061ade2f3f6487b6afc",
+        "c8c26c2d5c367396a675489381384fdef6ed153106ea2b505eff93a5181c3a8a",
         (5986, 1876, 4110, 50, 50)),
     "closed-loop": (
         dict(arrival="closed:25,think=0.001", duration=1.0, pairs=(PAIR,)),
-        "ce3d2b7172ec6a698235e15e65c1133b7746ca036afd58b2b67f01fcf38c1e97",
+        "1da710c3b1668b1a21980a6aebdb440de8c7d79965ee24b0c9ecc5fc5a6f1862",
         (938, 938, 0, 25, 25)),
     "diurnal-mix": (
         dict(arrival="diurnal:2000/s,amp=0.5", duration=3.0,
              pairs=(PAIR, ("hqc128", "dilithium2")), server_cores=2,
              shard_seconds=1.0),
-        "473c90d6ea47eca80d1b48a5789ff0c1be4fa63435361250dd0eedde4fd12e83",
+        "7c0f9badfaf2c6d4cced4c62284566987fdf5517fe31ac671747a11509411b85",
         (5992, 5992, 0, 1634, 1634)),
 }
 
