@@ -41,6 +41,7 @@ from repro.analysis.flow.taint import (
     KEYGEN_NAMES,
     SECRET_RETURNING,
     STRICT_SCOPES,
+    FunctionSyntax,
     _ExprTaint,
     analyze_dataflow,
     call_name,
@@ -58,11 +59,16 @@ _WHAT = {ast.If: "`if` condition", ast.While: "`while` condition",
          ast.Subscript: "subscript index"}
 
 
-def _mints_secrets(func: ast.AST) -> bool:
-    """True if *func* calls a ``keygen``/``decaps``-style secret source."""
-    return any(isinstance(node, ast.Call)
-               and call_name(node) in KEYGEN_NAMES | SECRET_RETURNING
-               for node in ast.walk(func))
+def _mints_secrets(syntax: FunctionSyntax) -> bool:
+    """True if the function's statements call a ``keygen``/``decaps``-style
+    secret source.
+
+    Calls in nested defs, decorators and defaults do not count: the
+    dataflow never evaluates them, so they cannot taint anything.
+    """
+    return any(call_name(node) in KEYGEN_NAMES | SECRET_RETURNING
+               for headers in syntax.headers.values()
+               for header in headers for node in header.calls)
 
 
 @register
@@ -81,15 +87,17 @@ class ConstantTimeChecker(Checker):
             return
         strict = in_scope(ctx.module, STRICT_SCOPES)
         expr_taint = _ExprTaint()  # no source hook, calls pass through
-        for func in ast.walk(ctx.tree):
+        for func in ctx.nodes:
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             seeds = ct_seeds(func, strict)
-            if not seeds and not _mints_secrets(func):
+            syntax = ctx.function_syntax(func)
+            if not seeds and not _mints_secrets(syntax):
                 continue  # nothing in it can ever be tainted
-            analysis = analyze_dataflow(func, seeds, expr_taint, parents=ctx.parents)
+            analysis = analyze_dataflow(syntax, seeds, expr_taint,
+                                        parents=ctx.parents)
             for stmt, env in analysis.iter_env():
-                for _, code, node, tokens in iter_ct_sinks(stmt, env, expr_taint):
+                for _, code, node, tokens in iter_ct_sinks(stmt, env, analysis):
                     yield Finding(
                         code=code,
                         message=f"{_WHAT[type(node)]} depends on {origin_text(tokens)}",

@@ -26,7 +26,6 @@ site that relies on it.
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from repro.analysis.context import FileContext
@@ -35,7 +34,6 @@ from repro.analysis.flow.engine import FlowEngine, origin_text
 from repro.analysis.flow.taint import (
     CRYPTO_SCOPES,
     STRICT_SCOPES,
-    header_exprs,
     in_scope,
     is_secret_name,
 )
@@ -68,15 +66,15 @@ class InterproceduralCtChecker(Checker):
         engine.solve()
         for info in engine.functions_in_scope(CRYPTO_SCOPES):
             analysis = engine.analysis(info.qualname, "ct")
-            call_map = {id(call): callees for call, callees in info.call_sites}
+            call_map = info.call_map
             seen: set[tuple] = set()
             for stmt, env in analysis.iter_env():
-                for expr in header_exprs(stmt):
-                    for node in ast.walk(expr):
-                        if isinstance(node, ast.Call) and id(node) in call_map:
+                for header in analysis.headers(stmt):
+                    for node in header.calls:
+                        if node in call_map:
                             yield from self._check_call(
                                 engine, info, analysis, node,
-                                call_map[id(node)], env, seen)
+                                call_map[node], env, seen)
 
     def _check_call(self, engine, info, analysis, call, callees, env, seen):
         strict_caller = in_scope(info.module, STRICT_SCOPES)

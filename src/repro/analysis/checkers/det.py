@@ -69,7 +69,7 @@ class DeterminismChecker(Checker):
 
         # module aliases: {"time": "time", "t": "time", ...}
         aliases: dict[str, str] = {}
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     root = alias.name.split(".")[0]
@@ -105,7 +105,7 @@ class DeterminismChecker(Checker):
                     for alias in node.names:
                         aliases[alias.asname or alias.name] = f"datetime.{alias.name}"
 
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

@@ -70,7 +70,7 @@ class ExceptionHygieneChecker(Checker):
                            line=node.lineno, col=node.col_offset,
                            symbol=ctx.symbol_at(node), checker=self.name)
 
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if sim_unit and isinstance(node, ast.Raise):
                 exc = node.exc
                 callee = exc.func if isinstance(exc, ast.Call) else exc

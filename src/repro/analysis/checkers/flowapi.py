@@ -27,7 +27,7 @@ from typing import Iterator
 from repro.analysis.context import FileContext
 from repro.analysis.finding import Finding, Severity
 from repro.analysis.flow.engine import FlowEngine
-from repro.analysis.flow.taint import call_name, header_exprs
+from repro.analysis.flow.taint import call_name
 from repro.analysis.registry import Checker, register
 
 
@@ -65,10 +65,9 @@ class FlowApiChecker(Checker):
             analysis = engine.analysis(qualname, "ct")
             seen: set[int] = set()
             for stmt, env in analysis.iter_env():
-                for expr in header_exprs(stmt):
-                    for node in ast.walk(expr):
-                        if (isinstance(node, ast.Call)
-                                and call_name(node) == "declassify"
+                for header in analysis.headers(stmt):
+                    for node in header.calls:
+                        if (call_name(node) == "declassify"
                                 and node.args and node.lineno not in seen):
                             tokens = analysis.tokens(node.args[0], env)
                             if not tokens:
@@ -85,7 +84,7 @@ class FlowApiChecker(Checker):
                                     checker=self.name)
 
     def _check_fork_labels(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "fork" and node.args):

@@ -86,7 +86,7 @@ class LayerChecker(Checker):
                            line=node.lineno, col=node.col_offset,
                            symbol=ctx.symbol_at(node), checker=self.name)
 
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             # shared resolution with the flow engine: correct for package

@@ -22,18 +22,12 @@ reported at the call site, where the secret is still recognisable.
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from repro.analysis.context import FileContext
 from repro.analysis.finding import Finding, Severity
 from repro.analysis.flow.engine import LEAK_SEED_SCOPES, FlowEngine, origin_text
-from repro.analysis.flow.taint import (
-    header_exprs,
-    in_scope,
-    is_secret_name,
-    iter_leak_sinks,
-)
+from repro.analysis.flow.taint import in_scope, is_secret_name, iter_leak_sinks
 from repro.analysis.registry import Checker, register
 
 _WARNING_CODES = {"LEAK005"}  # stdout is loud but stays on the box
@@ -62,11 +56,11 @@ class SecretLeakChecker(Checker):
         for qualname in sorted(engine.functions.functions):
             info = engine.functions.functions[qualname]
             analysis = engine.analysis(qualname, "leak")
-            call_map = {id(call): callees for call, callees in info.call_sites}
+            call_map = info.call_map
             seen: set[tuple] = set()
             for stmt, env in analysis.iter_env():
                 for code, node, tokens, what in iter_leak_sinks(
-                        stmt, env, analysis.expr):
+                        stmt, env, analysis):
                     secret = frozenset(t for t in tokens if t[0] == "secret")
                     if not secret:
                         continue
@@ -77,12 +71,12 @@ class SecretLeakChecker(Checker):
                     yield self._finding(code, info, node.lineno,
                                         getattr(node, "col_offset", 0),
                                         f"{origin_text(secret)} reaches {what}")
-                for expr in header_exprs(stmt):
-                    for node in ast.walk(expr):
-                        if isinstance(node, ast.Call) and id(node) in call_map:
+                for header in analysis.headers(stmt):
+                    for node in header.calls:
+                        if node in call_map:
                             yield from self._check_call(
                                 engine, info, analysis, node,
-                                call_map[id(node)], env, seen)
+                                call_map[node], env, seen)
 
     def _check_call(self, engine, info, analysis, call, callees, env, seen):
         for qualname in sorted(callees):

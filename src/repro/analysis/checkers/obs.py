@@ -80,7 +80,7 @@ class ObsNamingChecker(Checker):
                            line=node.lineno, col=node.col_offset,
                            symbol=ctx.symbol_at(node), checker=self.name)
 
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 method = node.func.attr
                 if node.args:

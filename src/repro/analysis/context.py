@@ -40,6 +40,7 @@ def parse_pragmas(source: str) -> dict[int, dict[str, set[int]]]:
         tokens = list(tokenize.generate_tokens(StringIO(source).readline))
     except (tokenize.TokenError, IndentationError):  # half-written file: no pragmas
         return allowed
+    lines = source.splitlines()
     for tok in tokens:
         if tok.type != tokenize.COMMENT:
             continue
@@ -51,7 +52,6 @@ def parse_pragmas(source: str) -> dict[int, dict[str, set[int]]]:
         cover(line, codes, line)
         # a standalone pragma comment covers the next *code* line, so a
         # pragma may open a multi-line comment explaining the allowance
-        lines = source.splitlines()
         if lines[line - 1].lstrip().startswith("#"):
             target = line + 1
             while target <= len(lines) and lines[target - 1].lstrip().startswith("#"):
@@ -60,7 +60,8 @@ def parse_pragmas(source: str) -> dict[int, dict[str, set[int]]]:
     return allowed
 
 
-def _widen_pragmas(tree: ast.Module, pragmas: dict[int, dict[str, set[int]]]) -> None:
+def _widen_pragmas(nodes: list[ast.AST],
+                   pragmas: dict[int, dict[str, set[int]]]) -> None:
     """Extend first-line pragmas over their statement's whole line span.
 
     Simple statements (assignments, returns, expression statements) are
@@ -68,7 +69,7 @@ def _widen_pragmas(tree: ast.Module, pragmas: dict[int, dict[str, set[int]]]) ->
     the ``if``/``while`` test or ``for`` iterable — never the body, so a
     pragma can't silently blanket a whole block.
     """
-    for node in ast.walk(tree):
+    for node in nodes:
         codes = pragmas.get(getattr(node, "lineno", -1))
         if not codes or not isinstance(node, ast.stmt):
             continue
@@ -98,9 +99,31 @@ def module_name_for(path: Path) -> str:
     return ".".join(parts)
 
 
+def _walk_with_parents(tree: ast.AST) -> tuple[list[ast.AST], dict[ast.AST, ast.AST]]:
+    """Every node under *tree* in ``ast.walk`` order, and each one's parent.
+
+    ``ast.walk`` is a breadth-first walk, and so is appending each node's
+    children to the list while iterating it: the two orders agree.
+    """
+    nodes: list[ast.AST] = [tree]
+    parents: dict[ast.AST, ast.AST] = {}
+    for node in nodes:
+        for child in ast.iter_child_nodes(node):
+            parents[child] = node
+            nodes.append(child)
+    return nodes, parents
+
+
 @dataclass
 class FileContext:
-    """Everything a file-scoped checker needs about one source file."""
+    """Everything a file-scoped checker needs about one source file.
+
+    The file is walked once, at load: checkers iterate :attr:`nodes`
+    rather than walking :attr:`tree` again. Per-function syntax (CFGs,
+    header nodes) is built on first use by :meth:`function_syntax` and
+    shared by every analysis of that function in this run; it is dropped
+    when the context is pickled to or from a worker.
+    """
 
     path: Path
     relpath: str                      # project-root-relative, posix
@@ -110,21 +133,22 @@ class FileContext:
     # covered line -> {code -> lines of the pragma comments declaring it}
     pragmas: dict[int, dict[str, set[int]]] = field(default_factory=dict)
     parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
+    nodes: list[ast.AST] = field(default_factory=list, repr=False, compare=False)
+    # function node -> FunctionSyntax, filled lazily, never pickled
+    _syntax: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @classmethod
     def load(cls, path: Path, project_root: Path) -> "FileContext":
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=str(path))
-        parents: dict[ast.AST, ast.AST] = {}
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                parents[child] = node
+        nodes, parents = _walk_with_parents(tree)
         try:
             relpath = path.resolve().relative_to(project_root.resolve()).as_posix()
         except ValueError:
             relpath = path.as_posix()
         pragmas = parse_pragmas(source)
-        _widen_pragmas(tree, pragmas)
+        _widen_pragmas(nodes, pragmas)
         return cls(
             path=path,
             relpath=relpath,
@@ -133,7 +157,24 @@ class FileContext:
             tree=tree,
             pragmas=pragmas,
             parents=parents,
+            nodes=nodes,
         )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_syntax"] = {}
+        return state
+
+    def function_syntax(self, func: ast.FunctionDef | ast.AsyncFunctionDef):
+        """The :class:`~repro.analysis.flow.taint.FunctionSyntax` of *func*,
+        built on first use and reused for the rest of the run."""
+        syntax = self._syntax.get(func)
+        if syntax is None:
+            # deferred: the flow package imports this module
+            from repro.analysis.flow.taint import FunctionSyntax
+
+            syntax = self._syntax[func] = FunctionSyntax.build(func)
+        return syntax
 
     def symbol_at(self, node: ast.AST) -> str:
         """Dotted enclosing def/class chain for *node* ("" at module level)."""

@@ -19,13 +19,16 @@ Call sites resolve through, in order:
    rather than union half the codebase.
 
 Resolution is purely syntactic, so the call graph is stable across
-summary iterations and safe to build once up front.
+summary iterations and safe to build once up front.  A call belongs to
+its nearest enclosing ``def``, so one pass over each file's node list
+attributes every call site.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.analysis.context import FileContext
 from repro.analysis.flow.imports import ModuleIndex, import_bindings
@@ -55,6 +58,11 @@ class FunctionInfo:
         return (self.class_name is not None and bool(self.param_names)
                 and self.param_names[0] in ("self", "cls"))
 
+    @cached_property
+    def call_map(self) -> dict[ast.Call, list[str]]:
+        """Resolved call node -> callee qualnames (read after indexing)."""
+        return dict(self.call_sites)
+
 
 class FunctionIndex:
     """All functions in the analyzed tree, with resolved call sites."""
@@ -64,16 +72,20 @@ class FunctionIndex:
         self.functions: dict[str, FunctionInfo] = {}
         self._methods_by_name: dict[str, list[str]] = {}
         self._bindings: dict[str, dict[str, str]] = {}
-        for ctx in sorted(ctxs, key=lambda c: c.module):
+        ordered = sorted(ctxs, key=lambda c: c.module)
+        for ctx in ordered:
             self._bindings[ctx.module] = import_bindings(ctx)
             self._index_file(ctx)
-        for qualname in sorted(self.functions):
-            self._resolve_calls(self.functions[qualname])
+        # a redefined qualname keeps only its last def; calls inside the
+        # shadowed one stay unattributed
+        by_node = {info.node: info for info in self.functions.values()}
+        for ctx in ordered:
+            self._resolve_calls(ctx, by_node)
 
     # -- indexing -----------------------------------------------------------
 
     def _index_file(self, ctx: FileContext) -> None:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, _DEFS):
                 continue
             enclosing = ctx.symbol_at(node)
@@ -98,22 +110,21 @@ class FunctionIndex:
 
     # -- call resolution ----------------------------------------------------
 
-    def _resolve_calls(self, info: FunctionInfo) -> None:
-        nested = {
-            child for child in ast.walk(info.node)
-            if isinstance(child, _DEFS) and child is not info.node
-        }
+    def _resolve_calls(self, ctx: FileContext,
+                       by_node: dict[ast.AST, FunctionInfo]) -> None:
+        """Attach each call in *ctx* to its nearest enclosing def's sites.
 
-        def in_nested(node: ast.AST) -> bool:
-            current = info.ctx.parents.get(node)
-            while current is not None and current is not info.node:
-                if current in nested:
-                    return True
-                current = info.ctx.parents.get(current)
-            return False
-
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Call) and not in_nested(node):
+        The file's node list is in ``ast.walk`` order, so each function's
+        sites come out in the order a walk of that function visits them.
+        """
+        for node in ctx.nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            owner = ctx.parents.get(node)
+            while owner is not None and not isinstance(owner, _DEFS):
+                owner = ctx.parents.get(owner)
+            info = by_node.get(owner)
+            if info is not None:
                 callees = self.resolve_call(node, info)
                 if callees:
                     info.call_sites.append((node, callees))

@@ -43,7 +43,6 @@ from repro.analysis.flow.taint import (
     _ExprTaint,
     analyze_dataflow,
     ct_seeds,
-    header_exprs,
     in_scope,
     is_secret_name,
     iter_ct_sinks,
@@ -146,10 +145,14 @@ class FlowEngine:
         return frozenset()
 
     def _expr_taint(self, info: FunctionInfo) -> _ExprTaint:
-        call_map = {id(call): callees for call, callees in info.call_sites}
+        # the closure holds the tables, not the engine: the engine caches
+        # analyses that hold this closure, and a cycle through it would
+        # keep every parsed tree of the run alive until a full collection
+        call_map, summaries, functions = (info.call_map, self.summaries,
+                                          self.functions)
 
         def call_tokens(call: ast.Call, env: dict, expr: _ExprTaint):
-            callees = call_map.get(id(call))
+            callees = call_map.get(call)
             if not callees:
                 return None  # unresolved: caller falls back to pass-through
             if any(isinstance(arg, ast.Starred) for arg in call.args) \
@@ -157,12 +160,12 @@ class FlowEngine:
                 return None  # *args/**kwargs forwarding: stay conservative
             out: set = set()
             for qualname in callees:
-                summary = self.summaries.get(qualname)
-                callee = self.functions.get(qualname)
+                summary = summaries.get(qualname)
+                callee = functions.get(qualname)
                 if summary is None or callee is None:
                     return None
                 for index in sorted(summary.flows_to_return):
-                    arg = self._arg_for_index(call, callee, index)
+                    arg = FlowEngine._arg_for_index(call, callee, index)
                     if arg is not None:
                         out |= expr.tokens(arg, env)
                 if summary.secret_return and (
@@ -193,7 +196,8 @@ class FlowEngine:
         return None
 
     def _analyze(self, info: FunctionInfo, profile: str) -> FunctionAnalysis:
-        return analyze_dataflow(info.node, self._seeds(info, profile),
+        return analyze_dataflow(info.ctx.function_syntax(info.node),
+                                self._seeds(info, profile),
                                 self._expr_taint(info),
                                 parents=info.ctx.parents)
 
@@ -212,25 +216,25 @@ class FlowEngine:
         sinks: dict[int, SinkRecord] = {}
         allowed_sinks: dict[int, SinkRecord] = {}
         ct_scoped = in_scope(info.module, CRYPTO_SCOPES)
-        call_map = {id(call): callees for call, callees in info.call_sites}
+        call_map = info.call_map
         for stmt, env in analysis.iter_env():
             if ct_scoped:
-                for kind, code, node, tokens in iter_ct_sinks(stmt, env, analysis.expr):
+                for kind, code, node, tokens in iter_ct_sinks(stmt, env, analysis):
                     self._record_param_sinks(
                         info, sinks, allowed_sinks, tokens, kind, code,
                         node.lineno,
                         f"`{_SINK_KIND_TEXT[kind]}` at "
                         f"{info.ctx.relpath}:{node.lineno}")
-            for code, node, tokens, what in iter_leak_sinks(stmt, env, analysis.expr):
+            for code, node, tokens, what in iter_leak_sinks(stmt, env, analysis):
                 self._record_param_sinks(
                     info, sinks, allowed_sinks, tokens, "observability", code,
                     node.lineno,
                     f"{what} at {info.ctx.relpath}:{node.lineno}")
             # transitive: an argument that reaches a sink inside a callee
-            for expr in header_exprs(stmt):
-                for node in ast.walk(expr):
-                    if isinstance(node, ast.Call) and id(node) in call_map:
-                        self._record_transitive(info, node, call_map[id(node)],
+            for header in analysis.headers(stmt):
+                for node in header.calls:
+                    if node in call_map:
+                        self._record_transitive(info, node, call_map[node],
                                                 env, analysis, sinks,
                                                 allowed_sinks)
         return TaintSummary(

@@ -53,7 +53,7 @@ def import_bindings(ctx: FileContext) -> dict[str, str]:
     checker would reject most anyway).
     """
     bindings: dict[str, str] = {}
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:

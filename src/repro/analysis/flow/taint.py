@@ -32,7 +32,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from repro.analysis.flow.cfg import Cfg, build_cfg
 
@@ -171,6 +171,24 @@ def ct_seeds(func: ast.FunctionDef | ast.AsyncFunctionDef,
 # ---------------------------------------------------------------------------
 # expression taint
 
+# fields holding only context and operator leaves (`Load()`, `Add()`,
+# `Eq()`): no taint can come from them, so the walk skips them
+_LEAF_FIELDS = frozenset({"ctx", "op", "ops"})
+
+
+def _push_children(stack: list, node: ast.AST) -> None:
+    """``stack.extend(ast.iter_child_nodes(node))`` minus the leaf fields."""
+    for name in node._fields:
+        if name in _LEAF_FIELDS:
+            continue
+        value = getattr(node, name, None)
+        if isinstance(value, ast.AST):
+            stack.append(value)
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, ast.AST):
+                    stack.append(item)
+
 
 class _ExprTaint:
     """Token computation for expressions, given an environment.
@@ -207,13 +225,13 @@ class _ExprTaint:
                     if resolved is not None:
                         out |= resolved
                         continue
-                stack.extend(ast.iter_child_nodes(node))
+                _push_children(stack, node)
                 continue
             if isinstance(node, ast.Name) and node.id in env:
                 out |= env[node.id]
             if self.sources is not None:
                 out |= self.sources(node)
-            stack.extend(ast.iter_child_nodes(node))
+            _push_children(stack, node)
         return frozenset(out)
 
 
@@ -257,17 +275,11 @@ class _Transfer:
     """Applies one statement's effect on the environment (in place)."""
 
     def __init__(self, expr_taint: _ExprTaint,
-                 parents: dict[ast.AST, ast.AST] | None, walruses: bool):
+                 parents: dict[ast.AST, ast.AST] | None,
+                 syntax: FunctionSyntax):
         self.expr = expr_taint
         self.parents = parents or {}
-        # False when the function holds no `:=`, so apply() can skip
-        # walking every header expression for one
-        self.walruses = walruses
-
-    def _apply_walruses(self, node: ast.AST, env: dict) -> None:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.NamedExpr):
-                _assign_name(env, sub.target.id, self.expr.tokens(sub.value, env))
+        self.syntax = syntax
 
     def _assign(self, env: dict, targets: list[ast.AST], value: ast.AST) -> None:
         # `pk, sk = scheme.keygen(drbg)`: the pair splits into a public
@@ -294,9 +306,11 @@ class _Transfer:
                 _transfer_target(env, target, self.expr.tokens(value, env))
 
     def apply(self, stmt: ast.AST, env: dict) -> None:
-        if self.walruses:
-            for expr in header_exprs(stmt):
-                self._apply_walruses(expr, env)
+        if self.syntax.walruses:
+            for header in self.syntax.headers[stmt]:
+                for walrus in header.walruses:
+                    _assign_name(env, walrus.target.id,
+                                 self.expr.tokens(walrus.value, env))
         if isinstance(stmt, ast.Assign):
             self._assign(env, stmt.targets, stmt.value)
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
@@ -355,6 +369,62 @@ def header_exprs(stmt: ast.AST) -> list[ast.expr]:
             if isinstance(node, ast.expr)]
 
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+class HeaderNodes(NamedTuple):
+    """The nodes under one header expression that the taint clients read.
+
+    Each tuple keeps ``ast.walk(expr)`` order: the sink and call checks
+    report in that order, and comprehension targets bind outer-first.
+    """
+
+    expr: ast.expr
+    calls: tuple[ast.Call, ...]
+    sinks: tuple[ast.expr, ...]            # IfExp and Subscript
+    comprehensions: tuple[ast.expr, ...]
+    walruses: tuple[ast.NamedExpr, ...]
+
+    @classmethod
+    def of(cls, expr: ast.expr) -> "HeaderNodes":
+        calls, sinks, comprehensions, walruses = [], [], [], []
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Call):
+                calls.append(node)
+            elif isinstance(node, (ast.IfExp, ast.Subscript)):
+                sinks.append(node)
+            elif isinstance(node, _COMPREHENSIONS):
+                comprehensions.append(node)
+            elif isinstance(node, ast.NamedExpr):
+                walruses.append(node)
+        return cls(expr, tuple(calls), tuple(sinks), tuple(comprehensions),
+                   tuple(walruses))
+
+
+@dataclass
+class FunctionSyntax:
+    """The syntax every analysis of one function reads, built once.
+
+    It is the CFG plus, for each of its statements, the
+    :class:`HeaderNodes` of every :func:`header_exprs` entry. None of it
+    depends on taint, so one build serves every seed profile and every
+    summary round of a run (see ``FileContext.function_syntax``).
+    """
+
+    cfg: Cfg
+    headers: dict[ast.AST, list[HeaderNodes]]
+    walruses: bool                 # any `:=` under a header
+
+    @classmethod
+    def build(cls, func: ast.FunctionDef | ast.AsyncFunctionDef) -> "FunctionSyntax":
+        cfg = build_cfg(func)
+        headers = {stmt: [HeaderNodes.of(expr) for expr in header_exprs(stmt)]
+                   for block in cfg.blocks for stmt in block.stmts}
+        walruses = any(header.walruses for stmt_headers in headers.values()
+                       for header in stmt_headers)
+        return cls(cfg, headers, walruses)
+
+
 # ---------------------------------------------------------------------------
 # per-function dataflow
 
@@ -363,7 +433,7 @@ def header_exprs(stmt: ast.AST) -> list[ast.expr]:
 class FunctionAnalysis:
     """Solved dataflow for one function: per-block entry environments."""
 
-    cfg: Cfg
+    syntax: FunctionSyntax
     in_states: dict[int, dict[str, frozenset]]
     transfer: _Transfer
     expr: _ExprTaint
@@ -371,7 +441,7 @@ class FunctionAnalysis:
 
     def iter_env(self) -> Iterator[tuple[ast.AST, dict[str, frozenset]]]:
         """Yield ``(stmt, env_before)`` deterministically (block order)."""
-        for block in self.cfg.blocks:
+        for block in self.syntax.cfg.blocks:
             env = dict(self.in_states.get(block.index, {}))
             for stmt in block.stmts:
                 yield stmt, env
@@ -379,6 +449,9 @@ class FunctionAnalysis:
 
     def tokens(self, expr: ast.AST, env: dict[str, frozenset]) -> frozenset:
         return self.expr.tokens(expr, env)
+
+    def headers(self, stmt: ast.AST) -> list[HeaderNodes]:
+        return self.syntax.headers[stmt]
 
 
 def _join(a: dict[str, frozenset], b: dict[str, frozenset]) -> dict[str, frozenset]:
@@ -388,20 +461,19 @@ def _join(a: dict[str, frozenset], b: dict[str, frozenset]) -> dict[str, frozens
     return out
 
 
-def analyze_dataflow(func: ast.FunctionDef | ast.AsyncFunctionDef,
+def analyze_dataflow(syntax: FunctionSyntax,
                      seed_env: dict[str, frozenset],
                      expr_taint: _ExprTaint,
                      parents: dict | None = None,
                      max_rounds: int = 50) -> FunctionAnalysis:
-    """Solve the taint dataflow of one function to a fixpoint.
+    """Solve the taint dataflow of one function's *syntax* to a fixpoint.
 
     The lattice is finite (token sets only grow per join) and transfer is
     monotone in the inputs, so the worklist terminates; *max_rounds*
     bounds pathological graphs.
     """
-    cfg = build_cfg(func)
-    walruses = any(isinstance(node, ast.NamedExpr) for node in ast.walk(func))
-    transfer = _Transfer(expr_taint, parents, walruses)
+    cfg = syntax.cfg
+    transfer = _Transfer(expr_taint, parents, syntax)
     in_states: dict[int, dict[str, frozenset]] = {0: dict(seed_env)}
     out_states: dict[int, dict[str, frozenset]] = {}
     worklist = [block.index for block in cfg.blocks]
@@ -421,7 +493,7 @@ def analyze_dataflow(func: ast.FunctionDef | ast.AsyncFunctionDef,
             for succ in sorted(block.succs):
                 if succ not in worklist:
                     worklist.append(succ)
-    analysis = FunctionAnalysis(cfg=cfg, in_states=in_states,
+    analysis = FunctionAnalysis(syntax=syntax, in_states=in_states,
                                 transfer=transfer, expr=expr_taint)
     returns: set = set()
     for stmt, env in analysis.iter_env():
@@ -434,10 +506,7 @@ def analyze_dataflow(func: ast.FunctionDef | ast.AsyncFunctionDef,
 # ---------------------------------------------------------------------------
 # sink discovery (shared by the summary builder and the CT/CT1xx checkers)
 
-_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-
-
-def comprehension_env(expr: ast.AST, env: dict[str, frozenset],
+def comprehension_env(header: HeaderNodes, env: dict[str, frozenset],
                       expr_taint: _ExprTaint) -> dict[str, frozenset]:
     """*env* extended with comprehension targets bound to their iterables.
 
@@ -449,19 +518,19 @@ def comprehension_env(expr: ast.AST, env: dict[str, frozenset],
     so chained generators (``for row in sk for x in row``) resolve too.
     """
     extended: dict[str, frozenset] | None = None
-    for node in ast.walk(expr):
-        if isinstance(node, _COMPREHENSIONS):
-            for gen in node.generators:
-                if extended is None:
-                    extended = dict(env)
-                _transfer_target(extended, gen.target,
-                                 expr_taint.tokens(gen.iter, extended))
+    for node in header.comprehensions:
+        for gen in node.generators:
+            if extended is None:
+                extended = dict(env)
+            _transfer_target(extended, gen.target,
+                             expr_taint.tokens(gen.iter, extended))
     return extended if extended is not None else env
 
 
 def iter_ct_sinks(stmt: ast.AST, env: dict[str, frozenset],
-                  expr_taint: _ExprTaint):
+                  analysis: FunctionAnalysis):
     """Yield ``(kind, code, node, tokens)`` for CT sinks in a header."""
+    expr_taint = analysis.expr
     if isinstance(stmt, (ast.If, ast.While)):
         tokens = expr_taint.tokens(stmt.test, env)
         if tokens:
@@ -477,14 +546,16 @@ def iter_ct_sinks(stmt: ast.AST, env: dict[str, frozenset],
             if tokens:
                 yield "loop-bound", "CT002", stmt, tokens
                 break
-    for expr in header_exprs(stmt):
-        scope = comprehension_env(expr, env, expr_taint)
-        for node in ast.walk(expr):
+    for header in analysis.headers(stmt):
+        if not header.sinks:
+            continue
+        scope = comprehension_env(header, env, expr_taint)
+        for node in header.sinks:
             if isinstance(node, ast.IfExp):
                 tokens = expr_taint.tokens(node.test, scope)
                 if tokens:
                     yield "branch", "CT001", node, tokens
-            elif isinstance(node, ast.Subscript):
+            else:
                 tokens = _slice_tokens(node.slice, scope, expr_taint)
                 if tokens:
                     yield "subscript", "CT003", node, tokens
@@ -510,24 +581,25 @@ PRINT_FUNCS = {"print", "repr"}
 
 
 def iter_leak_sinks(stmt: ast.AST, env: dict[str, frozenset],
-                    expr_taint: _ExprTaint):
+                    analysis: FunctionAnalysis):
     """Yield ``(code, node, tokens, what)`` for observability sinks.
 
     ``tracer.counter(track, name, ...)`` and ``metrics.counter(name)``
     share a method name; both the track and name positions are checked,
     so the ambiguity can only over-report, never launder.
     """
+    expr_taint = analysis.expr
     if isinstance(stmt, ast.Raise) and isinstance(stmt.exc, ast.Call):
         for arg in [*stmt.exc.args, *[kw.value for kw in stmt.exc.keywords]]:
             tokens = expr_taint.tokens(arg, env)
             if tokens:
                 yield "LEAK004", stmt, tokens, "exception message"
                 break
-    for expr in header_exprs(stmt):
-        scope = comprehension_env(expr, env, expr_taint)
-        for node in ast.walk(expr):
-            if not isinstance(node, ast.Call):
-                continue
+    for header in analysis.headers(stmt):
+        if not header.calls:
+            continue
+        scope = comprehension_env(header, env, expr_taint)
+        for node in header.calls:
             func = node.func
             if isinstance(func, ast.Attribute):
                 method = func.attr
