@@ -55,6 +55,7 @@ from repro.analysis.registry import Checker, register
 # the sink phrase each finding's message opens with
 _WHAT = {ast.If: "`if` condition", ast.While: "`while` condition",
          ast.IfExp: "conditional expression", ast.Match: "`match` subject",
+         ast.match_case: "`match` case guard",
          ast.For: "`range()` loop bound", ast.AsyncFor: "`range()` loop bound",
          ast.Subscript: "subscript index"}
 
@@ -98,8 +99,9 @@ class ConstantTimeChecker(Checker):
                                         parents=ctx.parents)
             for stmt, env in analysis.iter_env():
                 for _, code, node, tokens in iter_ct_sinks(stmt, env, analysis):
+                    sink = stmt if node is getattr(stmt, "guard", None) else node
                     yield Finding(
                         code=code,
-                        message=f"{_WHAT[type(node)]} depends on {origin_text(tokens)}",
+                        message=f"{_WHAT[type(sink)]} depends on {origin_text(tokens)}",
                         path=ctx.relpath, line=node.lineno, col=node.col_offset,
                         symbol=ctx.symbol_at(node), checker=self.name)

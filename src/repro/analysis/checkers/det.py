@@ -13,9 +13,9 @@ Host parallelism is nondeterminism of a third kind: worker pools reorder
 events and fork-inherited state diverges reruns, so process-level
 primitives (`multiprocessing`, `concurrent.futures`, `os.cpu_count`,
 `os.fork`) are confined to `repro.core.fanout`, the one module that owns
-a worker pool — campaigns, sharded traffic runs and the lint runner all
-fan out through its `run_sharded`, and the sans-io simulation layers
-stay process-free by contract.
+a worker pool — campaigns and sharded traffic runs fan out through it,
+the lint runs in one process, and the sans-io simulation layers stay
+process-free by contract.
 """
 
 from __future__ import annotations

@@ -30,10 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--select", action="append", metavar="CODE",
                         help="run only matching checkers (name or code prefix, repeatable)")
-    parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                        help="fan per-file checking over N spawned workers "
-                             "(clamped to the core count; output is byte-identical "
-                             "to --jobs 1)")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and don't write the content-addressed result "
                              "cache under .cache/lint/")
@@ -75,8 +71,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.list_checkers:
         print(_list_checkers())
         return 0
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
 
     paths = args.paths
     if not paths:
@@ -105,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = analyze(paths, project_root=project_root, select=args.select,
-                         baseline=baseline, jobs=args.jobs,
+                         baseline=baseline,
                          use_cache=not args.no_cache,
                          check_pragmas=args.check_pragmas)
     except KeyError as exc:

@@ -121,8 +121,7 @@ class FileContext:
     The file is walked once, at load: checkers iterate :attr:`nodes`
     rather than walking :attr:`tree` again. Per-function syntax (CFGs,
     header nodes) is built on first use by :meth:`function_syntax` and
-    shared by every analysis of that function in this run; it is dropped
-    when the context is pickled to or from a worker.
+    shared by every analysis of that function in this run.
     """
 
     path: Path
@@ -134,7 +133,7 @@ class FileContext:
     pragmas: dict[int, dict[str, set[int]]] = field(default_factory=dict)
     parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
     nodes: list[ast.AST] = field(default_factory=list, repr=False, compare=False)
-    # function node -> FunctionSyntax, filled lazily, never pickled
+    # function node -> FunctionSyntax, filled lazily
     _syntax: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -159,11 +158,6 @@ class FileContext:
             parents=parents,
             nodes=nodes,
         )
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_syntax"] = {}
-        return state
 
     def function_syntax(self, func: ast.FunctionDef | ast.AsyncFunctionDef):
         """The :class:`~repro.analysis.flow.taint.FunctionSyntax` of *func*,

@@ -7,7 +7,8 @@ function, recomputing its :class:`~repro.analysis.flow.taint.TaintSummary`
 from its callees' current summaries and re-enqueuing callers whenever a
 summary grows.  Summaries form a finite lattice and only ever grow, so
 the fixpoint exists, is unique, and is independent of worklist order —
-which is what makes ``--jobs 1`` and ``--jobs N`` findings bit-identical.
+which is what makes a run's findings independent of the order files
+are given in.
 
 Checkers then ask for per-function *profile* analyses:
 

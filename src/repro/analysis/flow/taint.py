@@ -305,7 +305,20 @@ class _Transfer:
             else:
                 _transfer_target(env, target, self.expr.tokens(value, env))
 
+    def bind_captures(self, case: ast.match_case, env: dict) -> None:
+        """Bind *case*'s pattern captures to the taint of its subject."""
+        match = self.parents.get(case)
+        subject_tokens = frozenset()
+        if isinstance(match, ast.Match):
+            subject_tokens = self.expr.tokens(match.subject, env)
+        for sub in ast.walk(case.pattern):
+            if isinstance(sub, (ast.MatchAs, ast.MatchStar)) and sub.name:
+                _assign_name(env, sub.name, subject_tokens)
+
     def apply(self, stmt: ast.AST, env: dict) -> None:
+        if isinstance(stmt, ast.match_case):
+            # the captures bind before the guard (and its walruses) run
+            self.bind_captures(stmt, env)
         if self.syntax.walruses:
             for header in self.syntax.headers[stmt]:
                 for walrus in header.walruses:
@@ -331,14 +344,6 @@ class _Transfer:
         elif isinstance(stmt, ast.ExceptHandler):
             if stmt.name:
                 _assign_name(env, stmt.name, frozenset())
-        elif isinstance(stmt, ast.match_case):
-            match = self.parents.get(stmt)
-            subject_tokens = frozenset()
-            if isinstance(match, ast.Match):
-                subject_tokens = self.expr.tokens(match.subject, env)
-            for sub in ast.walk(stmt.pattern):
-                if isinstance(sub, (ast.MatchAs, ast.MatchStar)) and sub.name:
-                    _assign_name(env, sub.name, subject_tokens)
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
                 if isinstance(target, ast.Name):
@@ -361,9 +366,10 @@ def header_exprs(stmt: ast.AST) -> list[ast.expr]:
         return [item.context_expr for item in stmt.items]
     if isinstance(stmt, ast.Match):
         return [stmt.subject]
-    if isinstance(stmt, (ast.ExceptHandler, ast.match_case)):
-        return []
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    if isinstance(stmt, ast.match_case):
+        return [stmt.guard] if stmt.guard is not None else []
+    if isinstance(stmt, (ast.ExceptHandler, ast.FunctionDef,
+                         ast.AsyncFunctionDef, ast.ClassDef)):
         return []
     return [node for node in ast.iter_child_nodes(stmt)
             if isinstance(node, ast.expr)]
@@ -440,11 +446,22 @@ class FunctionAnalysis:
     return_tokens: frozenset = frozenset()
 
     def iter_env(self) -> Iterator[tuple[ast.AST, dict[str, frozenset]]]:
-        """Yield ``(stmt, env_before)`` deterministically (block order)."""
+        """Yield ``(stmt, env)`` deterministically (block order), where
+        *env* is what the statement's header expressions are evaluated in.
+
+        That is the environment before the statement, except for a
+        ``match`` case: its guard is evaluated after its pattern's
+        captures bind.
+        """
         for block in self.syntax.cfg.blocks:
             env = dict(self.in_states.get(block.index, {}))
             for stmt in block.stmts:
-                yield stmt, env
+                if isinstance(stmt, ast.match_case):
+                    guard_env = dict(env)
+                    self.transfer.bind_captures(stmt, guard_env)
+                    yield stmt, guard_env
+                else:
+                    yield stmt, env
                 self.transfer.apply(stmt, env)
 
     def tokens(self, expr: ast.AST, env: dict[str, frozenset]) -> frozenset:
@@ -539,6 +556,11 @@ def iter_ct_sinks(stmt: ast.AST, env: dict[str, frozenset],
         tokens = expr_taint.tokens(stmt.subject, env)
         if tokens:
             yield "branch", "CT001", stmt, tokens
+    if isinstance(stmt, ast.match_case) and stmt.guard is not None:
+        # a match_case carries no position: the finding anchors on its guard
+        tokens = expr_taint.tokens(stmt.guard, env)
+        if tokens:
+            yield "branch", "CT001", stmt.guard, tokens
     if isinstance(stmt, (ast.For, ast.AsyncFor)) \
             and isinstance(stmt.iter, ast.Call) and call_name(stmt.iter) == "range":
         for arg in stmt.iter.args:

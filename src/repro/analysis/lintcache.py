@@ -14,7 +14,7 @@ Two record kinds, both plain JSON:
 Keys are SHA-256 over the analysis package's own source digest, the
 file's project-relative path, and the file's bytes, so upgrading any
 checker (or the flow engine) invalidates every record with no version
-bookkeeping. Writes are atomic (tmp + rename) so parallel workers can
+bookkeeping. Writes are atomic (tmp + rename) so two lint processes can
 share the directory; a corrupt or half-written record is treated as a
 miss, never an error.
 """
@@ -103,8 +103,8 @@ class LintCache:
     def prune(self, kind: str, keep: set[str], limit: int = 512) -> int:
         """Cap the record count, deleting oldest-first; returns how many.
 
-        Records in *keep* (this run's keys) are never deleted, so a
-        partial-path run cannot evict the rest of the tree's warm
+        Records in *keep* (this run's keys) are never deleted, so a run
+        over a subset of the tree cannot evict the rest of its warm
         records; stale generations (pre-edit contents, older analyzer
         versions) only start going once the directory tops *limit*.
         Ordering uses stored mtimes alone — no wall-clock read, which

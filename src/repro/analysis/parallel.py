@@ -1,18 +1,13 @@
-"""Per-file checking units for the lint runner.
+"""Per-file records for the lint runner.
 
-One *unit* of work is :func:`build_record`: hash a file, consult the lint
+One file's work is :func:`build_record`: hash the file, consult the lint
 cache, and on a miss parse it and run every file-scope checker, giving a
 JSON-serializable record (findings + pragma tables) and the parsed
-context. The runner maps :func:`check_unit` over its files through
-:func:`repro.core.fanout.run_sharded`, the stack's one worker pool, at
-every ``--jobs``: ``--jobs 1`` runs the units inline, and otherwise
-workers are spawned (clean interpreters, no inherited state), requested
-jobs clamp to the host core count, and results merge in the input file
-order — so a parallel run is byte-identical to a serial one, whatever
-order workers finish in. A worker ships its parsed contexts back with
-the records, so the project-scope pass never re-parses a file a unit
-already parsed. Workers coordinate only through the content-addressed
-cache, whose writes are atomic.
+context. The runner calls it for each file in turn, in its own process,
+and hands the parsed contexts to the project-scope pass, so that pass
+re-parses only the files served from the cache. The module name predates
+the one-process runner; perfbench's layer trace wraps ``build_record``
+under this name.
 """
 
 from __future__ import annotations
@@ -83,13 +78,3 @@ def build_record(path: Path, project_root: Path, cache: LintCache | None,
     record["cached"] = False
     return record, ctx
 
-
-def check_unit(path: Path, *, project_root: Path, cache: LintCache | None,
-               checkers: list[Checker]) -> tuple[dict, FileContext | None]:
-    """Fan-out entry point: one file -> :func:`build_record`'s pair.
-
-    Looks :func:`build_record` up as a module global at call time, so a
-    wrapper installed on this module (e.g. a tracing boundary) sees
-    every unit, inline or in a worker that imports it the same way.
-    """
-    return build_record(path, project_root, cache, checkers)

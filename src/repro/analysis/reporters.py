@@ -3,7 +3,7 @@
 Every rendering sorts findings — live, suppressed, and stale baseline
 entries alike — by (path, line, col, code) at this boundary, so baseline
 files, CI logs, and uploaded SARIF diff stably whatever order checkers
-or workers produced them in.
+produced them in.
 """
 
 from __future__ import annotations

@@ -1,23 +1,22 @@
 """Walk files, run every checker, apply pragmas and the baseline.
 
-The run is structured as per-file *units* plus one project-scope pass:
+The run is one serial pass in this process, structured as per-file
+records plus one project-scope pass:
 
 1. every file maps to a record of raw file-scope findings and pragma
    tables plus its parsed context
-   (:func:`repro.analysis.parallel.build_record`) — served from the
+   (:func:`repro.analysis.parallel.build_record`), served from the
    content-addressed cache under ``.cache/lint/`` when the file and the
-   analyzer are unchanged, and mapped through
-   :func:`repro.core.fanout.run_sharded` at every ``jobs`` (inline for
-   ``jobs=1``, spawned workers otherwise);
+   analyzer are unchanged;
 2. the project-scope checkers (wire audit and the flow-engine clients)
-   run once in the parent over all parsed contexts (the units' own,
-   re-parsing only cache hits), cached under a key covering every file,
-   so a warm run never builds the flow engine;
+   run once over all parsed contexts (those of step 1, re-parsing only
+   cache hits), cached under a key covering every file, so a warm run
+   never builds the flow engine;
 3. *assembly* is deterministic and selection-aware: findings are
    filtered to the selected checkers, pragma suppression is applied
    (attributing each suppression to its declaring pragma line), the
    baseline splits the rest, and everything sorts by (path, line, col,
-   code) — which is why ``--jobs N`` output is byte-identical to serial.
+   code) — which is why a warm report is byte-identical to a cold one.
 
 When the cache is enabled, records always hold *every* checker's
 findings and ``--select`` filters at assembly, so one record serves any
@@ -29,7 +28,6 @@ ANA001, a baseline entry matching nothing as ANA002.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 from repro.analysis import parallel
@@ -38,7 +36,6 @@ from repro.analysis.context import FileContext
 from repro.analysis.finding import Finding, Severity
 from repro.analysis.lintcache import LintCache
 from repro.analysis.registry import Checker, all_checkers
-from repro.core.fanout import run_sharded
 
 _SKIP_DIRS = {"__pycache__", ".git", ".cache", ".venv", "build", "dist"}
 
@@ -152,10 +149,12 @@ def analyze(paths: list[Path], project_root: Path | None = None,
     (``# pqtls: allow[CODE]``). Syntax errors surface as SYNTAX findings
     rather than crashing the run.
 
-    *jobs* fans per-file checking over spawned workers; *use_cache*
-    serves unchanged files from ``.cache/lint``; *check_pragmas* adds
-    ANA001/ANA002 findings for pragmas and baseline entries that
-    suppressed nothing.
+    *use_cache* serves unchanged files from ``.cache/lint``;
+    *check_pragmas* adds ANA001/ANA002 findings for pragmas and baseline
+    entries that suppressed nothing. *jobs* is ignored: files are checked
+    serially in this process. Only perfbench's lint workload still passes
+    it, and the keyword goes with ROADMAP item 9 ("One benchmark
+    harness").
     """
     if project_root is None:
         anchor = paths[0] if paths else Path.cwd()
@@ -170,12 +169,14 @@ def analyze(paths: list[Path], project_root: Path | None = None,
 
     files = iter_python_files(paths)
     report = Report()
-    unit = partial(parallel.check_unit, project_root=project_root,
-                   cache=cache, checkers=file_scope)
-    pairs = run_sharded(unit, files, jobs=jobs)
-    records = [record for record, _ in pairs]
-    contexts = {record["relpath"]: ctx for record, ctx in pairs
-                if ctx is not None}
+    records: list[dict] = []
+    contexts: dict[str, FileContext] = {}
+    for path in files:
+        record, ctx = parallel.build_record(path, project_root, cache,
+                                            file_scope)
+        records.append(record)
+        if ctx is not None:
+            contexts[record["relpath"]] = ctx
     files_by_rel = {record["relpath"]: file
                     for record, file in zip(records, files)}
     report.files_checked = sum(1 for r in records if not r["syntax_error"])

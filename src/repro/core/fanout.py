@@ -1,12 +1,10 @@
 """The one fan-out primitive: map a task over payloads across spawned workers.
 
-Campaigns (:func:`repro.core.executor.run_campaign`), sharded traffic
-runs (``repro.traffic``) and the lint runner (``repro.analysis``) all
-fan out through :func:`run_sharded`. This module is the only place in
-the stack allowed to touch host parallelism (enforced by ``pqtls-lint``
-DET005 — the sans-io simulation stays process-free), and it imports
-nothing but the standard library, so the lint CLI can fan out without
-loading the simulation stack.
+Campaigns (:func:`repro.core.executor.run_campaign`) and sharded traffic
+runs (``repro.traffic``) fan out through :func:`run_sharded`. This
+module is the only place in the stack allowed to touch host parallelism
+(enforced by ``pqtls-lint`` DET005 — the sans-io simulation stays
+process-free), and it imports nothing but the standard library.
 
 Workers are spawned (not forked) so each starts from a clean interpreter
 with zeroed module-level state; they communicate only through the

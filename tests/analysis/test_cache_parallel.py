@@ -1,4 +1,4 @@
-"""Runner infrastructure: lint cache, parallel jobs, ANA hygiene, SARIF."""
+"""Runner infrastructure: lint cache, one-process runs, ANA hygiene, SARIF."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.analysis import cli
 from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.reporters import render_json, render_sarif
 from repro.analysis.runner import analyze
-from repro.core import fanout
 
 TREE = {
     "repro/pqc/kem.py": """
@@ -84,15 +83,13 @@ def test_no_cache_leaves_no_cache_directory(lint_tree, tmp_path):
     assert not (tmp_path / ".cache").exists()
 
 
-# -- parallel checking ------------------------------------------------------
+# -- the project-scope pass over cached records -----------------------------
 
-def test_parallel_report_matches_serial_byte_for_byte(lint_tree, monkeypatch):
-    # jobs clamp to the core count: pretend there are 4 so a 1-core host
-    # still fans out instead of comparing serial with serial
-    monkeypatch.setattr(fanout.os, "cpu_count", lambda: 4)
+def test_project_pass_over_cache_hits_matches_cold_run(lint_tree, tmp_path):
     files = dict(TREE)
     # a cross-call secret branch: only the project-scope flow checker sees
-    # it, over the contexts the workers parsed and shipped back
+    # it, over contexts the warm run re-parses because every record is a
+    # cache hit
     files["repro/pqc/helpers.py"] = """
         def mix(flag):
             if flag:
@@ -102,23 +99,27 @@ def test_parallel_report_matches_serial_byte_for_byte(lint_tree, monkeypatch):
         def derive(sk):
             return mix(sk[0])
     """
-    serial = lint_tree(files, jobs=1, use_cache=False)
-    fanned = lint_tree(files, jobs=4, use_cache=False)
-    assert render_json(serial) == render_json(fanned)
-    assert codes(fanned) == ["CT101", "CT001"]   # sorted by path
-    assert fanned.pragma_suppressed == 1
+    uncached = lint_tree(files, use_cache=False)
+    assert codes(uncached) == ["CT101", "CT001"]   # sorted by path
+    assert uncached.pragma_suppressed == 1
 
-    cold = lint_tree(files, jobs=2)
-    warm = lint_tree(files, jobs=2)
+    cold = lint_tree(files)
+    # without its project record, the warm run re-parses every file for
+    # the project pass, since all its file records are cache hits
+    for record in (tmp_path / ".cache" / "lint" / "project").iterdir():
+        record.unlink()
+    warm = lint_tree(files)
     assert warm.from_cache == len(files) and cold.from_cache == 0
-    assert render_json(cold) == render_json(warm) == render_json(serial)
+    assert render_json(cold) == render_json(warm) == render_json(uncached)
 
 
 def test_importing_lint_runner_loads_no_simulation_stack():
-    # the runner fans out through repro.core.fanout, which must stay lean:
-    # `pqtls-lint` pays for neither numpy nor the experiment stack
-    code = ("import sys, repro.analysis.runner; print(sorted("
-            "{'numpy', 'repro.core.experiment'} & set(sys.modules)))")
+    # the lint runs in one process: `pqtls-lint` pays for neither numpy,
+    # the experiment stack, nor any process-pool machinery
+    code = ("import sys, repro.analysis.runner, repro.analysis.cli; "
+            "print(sorted({'numpy', 'repro.core.experiment', "
+            "'repro.core.fanout', 'multiprocessing', 'concurrent.futures'}"
+            " & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", code], check=True,
                             capture_output=True, text=True)
     assert result.stdout.strip() == "[]"

@@ -220,3 +220,29 @@ def test_loop_carried_taint_reaches_the_header(lint):
     """, select=["ct"])
     assert codes(report) == ["CT001"]
     assert report.findings[0].line == 5
+
+
+def test_match_case_guard_is_a_branch(lint):
+    report = lint("repro/pqc/fix.py", """
+        def classify(sk, mode):
+            match mode:
+                case 1 if sk[0]:
+                    return b"a"
+                case 2 if mode > 1:
+                    return b"b"
+            match sk:
+                case [first, *rest] if first:
+                    return b"c"
+                case [_, *rest] if (n := rest[0]):
+                    return rest[n]
+            return b"d"
+    """, select=["ct"])
+    found = [(f.code, f.line, f.message.split(" depends")[0])
+             for f in report.findings]
+    assert found == [
+        ("CT001", 4, "`match` case guard"),      # secret guard
+        ("CT001", 8, "`match` subject"),
+        ("CT001", 9, "`match` case guard"),      # capture of a secret subject
+        ("CT001", 11, "`match` case guard"),
+        ("CT003", 12, "subscript index"),        # walrus bound in the guard
+    ]

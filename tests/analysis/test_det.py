@@ -129,7 +129,7 @@ _POOL_SOURCE = """
 def test_process_primitives_allowed_only_in_fanout(lint):
     assert codes(lint("repro/core/fanout.py", _POOL_SOURCE,
                       select=["det"])) == []
-    # the campaign executor and the lint runner fan out through it
+    # the campaign executor fans out through it; the lint runs in one process
     for relpath in ("repro/core/executor.py", "repro/analysis/parallel.py"):
         report = lint(relpath, _POOL_SOURCE, select=["det"])
         assert codes(report) == ["DET005"] * 3, relpath
