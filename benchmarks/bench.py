@@ -81,16 +81,19 @@ def bench_grid() -> list[ExperimentConfig]:
 
 
 def timed_run(configs, jobs: int, recorder) -> dict:
-    """One cold + one warm pass at ``jobs`` workers on a fresh cache."""
+    """One cold + one warm pass at ``jobs`` workers on a fresh cache.
+
+    The cold pass is logged to ``recorder`` as set ``bench-j{jobs}``; its
+    ``schedule`` event gives the dispatch counts.
+    """
     saved_cache = os.environ.get("REPRO_CACHE_DIR")
-    stats: dict = {}
+    set_name = f"bench-j{jobs}"
     try:
         with tempfile.TemporaryDirectory(prefix="bench-campaign-") as cache:
             os.environ["REPRO_CACHE_DIR"] = cache
             start = time.perf_counter()
             results = run_campaign(configs, jobs=jobs, metrics=Metrics(),
-                                   stats=stats, set_name=f"bench-j{jobs}",
-                                   recorder=recorder)
+                                   set_name=set_name, recorder=recorder)
             cold = time.perf_counter() - start
             start = time.perf_counter()
             run_campaign(configs, jobs=jobs, metrics=Metrics())
@@ -100,6 +103,8 @@ def timed_run(configs, jobs: int, recorder) -> dict:
             os.environ.pop("REPRO_CACHE_DIR", None)
         else:
             os.environ["REPRO_CACHE_DIR"] = saved_cache
+    (plan,) = [event for event in recorder.events
+               if event["event"] == "schedule" and event["set"] == set_name]
     return {
         "jobs": jobs,
         "cold_s": round(cold, 3),
@@ -107,8 +112,8 @@ def timed_run(configs, jobs: int, recorder) -> dict:
         # cold - warm ~= recording + worker spawn: the parallelizable stage
         "record_stage_s": round(cold - warm, 3),
         "experiments": len(results),
-        "dispatched": stats.get("dispatched"),
-        "distinct_scripts": stats.get("distinct_scripts"),
+        "dispatched": plan["dispatched"],
+        "distinct_scripts": plan["distinct_scripts"],
     }
 
 

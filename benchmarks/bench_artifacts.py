@@ -26,7 +26,7 @@ def rendered(tmp_path_factory):
     def render(name):
         if name not in dirs:
             dirs[name] = tmp_path_factory.mktemp(name)
-            evaluate_artifact(name, dirs[name], jobs=None, progress=None)
+            evaluate_artifact(name, dirs[name], jobs=None)
         return dirs[name]
     return render
 

@@ -128,9 +128,8 @@ EXPERIMENT_SETS = {
 }
 
 
-def run_set(name: str, progress=None, metrics=NULL_METRICS,
-            jobs: int | None = 1, tracer=NULL_TRACER,
-            recorder=NULL_RECORDER) -> dict[str, ExperimentResult]:
+def run_set(name: str, *, metrics=NULL_METRICS, jobs: int | None = 1,
+            tracer=NULL_TRACER, recorder=NULL_RECORDER) -> dict[str, ExperimentResult]:
     """Run one named experiment set; returns results keyed by config key.
 
     Pass a :class:`repro.obs.metrics.Metrics` as ``metrics`` to accumulate
@@ -139,8 +138,9 @@ def run_set(name: str, progress=None, metrics=NULL_METRICS,
     :func:`repro.core.executor.run_campaign` (``None`` = one per CPU,
     ``1`` = all inline); every ``jobs`` takes the same path, so results
     and the merged metrics are identical at any value. A
-    :class:`repro.obs.recorder.FlightRecorder` as ``recorder`` logs the
-    campaign's task/cache/timing events.
+    :class:`repro.obs.recorder.FlightRecorder` as ``recorder`` is the
+    set's one progress channel: it logs the campaign's task/cache/timing
+    events under the set's name and, when live, shows its progress line.
     """
     try:
         configs = EXPERIMENT_SETS[name]()
@@ -148,15 +148,14 @@ def run_set(name: str, progress=None, metrics=NULL_METRICS,
         raise KeyError(
             f"unknown experiment set {name!r}; known: {sorted(EXPERIMENT_SETS)}"
         ) from None
-    return run_campaign(configs, jobs=jobs, metrics=metrics,
-                        progress=progress, tracer=tracer, set_name=name,
-                        recorder=recorder)
+    return run_campaign(configs, jobs=jobs, metrics=metrics, tracer=tracer,
+                        set_name=name, recorder=recorder)
 
 
-def run_sets(names: Iterable[str], progress=None, metrics=NULL_METRICS,
+def run_sets(names: Iterable[str], *, metrics=NULL_METRICS,
              jobs: int | None = 1, recorder=NULL_RECORDER) -> dict[str, ExperimentResult]:
     results: dict[str, ExperimentResult] = {}
     for name in names:
-        results.update(run_set(name, progress, metrics=metrics, jobs=jobs,
+        results.update(run_set(name, metrics=metrics, jobs=jobs,
                                recorder=recorder))
     return results

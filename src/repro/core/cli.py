@@ -31,11 +31,6 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pqc.registry import ALL_KEM_NAMES, ALL_SIG_NAMES, LEVEL_GROUPS
 
 
-def _progress(set_name: str, index: int, total: int, config) -> None:
-    print(f"[{set_name}] {index + 1}/{total} {config.kem} x {config.sig} "
-          f"({config.scenario}, {config.policy})", file=sys.stderr)
-
-
 def _write(outdir: Path, name: str, content: str) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / name
@@ -114,10 +109,10 @@ def _renderer(name: str):
 
 
 def evaluate_artifact(name: str, outdir: Path, jobs: int | None = 1,
-                      progress=_progress, recorder=NULL_RECORDER) -> None:
+                      recorder=NULL_RECORDER) -> None:
     """Render one paper artifact and write its files under ``outdir``."""
     render = _renderer(name)
-    run_sets = partial(campaign.run_sets, progress=progress, jobs=jobs, recorder=recorder)
+    run_sets = partial(campaign.run_sets, jobs=jobs, recorder=recorder)
     for filename, content in render(run_sets).items():
         _write(outdir, filename, content)
 
@@ -206,9 +201,9 @@ def main(argv: list[str] | None = None) -> int:
                      help="write the self-profile as an SVG flamegraph "
                           "(implies --profile)")
     obs.add_argument("--flight-record", metavar="FILE",
-                     help="write a JSONL flight log of campaign events "
+                     help="also write a JSONL flight log of campaign events "
                           "(task start/finish, cache hits, per-worker timing) "
-                          "and show a live progress/ETA line")
+                          "behind the live progress/ETA line")
     parser.add_argument("names", nargs="*",
                         help=f"experiment sets {sorted(campaign.EXPERIMENT_SETS)} "
                              f"or, with --evaluate, artifacts {ARTIFACTS}")
@@ -249,10 +244,9 @@ def main(argv: list[str] | None = None) -> int:
 
     outdir = Path(args.output)
     metrics = Metrics() if args.metrics else NULL_METRICS
-    recorder = (FlightRecorder(args.flight_record, live=True)
-                if args.flight_record else NULL_RECORDER)
-    # the live ETA line replaces the per-experiment progress prints
-    progress = None if args.flight_record else _progress
+    # the recorder's live progress/ETA line is the one campaign display;
+    # --flight-record only adds its JSONL file
+    recorder = FlightRecorder(args.flight_record, live=True)
     profiler = (SamplingProfiler()
                 if args.profile or args.profile_svg else None)
     if profiler is not None:
@@ -261,16 +255,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.evaluate:
             for name in args.names:
                 evaluate_artifact(name, outdir, jobs=args.jobs,
-                                  progress=progress, recorder=recorder)
+                                  recorder=recorder)
         else:
             count = 0
             if single_mode:
                 run_single(args, metrics)
                 count += 1
             if args.names:
-                results = campaign.run_sets(args.names, progress,
-                                            metrics=metrics, jobs=args.jobs,
-                                            recorder=recorder)
+                results = campaign.run_sets(args.names, metrics=metrics,
+                                            jobs=args.jobs, recorder=recorder)
                 count += len(results)
             print(f"ran {count} experiments", file=sys.stderr)
     finally:

@@ -230,26 +230,25 @@ BATCH_SECONDS = 0.25
 
 
 def batch_units(ordered: list[ExperimentConfig], costs: dict[str, float],
-                batch_seconds: float,
                 traced_key: str | None = None) -> list[list[ExperimentConfig]]:
-    """Pack scheduled configs into dispatch units of ~``batch_seconds``.
+    """Pack scheduled configs into dispatch units of ~:data:`BATCH_SECONDS`.
 
     Cheap experiments (expected cost below the threshold) accumulate
     into a shared unit until it reaches the threshold, amortizing the
     per-task submit/pickle/result overhead that dominates sub-100ms
     replays. Expensive configs — and the traced one, which must ship its
-    trace records by itself — stay singleton units. ``batch_seconds <= 0``
-    disables packing (every unit is a singleton).
+    trace records by itself — stay singleton units. Every expected cost
+    is positive, so a threshold of 0 makes every unit a singleton.
     """
     units: list[list[ExperimentConfig]] = []
     open_batch: list[ExperimentConfig] = []
     open_cost = 0.0
     for config in ordered:
         cost = costs[config.key]
-        if batch_seconds <= 0 or cost >= batch_seconds or config.key == traced_key:
+        if cost >= BATCH_SECONDS or config.key == traced_key:
             units.append([config])
             continue
-        if open_batch and open_cost + cost > batch_seconds:
+        if open_batch and open_cost + cost > BATCH_SECONDS:
             units.append(open_batch)
             open_batch, open_cost = [], 0.0
         open_batch.append(config)
@@ -260,8 +259,7 @@ def batch_units(ordered: list[ExperimentConfig], costs: dict[str, float],
 
 
 def run_campaign(configs: list[ExperimentConfig], *, jobs: int | None = 1,
-                 metrics=NULL_METRICS, progress=None, tracer=NULL_TRACER,
-                 set_name: str = "campaign", stats: dict | None = None,
+                 metrics=NULL_METRICS, tracer=NULL_TRACER, set_name: str = "campaign",
                  recorder=NULL_RECORDER) -> dict[str, ExperimentResult]:
     """Run a list of experiments, fanning cache misses over ``jobs`` workers.
 
@@ -273,13 +271,15 @@ def run_campaign(configs: list[ExperimentConfig], *, jobs: int | None = 1,
     Results are keyed by config key and their metrics merged in the
     original config order, so metrics/trace aggregation is identical at
     any ``jobs``. If a task raises, the original exception propagates.
-    ``stats``, if given, is filled with the partition/schedule summary
-    (``jobs``, ``hits``, ``dispatched``, ``distinct_scripts``, ...).
 
-    ``recorder`` (a :class:`repro.obs.recorder.FlightRecorder`) logs
-    task/cache/timing events and drives the live ETA line; it observes
-    only — results, cache state, and metrics are identical with or
-    without it.
+    ``recorder`` (a :class:`repro.obs.recorder.FlightRecorder`) is the
+    campaign's one progress and introspection channel: it logs
+    ``campaign_begin`` (``experiments``), the ``schedule`` summary
+    (``jobs``, ``hits``, ``dispatched``, ``distinct_scripts``, ``units``,
+    ``batched``), a ``cache_hit`` or ``task_finish`` per distinct
+    experiment and ``campaign_end``, and advances its live progress/ETA
+    line on each of those experiments. It observes only — results, cache
+    state, and metrics are identical with or without it.
     """
     jobs = resolve_jobs(jobs)
     total = len(configs)
@@ -293,7 +293,6 @@ def run_campaign(configs: list[ExperimentConfig], *, jobs: int | None = 1,
     resolved: dict[str, ExperimentResult] = {}
     misses: list[ExperimentConfig] = []
     seen: set[str] = set()
-    done = 0
     for config in configs:
         if config.key in seen:
             continue  # duplicate within the set: one run serves all
@@ -305,9 +304,9 @@ def run_campaign(configs: list[ExperimentConfig], *, jobs: int | None = 1,
             if cached is not None:
                 resolved[config.key] = cached
                 recorder.event("cache_hit", set=set_name, key=config.key)
-                if progress is not None:
-                    progress(set_name, done, total, config)
-                done += 1
+                recorder.progress(set_name, len(resolved), total,
+                                  elapsed=walltime() - started,
+                                  hits=len(resolved))
                 continue
         misses.append(config)
 
@@ -324,12 +323,10 @@ def run_campaign(configs: list[ExperimentConfig], *, jobs: int | None = 1,
         costs[config.key] = estimated_cost(config, cold=script not in scripts)
         scripts.add(script)
     total_cost = sum(costs.values())
-    units = batch_units(ordered, costs, BATCH_SECONDS, traced_key)
+    units = batch_units(ordered, costs, traced_key)
     summary = {"hits": len(resolved), "dispatched": len(misses),
                "distinct_scripts": len(scripts), "units": len(units),
                "batched": sum(len(u) for u in units if len(u) > 1)}
-    if stats is not None:   # caller-owned introspection, read by benches
-        stats.update(jobs=jobs, experiments=total, **summary)
     recorder.event("schedule", set=set_name, jobs=jobs, **summary)
     for config in ordered:
         recorder.task_start(config.key, set_name=set_name,
@@ -341,9 +338,8 @@ def run_campaign(configs: list[ExperimentConfig], *, jobs: int | None = 1,
     done_cost = 0.0
 
     def finished(index: int, batch: list) -> None:
-        nonlocal done, done_cost, trace_records
-        for config, (key, result, cache_counters, records, seconds,
-                     pid) in zip(units[index], batch):
+        nonlocal done_cost, trace_records
+        for key, result, cache_counters, records, seconds, pid in batch:
             resolved[key] = result
             if records is not None:
                 trace_records = records
@@ -363,11 +359,9 @@ def run_campaign(configs: list[ExperimentConfig], *, jobs: int | None = 1,
                 elapsed = walltime() - started
                 eta = (elapsed * (total_cost - done_cost) / done_cost
                        if done_cost < total_cost else None)
-                recorder.progress(set_name, done + 1, total, elapsed=elapsed,
-                                  eta=eta, hits=summary["hits"])
-            if progress is not None:
-                progress(set_name, done, total, config)
-            done += 1
+                recorder.progress(set_name, len(resolved), total,
+                                  elapsed=elapsed, eta=eta,
+                                  hits=summary["hits"])
 
     run_sharded(partial(_worker_run_batch, traced_key=traced_key), units,
                 jobs=jobs, on_complete=finished)

@@ -42,8 +42,11 @@ def run_sharded(task, payloads: list, *, jobs: int | None = None,
     finish in, so callers can merge deterministically. ``jobs`` resolves
     through :func:`resolve_jobs`; ``jobs=1`` or a single payload runs
     inline in this process, with no pool. ``on_complete(index, result)``
-    fires per finished payload in completion order — observation only
-    (progress display), never part of the result.
+    fires in this process per finished payload, in completion order: the
+    campaign executor files each result there and reports it to its
+    flight recorder, and the traffic leader logs shard progress. Nothing
+    order-sensitive may hang off it; the returned list is the
+    deterministic view.
 
     ``task`` must be a module-level callable computing a pure function
     of its payload: workers are spawned, so the only state it sees is

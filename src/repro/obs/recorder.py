@@ -64,8 +64,8 @@ class FlightRecorder:
         """Record one event, stamped with seconds since recorder creation."""
         record = {"event": kind, "t": round(walltime() - self._t0, 6), **fields}
         self.events.append(record)
+        self._clear_live()   # the next progress() redraws the live line
         if self._file is not None:
-            self._clear_live()
             self._file.write(json.dumps(record, sort_keys=True) + "\n")
             self._file.flush()
         return record

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import campaign
 from repro.core.campaign import EXPERIMENT_SETS, all_kem, all_sig, level
+from repro.obs.recorder import FlightRecorder
 from repro.pqc.registry import ALL_KEM_NAMES, ALL_SIG_NAMES
 
 
@@ -73,14 +74,14 @@ def test_unknown_set_rejected():
 
 
 def test_run_set_small(monkeypatch):
-    """run_set wires progress + results; exercise with a tiny stub set."""
-    calls = []
+    """run_set wires the recorder + results; exercise with a tiny stub set."""
     monkeypatch.setitem(
         EXPERIMENT_SETS, "tiny",
         lambda: [campaign.ExperimentConfig(kem="x25519", sig="rsa:1024", duration=5.0)])
-    results = campaign.run_set("tiny", progress=lambda *a: calls.append(a))
+    recorder = FlightRecorder()
+    results = campaign.run_set("tiny", recorder=recorder)
     assert len(results) == 1
-    assert calls and calls[0][0] == "tiny"
+    assert recorder.events and {e["set"] for e in recorder.events} == {"tiny"}
 
 
 def test_run_set_parallel_matches_serial(monkeypatch, tmp_path):

@@ -6,6 +6,8 @@ they prove the executor's core contract: parallelism changes wall-clock
 time, never values.
 """
 
+import io
+
 import pytest
 
 from repro import cache
@@ -21,6 +23,7 @@ from repro.core.executor import (
 from repro.core.fanout import resolve_jobs
 from repro.core.experiment import ExperimentConfig, run_experiment, script_key
 from repro.obs.metrics import Metrics
+from repro.obs.recorder import FlightRecorder
 from repro.obs.tracer import Tracer
 
 SMALL_SET = [
@@ -36,6 +39,12 @@ SMALL_SET = [
 def cold_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     return tmp_path
+
+
+def event_of(recorder, kind):
+    """The campaign's one ``kind`` event (``schedule``, ``campaign_begin``)."""
+    (event,) = [e for e in recorder.events if e["event"] == kind]
+    return event
 
 
 @pytest.fixture
@@ -125,9 +134,10 @@ def _synthetic_unit_inputs():
     return configs, costs
 
 
-def test_batch_units_packs_cheap_and_isolates_expensive():
+def test_batch_units_packs_cheap_and_isolates_expensive(monkeypatch):
+    monkeypatch.setattr(executor, "BATCH_SECONDS", 0.25)
     configs, costs = _synthetic_unit_inputs()
-    units = batch_units(configs, costs, batch_seconds=0.25)
+    units = batch_units(configs, costs)
     assert units == [[configs[0]], [configs[1], configs[2]],
                      [configs[4]], [configs[3], configs[5]]]
     # every config dispatched exactly once, whatever the packing
@@ -135,16 +145,17 @@ def test_batch_units_packs_cheap_and_isolates_expensive():
     assert sorted(flat) == sorted(c.key for c in configs)
 
 
-def test_batch_units_zero_threshold_disables_packing():
+def test_batch_units_zero_threshold_disables_packing(monkeypatch):
+    monkeypatch.setattr(executor, "BATCH_SECONDS", 0.0)
     configs, costs = _synthetic_unit_inputs()
-    units = batch_units(configs, costs, batch_seconds=0.0)
+    units = batch_units(configs, costs)
     assert units == [[c] for c in configs]
 
 
-def test_batch_units_keeps_traced_config_singleton():
+def test_batch_units_keeps_traced_config_singleton(monkeypatch):
+    monkeypatch.setattr(executor, "BATCH_SECONDS", 0.25)
     configs, costs = _synthetic_unit_inputs()
-    units = batch_units(configs, costs, batch_seconds=0.25,
-                        traced_key=configs[1].key)
+    units = batch_units(configs, costs, traced_key=configs[1].key)
     assert [configs[1]] in units
 
 
@@ -157,16 +168,17 @@ def test_parallel_equals_serial(tmp_path, monkeypatch, multicore):
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "parallel"))
     parallel_metrics = Metrics()
-    stats = {}
+    recorder = FlightRecorder()
     parallel = run_campaign(SMALL_SET, jobs=3, metrics=parallel_metrics,
-                            stats=stats)
+                            recorder=recorder)
 
     assert list(parallel) == list(serial)
     for key in serial:
         assert parallel[key] == serial[key], key     # full ExperimentResult eq
     assert parallel_metrics.snapshot() == serial_metrics.snapshot()
-    assert stats["dispatched"] == len(SMALL_SET)
-    assert stats["distinct_scripts"] == 3            # two configs share a script
+    schedule_event = event_of(recorder, "schedule")
+    assert schedule_event["dispatched"] == len(SMALL_SET)
+    assert schedule_event["distinct_scripts"] == 3   # two configs share a script
 
 
 def test_parallel_equals_serial_with_streaming_instruments(
@@ -202,14 +214,15 @@ def test_batched_parallel_equals_serial(tmp_path, monkeypatch, multicore):
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "batched"))
     batched_metrics = Metrics()
-    stats = {}
+    recorder = FlightRecorder()
     monkeypatch.setattr(executor, "BATCH_SECONDS", 0.5)
     batched = run_campaign(SMALL_SET, jobs=3, metrics=batched_metrics,
-                           stats=stats)
+                           recorder=recorder)
     assert batched == serial
     assert batched_metrics.snapshot() == serial_metrics.snapshot()
-    assert stats["batched"] >= 2                  # some unit actually shared
-    assert stats["units"] < stats["dispatched"]
+    schedule_event = event_of(recorder, "schedule")
+    assert schedule_event["batched"] >= 2         # some unit actually shared
+    assert schedule_event["units"] < schedule_event["dispatched"]
 
 
 def test_parallel_warm_cache_resolves_inline(cold_cache, monkeypatch, multicore):
@@ -220,11 +233,14 @@ def test_parallel_warm_cache_resolves_inline(cold_cache, monkeypatch, multicore)
             raise AssertionError("a fully-cached campaign must not spawn workers")
 
     monkeypatch.setattr(fanout, "ProcessPoolExecutor", PoolBomb)
-    stats = {}
+    recorder = FlightRecorder()
     warm_metrics = Metrics()
-    warm = run_campaign(SMALL_SET, jobs=4, metrics=warm_metrics, stats=stats)
+    warm = run_campaign(SMALL_SET, jobs=4, metrics=warm_metrics,
+                        recorder=recorder)
     assert warm == serial
-    assert stats["hits"] == len(SMALL_SET) and stats["dispatched"] == 0
+    schedule_event = event_of(recorder, "schedule")
+    assert schedule_event["hits"] == len(SMALL_SET)
+    assert schedule_event["dispatched"] == 0
 
 
 def test_single_miss_runs_inline_without_pool(cold_cache, monkeypatch, multicore):
@@ -238,11 +254,13 @@ def test_single_miss_runs_inline_without_pool(cold_cache, monkeypatch, multicore
 
     monkeypatch.setattr(fanout, "ProcessPoolExecutor", PoolBomb)
     before = cache.metrics.snapshot()["counters"]
-    stats = {}
-    results = run_campaign(SMALL_SET, jobs=4, metrics=Metrics(), stats=stats)
+    recorder = FlightRecorder()
+    results = run_campaign(SMALL_SET, jobs=4, metrics=Metrics(),
+                           recorder=recorder)
     after = cache.metrics.snapshot()["counters"]
     assert serial_key in results and len(results) == len(SMALL_SET)
-    assert stats["hits"] == 3 and stats["dispatched"] == 1
+    schedule_event = event_of(recorder, "schedule")
+    assert schedule_event["hits"] == 3 and schedule_event["dispatched"] == 1
     # the inline run's miss is counted exactly once, as in a serial run
     assert after["cache.experiment.miss"] - before.get("cache.experiment.miss", 0.0) == 1
     assert after["cache.experiment.store"] - before.get("cache.experiment.store", 0.0) == 1
@@ -256,14 +274,18 @@ def test_one_core_host_runs_inline_without_pool(cold_cache, monkeypatch):
             raise AssertionError("jobs clamped to 1 core must not spawn workers")
 
     monkeypatch.setattr(fanout, "ProcessPoolExecutor", PoolBomb)
-    stats = {}
-    results = run_campaign(SMALL_SET, jobs=4, metrics=Metrics(), stats=stats)
+    recorder = FlightRecorder()
+    results = run_campaign(SMALL_SET, jobs=4, metrics=Metrics(),
+                           recorder=recorder)
     assert len(results) == len(SMALL_SET)
     # the same partition/schedule/batch pipeline ran, just without a pool
-    assert stats["jobs"] == 1 and stats["experiments"] == len(SMALL_SET)
-    assert stats["hits"] == 0 and stats["dispatched"] == len(SMALL_SET)
-    assert stats["distinct_scripts"] == 3
-    assert 1 <= stats["units"] <= len(SMALL_SET)
+    schedule_event = event_of(recorder, "schedule")
+    assert schedule_event["jobs"] == 1
+    assert event_of(recorder, "campaign_begin")["experiments"] == len(SMALL_SET)
+    assert schedule_event["hits"] == 0
+    assert schedule_event["dispatched"] == len(SMALL_SET)
+    assert schedule_event["distinct_scripts"] == 3
+    assert 1 <= schedule_event["units"] <= len(SMALL_SET)
 
 
 def _cache_counter_delta(before: dict) -> dict:
@@ -296,9 +318,10 @@ def test_inline_campaign_equals_hand_loop(tmp_path, monkeypatch):
 
 
 def test_empty_campaign_returns_empty(cold_cache):
-    stats = {}
-    assert run_campaign([], tracer=Tracer(), stats=stats) == {}
-    assert stats["experiments"] == 0 and stats["units"] == 0
+    recorder = FlightRecorder()
+    assert run_campaign([], tracer=Tracer(), recorder=recorder) == {}
+    assert event_of(recorder, "campaign_begin")["experiments"] == 0
+    assert event_of(recorder, "schedule")["units"] == 0
 
 
 def test_duplicate_configs_merge_like_serial(cold_cache, monkeypatch, multicore):
@@ -315,14 +338,22 @@ def test_duplicate_configs_merge_like_serial(cold_cache, monkeypatch, multicore)
     assert parallel_metrics.snapshot() == serial_metrics.snapshot()
 
 
-def test_progress_reported_for_hits_and_misses(cold_cache, multicore):
+def test_recorder_reports_hits_and_misses(cold_cache, multicore):
     run_campaign(SMALL_SET[:2], jobs=1, metrics=Metrics())   # warm 2 of 4
-    calls = []
-    run_campaign(SMALL_SET, jobs=2, set_name="small",
-                 progress=lambda *a: calls.append(a))
-    assert len(calls) == len(SMALL_SET)
-    assert {c[0] for c in calls} == {"small"}
-    assert sorted(c[1] for c in calls) == list(range(len(SMALL_SET)))
+    stream = io.StringIO()
+    recorder = FlightRecorder(live=True, stream=stream)
+    run_campaign(SMALL_SET, jobs=2, set_name="small", recorder=recorder)
+    # every experiment is reported exactly once, as a hit or as a finish
+    reported = [e["key"] for e in recorder.events
+                if e["event"] in ("cache_hit", "task_finish")]
+    assert sorted(reported) == sorted(c.key for c in SMALL_SET)
+    assert {e["set"] for e in recorder.events} == {"small"}
+    # the live line advances once per experiment, hits included, and its
+    # last drawing reads 4/4 (cleared lines are blank between drawings)
+    drawn = [line.strip() for line in stream.getvalue().split("\r")
+             if line.strip()]
+    assert [line.split()[1] for line in drawn] == ["1/4", "2/4", "3/4", "4/4"]
+    assert drawn[-1].startswith("[small] 4/4")
 
 
 def test_fault_campaign_failure_sets_identical_serial_and_parallel(

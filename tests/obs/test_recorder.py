@@ -65,6 +65,16 @@ def test_live_progress_line_writes_and_clears():
     assert stream.getvalue().endswith("\r")  # line cleared on close
 
 
+def test_event_clears_live_line_without_a_file():
+    # the campaign CLI's recorder is live with no file: campaign_end must
+    # leave stderr on a clean line for the CLI's next message
+    stream = io.StringIO()
+    recorder = FlightRecorder(live=True, stream=stream)
+    recorder.progress("s", 1, 2, elapsed=1.0)
+    recorder.event("campaign_end", set="s")
+    assert stream.getvalue().endswith(" " * 78 + "\r")
+
+
 def test_live_line_suppressed_when_not_live():
     stream = io.StringIO()
     recorder = FlightRecorder(live=False, stream=stream)
